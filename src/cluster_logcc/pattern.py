@@ -16,7 +16,7 @@ are exercised against frozen expected values in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from fractions import Fraction
 
@@ -37,46 +37,6 @@ def _identity(n: int) -> Matrix:
 
 def _neg_identity(n: int) -> Matrix:
     return tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _j_matrix(n: int, kk: int) -> Matrix:
-    """Identity with the (kk, kk) entry replaced by -1 (0-based)."""
-    return tuple(
-        tuple((-1 if i == kk else 1) if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0])))
-        for i in range(len(A))
-    )
-
-
-def _mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _pos_part(A: Matrix) -> Matrix:
-    return tuple(tuple(max(e, 0) for e in row) for row in A)
-
-
-def _neg_mat(A: Matrix) -> Matrix:
-    return tuple(tuple(-e for e in row) for row in A)
-
-
-def _row_only(A: Matrix, kk: int) -> Matrix:
-    """Zero out everything except row kk."""
-    return tuple(row if i == kk else tuple(0 for _ in row) for i, row in enumerate(A))
-
-
-def _col_only(A: Matrix, kk: int) -> Matrix:
-    """Zero out everything except column kk."""
-    return tuple(tuple(e if j == kk else 0 for j, e in enumerate(row)) for row in A)
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
@@ -294,23 +254,38 @@ def d_vector_step(D: Matrix, B: Matrix, k: int) -> Matrix:
 def cg_step(C: Matrix, G: Matrix, B_t: Matrix, B0: Matrix, k: int) -> Tuple[Matrix, Matrix]:
     """One mutation step of the coefficient and leading-monomial matrices.
 
+    By definition
     C' = C (J_k + [B_t]_+^{row k}) + [-C]_+^{col k} B_t
     G' = G (J_k + [B_t]_+^{col k}) - B0 [C]_+^{col k}
-    where the row/col superscripts zero out all other rows/columns.
+    where J_k is the identity with entry (k, k) negated and the row/col
+    superscripts zero out all other rows/columns.  Entrywise that is
+    c'_ik = -c_ik and, for j != k,
+    c'_ij = c_ij + [c_ik]_+ [b_kj]_+ - [-c_ik]_+ [-b_kj]_+,
+    while G changes only in column k,
+    g'_ik = -g_ik + sum_t g_it [b_tk]_+ - sum_t b0_it [c_tk]_+;
+    these entry formulas are what is computed, in O(n^2) per step.
     """
-    n = len(C)
     kk = k - 1
-    J = _j_matrix(n, kk)
-    pos_b = _pos_part(B_t)
-    C2 = _mat_add(
-        _mat_mul(C, _mat_add(J, _row_only(pos_b, kk))),
-        _mat_mul(_col_only(_pos_part(_neg_mat(C)), kk), B_t),
-    )
-    G2 = _mat_sub(
-        _mat_mul(G, _mat_add(J, _col_only(pos_b, kk))),
-        _mat_mul(B0, _col_only(_pos_part(C), kk)),
-    )
-    return C2, G2
+    b_plus = [max(b, 0) for b in B_t[kk]]
+    b_minus = [max(-b, 0) for b in B_t[kk]]
+    C2 = []
+    for row in C:
+        p, m = max(row[kk], 0), max(-row[kk], 0)
+        new = [c + p * bp - m * bm for c, bp, bm in zip(row, b_plus, b_minus)]
+        new[kk] = -row[kk]
+        C2.append(tuple(new))
+    bcol_plus = [max(row[kk], 0) for row in B_t]
+    ccol_plus = [max(row[kk], 0) for row in C]
+    G2 = []
+    for g_row, b0_row in zip(G, B0):
+        new = list(g_row)
+        new[kk] = (
+            -g_row[kk]
+            + sum(g * b for g, b in zip(g_row, bcol_plus))
+            - sum(b * c for b, c in zip(b0_row, ccol_plus))
+        )
+        G2.append(tuple(new))
+    return tuple(C2), tuple(G2)
 
 
 @dataclass(frozen=True)
@@ -326,6 +301,10 @@ class PatternState:
     G: Matrix
     D: Matrix
     B0: Matrix
+
+    @property
+    def n(self) -> int:
+        return self.seed.n
 
 
 def principal_state(B: Sequence[Sequence[int]]) -> PatternState:
@@ -403,21 +382,34 @@ def canonical_seed_key(seed: Seed) -> tuple:
 
 @dataclass
 class ExchangeGraph:
-    seeds: List[Seed]
+    seeds: List  # whatever the search stepped through: seeds, states, triangulations
     edges: List[Tuple[int, int, int]]  # (seed index, direction, seed index)
     closed: bool
 
 
-def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> ExchangeGraph:
+def enumerate_exchange_graph(
+    seed,
+    budget: Optional[int] = None,
+    step: Optional[Callable] = None,
+    key: Optional[Callable] = None,
+) -> ExchangeGraph:
     """Breadth-first search of seeds up to relabeling.
 
-    Seeds are identified when they differ only by a simultaneous permutation
-    of cluster entries, coefficients, and matrix rows/columns.  Stops early
-    (closed=False) if more than `budget` classes appear.
+    step(s, k) is the neighbour of s in direction k (1..s.n) and key(s) names
+    its class; they default to mutate and canonical_seed_key, looked up at
+    call time.  The same search walks principal states and triangulation
+    flips.  Seeds are identified when they differ only by a simultaneous
+    permutation of cluster entries, coefficients, and matrix rows/columns.
+    Once `budget` classes are known no new one is added, and the graph comes
+    back with closed=False.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    index: Dict[tuple, int] = {canonical_seed_key(seed): 0}
+    if step is None:
+        step = mutate
+    if key is None:
+        key = canonical_seed_key
+    index: Dict[object, int] = {key(seed): 0}
     seeds = [seed]
     edges: List[Tuple[int, int, int]] = []
     closed = True
@@ -427,15 +419,15 @@ def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Exchan
         for i in frontier:
             s = seeds[i]
             for k in range(1, s.n + 1):
-                t = mutate(s, k)
-                key = canonical_seed_key(t)
-                j = index.get(key)
+                t = step(s, k)
+                t_key = key(t)
+                j = index.get(t_key)
                 if j is None:
                     if len(seeds) >= budget:
                         closed = False
                         continue
                     j = len(seeds)
-                    index[key] = j
+                    index[t_key] = j
                     seeds.append(t)
                     nxt.append(j)
                 edges.append((i, k, j))

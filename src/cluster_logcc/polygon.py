@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .pattern import enumerate_exchange_graph
 from .poly import LaurentPoly
 
 Pair = Tuple[int, int]
@@ -230,21 +231,18 @@ def flip(tri: Triangulation, k: int) -> Tuple[Triangulation, Tuple[int, int, int
     return Triangulation(tri.n, tuple(new_edges)), quad
 
 
-def enumerate_triangulations(start: Triangulation, budget: int = 100000) -> List[Triangulation]:
-    """All triangulations reachable by flips (all of them, by connectivity)."""
-    seen = {frozenset(start.diagonal_pairs()): start}
-    queue = [start]
-    while queue:
-        tri = queue.pop(0)
-        for k in range(1, tri.n + 1):
-            nxt, _ = flip(tri, k)
-            key = frozenset(nxt.diagonal_pairs())
-            if key not in seen:
-                if len(seen) >= budget:
-                    raise RuntimeError("triangulation enumeration exceeded budget")
-                seen[key] = nxt
-                queue.append(nxt)
-    return list(seen.values())
+def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None) -> List[Triangulation]:
+    """All triangulations reachable by flips (all of them, by connectivity).
+
+    Listed in breadth-first order by the exchange-graph search; more than
+    `budget` (default DEFAULT_BUDGET) triangulations is an error.
+    """
+    graph = enumerate_exchange_graph(
+        start, budget, lambda tri, k: flip(tri, k)[0], lambda tri: frozenset(tri.diagonal_pairs())
+    )
+    if not graph.closed:
+        raise RuntimeError("triangulation enumeration exceeded budget")
+    return graph.seeds
 
 
 # ---- path expansion ----

@@ -43,10 +43,8 @@ from .poly import (
     poly_to_json,
 )
 from .pattern import (
-    DEFAULT_BUDGET,
+    Matrix,
     PatternState,
-    _mat_mul,
-    _pos_part,
     a_n_matrix,
     canonical_seed_key,
     check_separation,
@@ -114,7 +112,34 @@ def _logcc_witness(p: LaurentPoly, **extra) -> Optional[dict]:
     return out
 
 
-# ---- principal-coefficient seed sweep ----
+def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0])))
+        for i in range(len(A))
+    )
+
+
+def _pos_part(A: Matrix) -> Matrix:
+    return tuple(tuple(max(e, 0) for e in row) for row in A)
+
+
+def _chords(size: int):
+    """The chords {a, b}, a < b, of the size-gon in ascending (a, b) order."""
+    for a in range(size):
+        for b in range(a + 2, size):
+            if not (a == 0 and b == size - 1):  # {0, size-1} is a boundary edge
+                yield a, b
+
+
+# ---- seed sweeps ----
+
+
+def _sweep(start, budget: Optional[int], step=None, key=None) -> list:
+    """Every seed class reachable from start; an exceeded budget is an error."""
+    graph = enumerate_exchange_graph(start, budget, step, key)
+    if not graph.closed:
+        raise RuntimeError("exchange graph not closed within budget")
+    return graph.seeds
 
 
 def _principal_states(n: int, budget: Optional[int]) -> List[PatternState]:
@@ -124,27 +149,9 @@ def _principal_states(n: int, budget: Optional[int]) -> List[PatternState]:
     for a seed follow the labeling of the first path that reached it, which
     keeps columns aligned with cluster positions.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    state0 = principal_state(a_n_matrix(n))
-    index = {canonical_seed_key(state0.seed): 0}
-    states = [state0]
-    frontier = [0]
-    while frontier:
-        nxt: List[int] = []
-        for i in frontier:
-            st = states[i]
-            for k in range(1, n + 1):
-                t = state_step(st, k)
-                key = canonical_seed_key(t.seed)
-                if key not in index:
-                    if len(states) >= budget:
-                        raise RuntimeError("exchange graph not closed within budget")
-                    index[key] = len(states)
-                    states.append(t)
-                    nxt.append(len(states) - 1)
-        frontier = nxt
-    return states
+    return _sweep(
+        principal_state(a_n_matrix(n)), budget, state_step, lambda st: canonical_seed_key(st.seed)
+    )
 
 
 # ---- claim checkers ----
@@ -160,26 +167,20 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
     """
     report = Report("main1", {"rank": n}, "pending")
     tri = zigzag(n)
-    size = tri.size
     diag_set = {tri.pair_of(k): k for k in range(1, n + 1)}
 
     by_key: Dict[tuple, LaurentPoly] = {}
-    for a in range(size):
-        for b in range(a + 2, size):
-            if a == 0 and b == size - 1:
-                continue  # boundary edge, not a chord
-            label = diag_set.get((a, b))
-            if label is not None:
-                p = LaurentPoly.variable(n, label - 1)
-            else:
-                p = expand_variable(tri, a, b, coefficient_free=True)
-            by_key[p.key()] = p
+    for a, b in _chords(tri.size):
+        label = diag_set.get((a, b))
+        if label is not None:
+            p = LaurentPoly.variable(n, label - 1)
+        else:
+            p = expand_variable(tri, a, b, coefficient_free=True)
+        by_key[p.key()] = p
 
-    graph = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget)
-    if not graph.closed:
-        raise RuntimeError("exchange graph not closed within budget")
+    seeds = _sweep(coefficient_free_seed(a_n_matrix(n)), budget)
     mutated: Dict[tuple, LaurentPoly] = {}
-    for s in graph.seeds:
+    for s in seeds:
         for x in s.cluster:
             mutated.setdefault(x.key(), x)
 
@@ -213,7 +214,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 
     report.stats = {
         "num_variables": len(by_key),
-        "num_seeds": len(graph.seeds),
+        "num_seeds": len(seeds),
         "max_numerator_coefficient": max_coeff,
     }
     return _settle(report)
@@ -228,41 +229,37 @@ def verify_coeff_bounds(n: int) -> Report:
     """
     report = Report("coeff012", {"rank": n}, "pending")
     tri = zigzag(n)
-    size = tri.size
     diag_pairs = set(tri.diagonal_pairs())
     num_chords = 0
     has_two = False
-    for a in range(size):
-        for b in range(a + 2, size):
-            if a == 0 and b == size - 1:
-                continue
-            if (a, b) in diag_pairs:
-                continue  # plain variables, coefficient 1 trivially
-            num_chords += 1
-            free = expand_variable(tri, a, b, coefficient_free=True)
-            kept = expand_variable(tri, a, b, coefficient_free=False)
-            free_coeffs = set(free.coefficients())
-            if not free_coeffs <= {1, 2}:
-                report.witnesses.append(
-                    {
-                        "kind": "coefficient-free-out-of-range",
-                        "chord": [a, b],
-                        "coefficients": sorted(free_coeffs),
-                        "poly": poly_to_json(free),
-                    }
-                )
-            if 2 in free_coeffs:
-                has_two = True
-            kept_coeffs = set(kept.coefficients())
-            if kept_coeffs != {1}:
-                report.witnesses.append(
-                    {
-                        "kind": "kept-coefficient-not-one",
-                        "chord": [a, b],
-                        "coefficients": sorted(kept_coeffs),
-                        "poly": poly_to_json(kept),
-                    }
-                )
+    for a, b in _chords(tri.size):
+        if (a, b) in diag_pairs:
+            continue  # plain variables, coefficient 1 trivially
+        num_chords += 1
+        free = expand_variable(tri, a, b, coefficient_free=True)
+        kept = expand_variable(tri, a, b, coefficient_free=False)
+        free_coeffs = set(free.coefficients())
+        if not free_coeffs <= {1, 2}:
+            report.witnesses.append(
+                {
+                    "kind": "coefficient-free-out-of-range",
+                    "chord": [a, b],
+                    "coefficients": sorted(free_coeffs),
+                    "poly": poly_to_json(free),
+                }
+            )
+        if 2 in free_coeffs:
+            has_two = True
+        kept_coeffs = set(kept.coefficients())
+        if kept_coeffs != {1}:
+            report.witnesses.append(
+                {
+                    "kind": "kept-coefficient-not-one",
+                    "chord": [a, b],
+                    "coefficients": sorted(kept_coeffs),
+                    "poly": poly_to_json(kept),
+                }
+            )
     report.stats = {"num_chords": num_chords, "has_coefficient_two": has_two}
     return _settle(report)
 
@@ -481,23 +478,16 @@ class StructureExpansion:
 _ELIMINATION_GUARD = 1_000_000
 
 
-def a2_structure_constants(
-    factors: Sequence[ClusterMonomial], deg: Optional[int] = None
-) -> StructureExpansion:
-    """Expand a product of rank-2 cluster monomials over the monomial basis.
+def _eliminate(
+    prod: LaurentPoly, basis: List[BasisElement], lead_index: Dict[tuple, int]
+) -> Tuple[Dict[int, int], LaurentPoly]:
+    """Greedy elimination of prod over the basis on graded-lex leading terms.
 
-    Greedy elimination on graded-lex leading terms: each step cancels the
-    current leading term against the unique basis element carrying it.  A
-    leftover residual means the basis bound was too small (or the expansion
-    genuinely leaves the span); it is returned, not raised.
+    Each step cancels the current leading term against the unique basis
+    element carrying it.  Returns the nonzero constants by basis index and
+    the residual, which is nonzero when some leading term has no basis
+    element.
     """
-    total_degree = sum(f.exponents[0] + f.exponents[1] for f in factors)
-    bound = total_degree if deg is None else max(deg, total_degree)
-    basis = a2_basis(bound)
-    lead_index = {e.leading: i for i, e in enumerate(basis)}
-    prod = LaurentPoly.const(2, 1)
-    for f in factors:
-        prod = prod * f.value
     coeffs: Dict[int, int] = {}
     steps = 0
     while prod:
@@ -511,8 +501,27 @@ def a2_structure_constants(
         c = prod.terms[lead]
         coeffs[i] = coeffs.get(i, 0) + c
         prod = prod - basis[i].value.scale(c)
-    coeffs = {i: c for i, c in sorted(coeffs.items()) if c != 0}
-    return StructureExpansion(basis, coeffs, prod)
+    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, prod
+
+
+def a2_structure_constants(
+    factors: Sequence[ClusterMonomial], deg: Optional[int] = None
+) -> StructureExpansion:
+    """Expand a product of rank-2 cluster monomials over the monomial basis.
+
+    Greedy elimination on graded-lex leading terms (_eliminate).  A leftover
+    residual means the basis bound was too small (or the expansion genuinely
+    leaves the span); it is returned, not raised.
+    """
+    total_degree = sum(f.exponents[0] + f.exponents[1] for f in factors)
+    bound = total_degree if deg is None else max(deg, total_degree)
+    basis = a2_basis(bound)
+    lead_index = {e.leading: i for i, e in enumerate(basis)}
+    prod = LaurentPoly.const(2, 1)
+    for f in factors:
+        prod = prod * f.value
+    coeffs, residual = _eliminate(prod, basis, lead_index)
+    return StructureExpansion(basis, coeffs, residual)
 
 
 def _chart_tables(
@@ -598,12 +607,10 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
     the claim is open, so the report stays exploratory either way.
     """
     report = Report("conj-an", {"rank": n, "deg": deg}, "exploratory")
-    graph = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget)
-    if not graph.closed:
-        raise RuntimeError("exchange graph not closed within budget")
+    seeds = _sweep(coefficient_free_seed(a_n_matrix(n)), budget)
     seen: Dict[tuple, bool] = {}
     max_coeff = 0
-    for idx, seed in enumerate(graph.seeds):
+    for idx, seed in enumerate(seeds):
         for m in iter_product(range(deg + 1), repeat=n):
             total = sum(m)
             if total == 0 or total > deg:
@@ -624,7 +631,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
             if w is not None:
                 report.witnesses.append(w)
     report.stats = {
-        "num_clusters": len(graph.seeds),
+        "num_clusters": len(seeds),
         "num_monomials": len(seen),
         "max_numerator_coefficient": max_coeff,
     }
@@ -653,29 +660,15 @@ def explore_a2_structure_constants(deg: int) -> Report:
             if basis[i].degree + basis[j].degree > deg:
                 continue
             num_pairs += 1
-            prod = basis[i].value * basis[j].value
-            coeffs: Dict[int, int] = {}
-            steps = 0
-            while prod:
-                steps += 1
-                if steps > _ELIMINATION_GUARD:
-                    raise RuntimeError("expansion did not terminate within the step guard")
-                lead = _leading_exponent(prod)
-                t = lead_index.get(lead)
-                if t is None:
-                    break
-                c = prod.terms[lead]
-                coeffs[t] = coeffs.get(t, 0) + c
-                prod = prod - basis[t].value.scale(c)
-            coeffs = {t: c for t, c in sorted(coeffs.items()) if c != 0}
+            coeffs, residual = _eliminate(basis[i].value * basis[j].value, basis, lead_index)
             pair_json = {
                 "left": _basis_element_json(basis[i]),
                 "right": _basis_element_json(basis[j]),
             }
-            if prod:
+            if residual:
                 num_unresolved += 1
                 report.witnesses.append(
-                    {"kind": "unresolved-residual", "residual": poly_to_json(prod), **pair_json}
+                    {"kind": "unresolved-residual", "residual": poly_to_json(residual), **pair_json}
                 )
                 continue
             negatives = {t: c for t, c in coeffs.items() if c < 0}

@@ -51,3 +51,41 @@ def slow_poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             e = tuple(a + b for a, b in zip(e1, e2))
             terms[e] = terms.get(e, 0) + c1 * c2
     return LaurentPoly(p.num_vars, terms)
+
+
+def _dense_mul(A, B):
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0])))
+        for i in range(len(A))
+    )
+
+
+def _dense_add(A, B, sign=1):
+    return tuple(tuple(a + sign * b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def _dense_pos(A):
+    return tuple(tuple(max(e, 0) for e in row) for row in A)
+
+
+def dense_cg_step(C, G, B_t, B0, k):
+    """The matrix form of one C/G mutation step, by dense products.
+
+    C' = C (J_k + [B_t]_+^{row k}) + [-C]_+^{col k} B_t
+    G' = G (J_k + [B_t]_+^{col k}) - B0 [C]_+^{col k}
+    where J_k is the identity with entry (k, k) negated and the row/col
+    superscripts zero out all other rows/columns.  Directions are 1-based.
+    """
+    n = len(C)
+    kk = k - 1
+    J = tuple(
+        tuple((-1 if i == kk else 1) if i == j else 0 for j in range(n)) for i in range(n)
+    )
+    pos_b = _dense_pos(B_t)
+    row_k = tuple(row if i == kk else (0,) * n for i, row in enumerate(pos_b))
+    col_k = tuple(tuple(e if j == kk else 0 for j, e in enumerate(row)) for row in pos_b)
+    neg_c_col = tuple(tuple(max(-e, 0) if j == kk else 0 for j, e in enumerate(row)) for row in C)
+    pos_c_col = tuple(tuple(max(e, 0) if j == kk else 0 for j, e in enumerate(row)) for row in C)
+    C2 = _dense_add(_dense_mul(C, _dense_add(J, row_k)), _dense_mul(neg_c_col, B_t))
+    G2 = _dense_add(_dense_mul(G, _dense_add(J, col_k)), _dense_mul(B0, pos_c_col), sign=-1)
+    return C2, G2

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
+
+from oracles import dense_cg_step
 
 from cluster_logcc import (
     LaurentPoly,
@@ -8,6 +12,7 @@ from cluster_logcc import (
     a_n_matrix,
     boundary_seed,
     canonical_seed_key,
+    cg_step,
     check_separation,
     cluster_variables,
     coefficient_free_seed,
@@ -26,6 +31,7 @@ from cluster_logcc import (
     state_step,
     zigzag,
 )
+from cluster_logcc.verify import _principal_states
 
 B2 = ((0, 1), (-1, 0))
 
@@ -227,6 +233,36 @@ def test_companion_duality_along_random_walks(path):
         # coefficient exponent vectors read off the columns of C
         for i in range(3):
             assert st_.seed.y[i].exponents == tuple(st_.C[j][i] for j in range(3))
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "B0",
+    [a_n_matrix(n) for n in range(1, 7)] + [((0, 2), (-1, 0)), ((0, 3), (-1, 0)), ((0, 2), (-2, 0))],
+)
+def test_cg_step_matches_dense_products_along_random_paths(B0):
+    rng = random.Random(20260817 + len(B0))
+    n = len(B0)
+    for _ in range(200 // n):
+        C, G, B = _identity(n), _identity(n), B0
+        for _ in range(rng.randint(1, 8)):
+            k = rng.randint(1, n)
+            got = cg_step(C, G, B, B0, k)
+            assert got == dense_cg_step(C, G, B, B0, k)
+            C, G = got
+            B = mutate_matrix(B, k)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cg_step_matches_dense_products_at_every_principal_seed(n):
+    for state in _principal_states(n, None):
+        for k in range(1, n + 1):
+            assert cg_step(state.C, state.G, state.seed.B, state.B0, k) == dense_cg_step(
+                state.C, state.G, state.seed.B, state.B0, k
+            )
 
 
 def test_laurent_phenomenon_blocks_on_inexact_division():

@@ -201,3 +201,49 @@ def test_budget_propagates():
         verify_main1(3, budget=3)
     with pytest.raises(RuntimeError):
         verify_fd(3, budget=3)
+
+
+# ---- planted defects: each checker must be seen to fail ----
+
+
+def _falsified_kinds(capsys, claim):
+    from cluster_logcc.cli import main
+
+    code = main(["verify", "--claim", claim, "--rank", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["status"] == "falsified"
+    return {w["kind"] for w in report["witnesses"]}
+
+
+def test_planted_denominator_defect_falsifies_gyo21(capsys, monkeypatch):
+    import cluster_logcc.pattern as pattern
+
+    honest = pattern.d_vector_step
+
+    def off_by_one(D, B, k):
+        out = [list(row) for row in honest(D, B, k)]
+        out[0][k - 1] += 1
+        return tuple(tuple(row) for row in out)
+
+    monkeypatch.setattr(pattern, "d_vector_step", off_by_one)
+    kinds = _falsified_kinds(capsys, "gyo21")
+    assert {"degree-vs-denominator", "denominator-column"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "claim,kind", [("gyo21", "companion-duality"), ("separation", "separation-mismatch")]
+)
+def test_planted_g_matrix_defect_falsifies(capsys, monkeypatch, claim, kind):
+    import cluster_logcc.pattern as pattern
+
+    honest = pattern.cg_step
+
+    def negated_entry(C, G, B_t, B0, k):
+        C2, G2 = honest(C, G, B_t, B0, k)
+        out = [list(row) for row in G2]
+        out[k - 1][k - 1] = -out[k - 1][k - 1]
+        return C2, tuple(tuple(row) for row in out)
+
+    monkeypatch.setattr(pattern, "cg_step", negated_entry)
+    assert kind in _falsified_kinds(capsys, claim)
