@@ -15,6 +15,8 @@ are exercised against frozen expected values in the test suite.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -70,15 +72,20 @@ def mutate_matrix(B: Matrix, k: int) -> Matrix:
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
+    row_k = B[kk]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == kk or j == kk:
-                row.append(-B[i][j])
-            else:
-                row.append(B[i][j] + max(B[i][kk], 0) * B[kk][j] + B[i][kk] * max(-B[kk][j], 0))
-        out.append(tuple(row))
+    for i, row in enumerate(B):
+        bik = row[kk]
+        if i == kk:
+            out.append(tuple(-b for b in row))
+        elif bik == 0:
+            out.append(row)  # b_ik = 0 leaves the row as it is
+        else:
+            new = [
+                b + max(bik, 0) * bkj + bik * max(-bkj, 0) for b, bkj in zip(row, row_k)
+            ]
+            new[kk] = -bik
+            out.append(tuple(new))
     return tuple(out)
 
 
@@ -178,38 +185,56 @@ def boundary_seed(tri) -> Seed:
     return Seed(n, r, Bm, y, _initial_cluster(n, r))
 
 
+# The exchange memo of the sweep in progress, or None outside a sweep.
+# enumerate_exchange_graph sets it for exactly the length of one sweep.
+_exchange_memo: ContextVar[Optional[dict]] = ContextVar("exchange_memo", default=None)
+
+
 def mutate(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k (1-based).
 
     The new variable is the exchange binomial divided by the old one; that
     division must be exact (InexactDivisionError here means the ambient
     arithmetic or the seed data is corrupt, and aborts the computation).
+    Inside a sweep the new variable is looked up in the sweep's exchange
+    memo, keyed on everything the binomial and the division read: the
+    outgoing variable, y_k and the multiset of (b_jk, x_j) with b_jk != 0.
     """
     n = seed.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
     yk = seed.y[kk]
-    h = yk.one_oplus()  # 1 (+) y_k
-    plus, minus = yk.split_pm()
-    m = seed.num_vars
-    zero_x = (0,) * n
-    pos = LaurentPoly.monomial(m, zero_x + plus.exponents)
-    neg = LaurentPoly.monomial(m, zero_x + minus.exponents)
-    for j in range(n):
-        bjk = seed.B[j][kk]
-        if bjk > 0:
-            pos = pos * seed.cluster[j] ** bjk
-        elif bjk < 0:
-            neg = neg * seed.cluster[j] ** (-bjk)
-    new_x = (pos + neg).div_exact(seed.cluster[kk])
+    memo = _exchange_memo.get()
+    new_x = None
+    if memo is not None:
+        neighbours = Counter(
+            (seed.B[j][kk], seed.cluster[j]) for j in range(n) if seed.B[j][kk]
+        )
+        exchange = (seed.cluster[kk], yk.exponents, frozenset(neighbours.items()))
+        new_x = memo.get(exchange)
+    if new_x is None:
+        plus, minus = yk.split_pm()
+        m = seed.num_vars
+        zero_x = (0,) * n
+        pos = LaurentPoly.monomial(m, zero_x + plus.exponents)
+        neg = LaurentPoly.monomial(m, zero_x + minus.exponents)
+        for j in range(n):
+            bjk = seed.B[j][kk]
+            if bjk > 0:
+                pos = pos * seed.cluster[j] ** bjk
+            elif bjk < 0:
+                neg = neg * seed.cluster[j] ** (-bjk)
+        new_x = (pos + neg).div_exact(seed.cluster[kk])
+        if memo is not None:
+            memo[exchange] = new_x
 
+    h = yk.one_oplus()  # 1 (+) y_k
     new_y = list(seed.y)
     new_y[kk] = yk.inverse()
-    for i in range(n):
-        if i == kk:
-            continue
-        bki = seed.B[kk][i]
+    for i, bki in enumerate(seed.B[kk]):
+        if bki == 0 or i == kk:
+            continue  # y_i * h^0 = y_i
         yi = seed.y[i]
         if bki > 0:
             yi = yi * (yk ** bki)
@@ -400,8 +425,13 @@ def enumerate_exchange_graph(
     call time.  The same search walks principal states and triangulation
     flips.  Seeds are identified when they differ only by a simultaneous
     permutation of cluster entries, coefficients, and matrix rows/columns.
-    Once `budget` classes are known no new one is added, and the graph comes
-    back with closed=False.
+    The search stops at the first step that reaches a new class once
+    `budget` classes are known; the graph then comes back with closed=False,
+    holding those classes and the edges recorded so far.
+
+    Each call gets its own exchange memo, so every distinct exchange relation
+    met in the sweep is multiplied out and divided once; the memo is
+    dropped when the sweep returns or raises.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -409,30 +439,32 @@ def enumerate_exchange_graph(
         step = mutate
     if key is None:
         key = canonical_seed_key
-    index: Dict[object, int] = {key(seed): 0}
-    seeds = [seed]
-    edges: List[Tuple[int, int, int]] = []
-    closed = True
-    frontier = [0]
-    while frontier:
-        nxt: List[int] = []
-        for i in frontier:
-            s = seeds[i]
-            for k in range(1, s.n + 1):
-                t = step(s, k)
-                t_key = key(t)
-                j = index.get(t_key)
-                if j is None:
-                    if len(seeds) >= budget:
-                        closed = False
-                        continue
-                    j = len(seeds)
-                    index[t_key] = j
-                    seeds.append(t)
-                    nxt.append(j)
-                edges.append((i, k, j))
-        frontier = nxt
-    return ExchangeGraph(seeds, edges, closed)
+    token = _exchange_memo.set({})
+    try:
+        index: Dict[object, int] = {key(seed): 0}
+        seeds = [seed]
+        edges: List[Tuple[int, int, int]] = []
+        frontier = [0]
+        while frontier:
+            nxt: List[int] = []
+            for i in frontier:
+                s = seeds[i]
+                for k in range(1, s.n + 1):
+                    t = step(s, k)
+                    t_key = key(t)
+                    j = index.get(t_key)
+                    if j is None:
+                        if len(seeds) >= budget:
+                            return ExchangeGraph(seeds, edges, False)
+                        j = len(seeds)
+                        index[t_key] = j
+                        seeds.append(t)
+                        nxt.append(j)
+                    edges.append((i, k, j))
+            frontier = nxt
+        return ExchangeGraph(seeds, edges, True)
+    finally:
+        _exchange_memo.reset(token)
 
 
 def cluster_variables(seed: Seed, budget: Optional[int] = None) -> List[LaurentPoly]:

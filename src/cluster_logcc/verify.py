@@ -69,6 +69,8 @@ CLAIM_IDS = (
 
 _EXPLORATORY = {"conj-an", "conj1-a2"}
 
+WITNESS_CAP = 20
+
 
 @dataclass
 class Report:
@@ -77,6 +79,13 @@ class Report:
     status: str  # "verified" | "falsified" | "exploratory"
     witnesses: List[dict] = field(default_factory=list)
     stats: Dict[str, object] = field(default_factory=dict)
+    found: int = 0  # witnesses passed to add(), kept or not
+
+    def add(self, witness: dict) -> None:
+        """Keep the first WITNESS_CAP witnesses of a scan; count the rest."""
+        self.found += 1
+        if self.found <= WITNESS_CAP:
+            self.witnesses.append(witness)
 
     @property
     def ok(self) -> bool:
@@ -95,9 +104,15 @@ class Report:
 
 
 def _settle(report: Report) -> Report:
-    """Fill in verified/falsified from the witness list; exploratory stays."""
+    """Fill in verified/falsified from the witness list; exploratory stays.
+
+    A scan cut at WITNESS_CAP records the uncut witness total in
+    stats["num_witnesses"]; uncut reports carry no such key.
+    """
     if report.status != "exploratory":
         report.status = "falsified" if report.witnesses else "verified"
+    if report.found > WITNESS_CAP:
+        report.stats["num_witnesses"] = len(report.witnesses) + report.found - WITNESS_CAP
     return report
 
 
@@ -210,7 +225,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         max_coeff = max(max_coeff, max(numerator.coefficients()))
         w = _logcc_witness(numerator, kind="not-log-concave")
         if w is not None:
-            report.witnesses.append(w)
+            report.add(w)
 
     report.stats = {
         "num_variables": len(by_key),
@@ -280,7 +295,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
         seed = st.seed
         fm = f_data(seed).f_matrix
         if fm != _pos_part(st.D):
-            report.witnesses.append(
+            report.add(
                 {
                     "kind": "degree-vs-denominator",
                     "seed_index": idx,
@@ -290,7 +305,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                 }
             )
         if _mat_mul(B0, st.C) != _mat_mul(st.G, seed.B):
-            report.witnesses.append(
+            report.add(
                 {
                     "kind": "companion-duality",
                     "seed_index": idx,
@@ -303,7 +318,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
             d_col = tuple(st.D[j][i] for j in range(n))
             nd = normalize_denominator(seed.cluster[i], n)
             if nd.d_vector != d_col:
-                report.witnesses.append(
+                report.add(
                     {
                         "kind": "denominator-column",
                         "seed_index": idx,
@@ -314,7 +329,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                 )
             c_col = tuple(st.C[j][i] for j in range(n))
             if seed.y[i].exponents != c_col:
-                report.witnesses.append(
+                report.add(
                     {
                         "kind": "coefficient-column",
                         "seed_index": idx,
@@ -339,10 +354,10 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
         fp = fpolys[key]
         w = _logcc_witness(fp, kind="not-log-concave")
         if w is not None:
-            report.witnesses.append(w)
+            report.add(w)
         fvec = fp.max_degrees()
         if not all(e in (0, 1) for e in fvec):
-            report.witnesses.append(
+            report.add(
                 {"kind": "degree-out-of-range", "degrees": list(fvec), "poly": poly_to_json(fp)}
             )
     report.stats = {"num_seeds": len(states), "num_f_polynomials": len(fpolys)}
@@ -356,7 +371,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
     B0 = states[0].seed.B
     for idx, st in enumerate(states):
         for i, lhs, rhs in check_separation(st.seed, st.G, B0):
-            report.witnesses.append(
+            report.add(
                 {
                     "kind": "separation-mismatch",
                     "seed_index": idx,
@@ -629,13 +644,13 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
                 numerator, kind="not-log-concave", seed_index=idx, exponents=list(m)
             )
             if w is not None:
-                report.witnesses.append(w)
+                report.add(w)
     report.stats = {
         "num_clusters": len(seeds),
         "num_monomials": len(seen),
         "max_numerator_coefficient": max_coeff,
     }
-    return report
+    return _settle(report)
 
 
 def explore_a2_structure_constants(deg: int) -> Report:

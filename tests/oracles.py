@@ -8,7 +8,8 @@ representation.
 from itertools import product
 from typing import Dict, Tuple
 
-from cluster_logcc import LaurentPoly
+from cluster_logcc import ExchangeGraph, LaurentPoly, Seed, canonical_seed_key
+from cluster_logcc.pattern import DEFAULT_BUDGET
 
 
 def dense_log_concave(p: LaurentPoly) -> bool:
@@ -89,3 +90,88 @@ def dense_cg_step(C, G, B_t, B0, k):
     C2 = _dense_add(_dense_mul(C, _dense_add(J, row_k)), _dense_mul(neg_c_col, B_t))
     G2 = _dense_add(_dense_mul(G, _dense_add(J, col_k)), _dense_mul(B0, pos_c_col), sign=-1)
     return C2, G2
+
+
+def dense_mutate_matrix(B, k):
+    """Matrix mutation by the full entry formula, every entry recomputed.
+
+    b'_ij = -b_ij if i = k or j = k, else b_ij + [b_ik]_+ b_kj + b_ik [-b_kj]_+.
+    """
+    n = len(B)
+    kk = k - 1
+    return tuple(
+        tuple(
+            -B[i][j]
+            if kk in (i, j)
+            else B[i][j] + max(B[i][kk], 0) * B[kk][j] + B[i][kk] * max(-B[kk][j], 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def plain_mutate(seed, k):
+    """Seed mutation with every exchange binomial multiplied out and divided."""
+    n = seed.n
+    kk = k - 1
+    yk = seed.y[kk]
+    h = yk.one_oplus()
+    plus, minus = yk.split_pm()
+    m = seed.num_vars
+    pos = LaurentPoly.monomial(m, (0,) * n + plus.exponents)
+    neg = LaurentPoly.monomial(m, (0,) * n + minus.exponents)
+    for j in range(n):
+        bjk = seed.B[j][kk]
+        if bjk > 0:
+            pos = pos * seed.cluster[j] ** bjk
+        elif bjk < 0:
+            neg = neg * seed.cluster[j] ** (-bjk)
+    new_x = (pos + neg).div_exact(seed.cluster[kk])
+    new_y = list(seed.y)
+    new_y[kk] = yk.inverse()
+    for i in range(n):
+        if i != kk:
+            bki = seed.B[kk][i]
+            yi = seed.y[i] * (yk ** bki) if bki > 0 else seed.y[i]
+            new_y[i] = yi * (h ** (-bki))
+    new_cluster = list(seed.cluster)
+    new_cluster[kk] = new_x
+    return Seed(
+        n,
+        seed.num_frozen,
+        dense_mutate_matrix(seed.B, k),
+        tuple(new_y),
+        tuple(new_cluster),
+        seed.history + (k,),
+    )
+
+
+def plain_exchange_graph(seed, budget=None):
+    """Breadth-first search over plain_mutate, with no exchange memo.
+
+    Same visiting order and budget rule as the package's search: classes are
+    numbered as first reached, and the search stops at the first step that
+    reaches a new class once `budget` classes (default DEFAULT_BUDGET) are
+    known.
+    """
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    index = {canonical_seed_key(seed): 0}
+    seeds = [seed]
+    edges = []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for k in range(1, seed.n + 1):
+                t = plain_mutate(seeds[i], k)
+                t_key = canonical_seed_key(t)
+                if t_key not in index:
+                    if len(seeds) >= budget:
+                        return ExchangeGraph(seeds, edges, False)
+                    index[t_key] = len(seeds)
+                    seeds.append(t)
+                    nxt.append(index[t_key])
+                edges.append((i, k, index[t_key]))
+        frontier = nxt
+    return ExchangeGraph(seeds, edges, True)

@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dense_cg_step
+from oracles import dense_cg_step, dense_mutate_matrix, plain_exchange_graph, plain_mutate
 
+import cluster_logcc.pattern as pattern
+import cluster_logcc.verify as verify
 from cluster_logcc import (
+    InexactDivisionError,
     LaurentPoly,
     Seed,
     TropicalElement,
@@ -34,6 +37,8 @@ from cluster_logcc import (
 from cluster_logcc.verify import _principal_states
 
 B2 = ((0, 1), (-1, 0))
+TYPE_B2 = ((0, 2), (-1, 0))
+TYPE_G2 = ((0, 3), (-1, 0))
 
 
 # ---- exchange matrices ----
@@ -61,6 +66,22 @@ def test_mutate_matrix_example():
     assert mutate_matrix(B3, 1) == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
     with pytest.raises(IndexError):
         mutate_matrix(B3, 4)
+
+
+@pytest.mark.parametrize(
+    "B0",
+    [a_n_matrix(n) for n in range(1, 7)] + [TYPE_B2, TYPE_G2, ((0, 2), (-2, 0))],
+)
+def test_mutate_matrix_matches_entry_formula_along_random_paths(B0):
+    rng = random.Random(20261017 + len(B0))
+    n = len(B0)
+    for _ in range(200 // n):
+        B = B0
+        for _ in range(rng.randint(1, 8)):
+            k = rng.randint(1, n)
+            got = mutate_matrix(B, k)
+            assert got == dense_mutate_matrix(B, k)
+            B = got
 
 
 @given(st.integers(min_value=1, max_value=4), st.lists(st.integers(min_value=1, max_value=4), max_size=8))
@@ -299,6 +320,133 @@ def test_exchange_graph_budget():
     assert len(g.seeds) == 5
     with pytest.raises(RuntimeError, match="not closed within budget"):
         cluster_variables(coefficient_free_seed(a_n_matrix(3)), budget=5)
+
+
+def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):
+    calls = []
+    honest = verify.state_step
+
+    def counted(state, k):
+        calls.append(k)
+        return honest(state, k)
+
+    monkeypatch.setattr(verify, "state_step", counted)
+    with pytest.raises(RuntimeError, match="not closed within budget"):
+        _principal_states(6, 200)
+    # 114 seeds expanded in all 6 directions, then 4 steps into the 115th:
+    # the 4th reaches a 201st class
+    assert len(calls) == 688
+
+
+def _sweep_cases():
+    for n in range(1, 7):
+        yield pytest.param(coefficient_free_seed(a_n_matrix(n)), None, id=f"free-A{n}")
+        yield pytest.param(principal_seed(a_n_matrix(n)), None, id=f"principal-A{n}")
+    yield pytest.param(boundary_seed(zigzag(3)), None, id="boundary-hexagon")
+    yield pytest.param(boundary_seed(zigzag(4)), None, id="boundary-heptagon")
+    for name, B in (("B2", TYPE_B2), ("G2", TYPE_G2)):
+        yield pytest.param(coefficient_free_seed(B), None, id=f"free-{name}")
+        yield pytest.param(principal_seed(B), None, id=f"principal-{name}")
+    yield pytest.param(coefficient_free_seed(a_n_matrix(4)), 20, id="free-A4-budget-20")
+    yield pytest.param(principal_seed(a_n_matrix(5)), 50, id="principal-A5-budget-50")
+
+
+@pytest.mark.parametrize("seed,budget", _sweep_cases())
+def test_memoised_sweep_matches_plain_sweep(seed, budget):
+    got = enumerate_exchange_graph(seed, budget)
+    want = plain_exchange_graph(seed, budget)
+    assert got.closed == want.closed == (budget is None)
+    assert len(got.seeds) == len(want.seeds)
+    for s, t in zip(got.seeds, want.seeds):
+        assert (s.history, s.B, s.y, s.cluster) == (t.history, t.B, t.y, t.cluster)
+    assert got.edges == want.edges
+
+
+def test_exchange_memo_lives_for_one_sweep():
+    seen = []
+
+    def step(s, k):
+        seen.append(pattern._exchange_memo.get())
+        return mutate(s, k)
+
+    start = coefficient_free_seed(a_n_matrix(3))
+    assert pattern._exchange_memo.get() is None
+    g = enumerate_exchange_graph(start, step=step)
+    assert pattern._exchange_memo.get() is None
+    memo = seen[0]
+    assert all(m is memo for m in seen)
+    assert len(memo) == 2 * 15  # two flip directions of each of the hexagon's 15 quadrilaterals
+    # every variable in the sweep is an initial one or a memo entry, shared
+    objects = {id(x) for t in g.seeds for x in t.cluster}
+    assert objects <= {id(x) for x in start.cluster} | {id(x) for x in memo.values()}
+    # outside a sweep nothing is remembered: each call builds a new variable
+    assert mutate(start, 2).cluster[1] is not mutate(start, 2).cluster[1]
+
+
+def test_exchange_memo_keeps_apart_exchanges_with_different_binomials():
+    # Valid seeds never share an outgoing variable and neighbour variables
+    # across different exchanges, so sweeps cannot show a key that drops y_k,
+    # the sign of b_jk or a multiplicity; these hand-made seeds can.
+    x1, x2, x3 = (LaurentPoly.variable(5, i) for i in range(3))
+
+    def seed(col, y1, cluster=(x1, x2, x3)):
+        B = ((0, -col[0], -col[1]), (col[0], 0, 0), (col[1], 0, 0))
+        y = (TropicalElement(y1), TropicalElement((0, 0)), TropicalElement((0, 0)))
+        return Seed(3, 2, B, y, cluster)
+
+    cases = [
+        seed((1, 1), (1, 0)),  # (y1 x2 x3 + 1) / x1
+        seed((1, 1), (0, 1)),  # another y_1
+        seed((1, 1), (-1, 0)),  # y_1 on the other side
+        seed((1, -1), (1, 0)),  # (y1 x2 + x3) / x1: one sign flipped
+        seed((1, 1), (1, 0), (x1, x2, x2)),  # (y1 x2^2 + 1) / x1
+        seed((1, 0), (1, 0), (x1, x2, x2)),  # (y1 x2 + 1) / x1: x2 once
+        seed((2, 0), (1, 0)),  # (y1 x2^2 + 1) / x1 again, under another key
+        seed((1, 1), (1, 0)),  # the first exchange again: a memo hit
+    ]
+    token = pattern._exchange_memo.set({})
+    try:
+        got = [mutate(c, 1).cluster[0] for c in cases]
+        assert len(pattern._exchange_memo.get()) == 7
+    finally:
+        pattern._exchange_memo.reset(token)
+    assert got == [plain_mutate(c, 1).cluster[0] for c in cases]
+    assert got[-1] is got[0]
+    assert len({g.key() for g in got}) == 6
+
+
+def test_inexact_division_inside_a_sweep_propagates_and_is_not_cached():
+    x1, x2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    # direction 1 divides x2 + 2 by x1 (exact); direction 2 divides x1 + 1
+    # by the corrupt entry x2 + 1 (inexact)
+    bad = Seed(2, 0, B2, coefficient_free_seed(B2).y, (x1, x2 + LaurentPoly.const(2, 1)))
+    failures = []
+
+    def step(s, k):
+        for _ in range(2):  # a failed exchange is not remembered, so it fails again
+            try:
+                return mutate(s, k)
+            except InexactDivisionError:
+                failures.append(len(pattern._exchange_memo.get()))
+        return mutate(s, k)
+
+    with pytest.raises(InexactDivisionError):
+        enumerate_exchange_graph(bad, step=step)
+    assert failures == [1, 1]  # only direction 1's exchange is in the memo
+    assert pattern._exchange_memo.get() is None
+
+
+def test_no_memo_outlives_its_sweep(monkeypatch):
+    assert verify.run_claim("main1", rank=3).status == "verified"
+    honest = LaurentPoly.div_exact
+
+    def negated(self, divisor):
+        return -honest(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "div_exact", negated)
+    # a memo kept from the clean sweep would hand back the honest variables
+    with pytest.raises(InexactDivisionError):
+        verify.run_claim("main1", rank=3)
 
 
 def test_rank_two_variables_are_the_five_expected():

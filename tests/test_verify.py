@@ -206,14 +206,19 @@ def test_budget_propagates():
 # ---- planted defects: each checker must be seen to fail ----
 
 
-def _falsified_kinds(capsys, claim):
+def _falsified_report(capsys, claim):
     from cluster_logcc.cli import main
 
     code = main(["verify", "--claim", claim, "--rank", "3"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["status"] == "falsified"
-    return {w["kind"] for w in report["witnesses"]}
+    assert len(report["witnesses"]) <= 20
+    return report
+
+
+def _falsified_kinds(capsys, claim):
+    return {w["kind"] for w in _falsified_report(capsys, claim)["witnesses"]}
 
 
 def test_planted_denominator_defect_falsifies_gyo21(capsys, monkeypatch):
@@ -227,7 +232,14 @@ def test_planted_denominator_defect_falsifies_gyo21(capsys, monkeypatch):
         return tuple(tuple(row) for row in out)
 
     monkeypatch.setattr(pattern, "d_vector_step", off_by_one)
-    kinds = _falsified_kinds(capsys, "gyo21")
+    report = _falsified_report(capsys, "gyo21")
+    # 41 witnesses over 14 seeds; the report keeps the first 20 in scan order
+    assert len(report["witnesses"]) == 20
+    assert report["stats"] == {"num_seeds": 14, "num_witnesses": 41}
+    assert [w["seed_index"] for w in report["witnesses"]] == sorted(
+        w["seed_index"] for w in report["witnesses"]
+    )
+    kinds = {w["kind"] for w in report["witnesses"]}
     assert {"degree-vs-denominator", "denominator-column"} <= kinds
 
 
