@@ -9,7 +9,7 @@ All results are emitted as JSON with a trailing newline, either to stdout or
 to --out.  Output is byte-deterministic for a given invocation; wall-clock
 timings go to stderr only.  Exit codes: 0 success (for verify: claim holds
 or exploration found nothing), 1 verification produced witnesses, 2 usage or
-input errors.
+input errors, or an exchange that did not divide exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .polygon import (
     triangulation_to_json,
     zigzag,
 )
-from .poly import poly_to_json
+from .poly import InexactDivisionError, poly_to_json
 from .verify import CLAIM_IDS, run_claim
 
 BUDGET_ENV = "CLUSTER_LOGCC_BUDGET"
@@ -230,7 +230,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, KeyError, IndexError, RuntimeError, OSError) as exc:
+    except (
+        ValueError, KeyError, IndexError, RuntimeError, OSError, InexactDivisionError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,14 @@
 """Seeds, mutation, and exchange-graph search for geometric-type patterns.
 
 A seed holds n exchangeable cluster variables (exact Laurent polynomials in
-an ambient ring of n + r variables, the last r being frozen), n tropical
-coefficients over the free semifield on the r frozen variables, and an n-by-n
-skew-symmetrizable exchange matrix.  Mutation directions and matrix indices
-are 1-based in the public API, matching diagonal labels on the polygon side;
-ambient variable indices are 0-based.
+an ambient ring of n + r variables, the last r being frozen), n coefficients
+and an n-by-n skew-symmetrizable exchange matrix.  The seeds are of geometric
+type: coefficient y_i is column i of the r frozen rows of the extended
+exchange matrix, stored as its exponent vector over the frozen variables, and
+mutation changes those rows by the same entry rule as the exchange matrix.
+Mutation directions and matrix indices are 1-based in the public API,
+matching diagonal labels on the polygon side; ambient variable indices are
+0-based.
 
 Alongside plain mutation this module tracks the companion data attached to a
 mutation path: denominator vectors and the two integer matrices whose columns
@@ -23,7 +26,6 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from fractions import Fraction
 
 from .poly import LaurentPoly, poly_from_json, poly_to_json
-from .tropical import TropicalElement
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -124,8 +126,25 @@ def is_skew_symmetrizable(B: Sequence[Sequence[int]]) -> bool:
 
 
 @dataclass(frozen=True)
+class TropicalElement:
+    """A coefficient: its exponent vector over the frozen variables."""
+
+    exponents: Tuple[int, ...]
+
+    @classmethod
+    def identity(cls, rank: int) -> "TropicalElement":
+        return cls((0,) * rank)
+
+    @classmethod
+    def generator(cls, rank: int, index: int) -> "TropicalElement":
+        exps = [0] * rank
+        exps[index] = 1
+        return cls(tuple(exps))
+
+
+@dataclass(frozen=True)
 class Seed:
-    """A labeled seed: cluster, tropical coefficients, exchange matrix.
+    """A labeled seed: cluster, coefficients, exchange matrix.
 
     history records the mutation directions that produced the seed and is
     excluded from equality and hashing.
@@ -199,26 +218,29 @@ def mutate(seed: Seed, k: int) -> Seed:
     Inside a sweep the new variable is looked up in the sweep's exchange
     memo, keyed on everything the binomial and the division read: the
     outgoing variable, y_k and the multiset of (b_jk, x_j) with b_jk != 0.
+    The coefficients change as the frozen rows of the extended exchange
+    matrix: y_k is negated, and for b_ki != 0 entry t of y_i becomes
+    c_ti + [c_tk]_+ b_ki + c_tk [-b_ki]_+.
     """
     n = seed.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
-    yk = seed.y[kk]
+    ck = seed.y[kk].exponents
+    ck_plus = tuple(max(c, 0) for c in ck)
     memo = _exchange_memo.get()
     new_x = None
     if memo is not None:
         neighbours = Counter(
             (seed.B[j][kk], seed.cluster[j]) for j in range(n) if seed.B[j][kk]
         )
-        exchange = (seed.cluster[kk], yk.exponents, frozenset(neighbours.items()))
+        exchange = (seed.cluster[kk], ck, frozenset(neighbours.items()))
         new_x = memo.get(exchange)
     if new_x is None:
-        plus, minus = yk.split_pm()
         m = seed.num_vars
         zero_x = (0,) * n
-        pos = LaurentPoly.monomial(m, zero_x + plus.exponents)
-        neg = LaurentPoly.monomial(m, zero_x + minus.exponents)
+        pos = LaurentPoly.monomial(m, zero_x + ck_plus)
+        neg = LaurentPoly.monomial(m, zero_x + tuple(max(-c, 0) for c in ck))
         for j in range(n):
             bjk = seed.B[j][kk]
             if bjk > 0:
@@ -229,16 +251,18 @@ def mutate(seed: Seed, k: int) -> Seed:
         if memo is not None:
             memo[exchange] = new_x
 
-    h = yk.one_oplus()  # 1 (+) y_k
     new_y = list(seed.y)
-    new_y[kk] = yk.inverse()
+    new_y[kk] = TropicalElement(tuple(-c for c in ck))
     for i, bki in enumerate(seed.B[kk]):
         if bki == 0 or i == kk:
-            continue  # y_i * h^0 = y_i
-        yi = seed.y[i]
-        if bki > 0:
-            yi = yi * (yk ** bki)
-        new_y[i] = yi * (h ** (-bki))
+            continue  # b_ki = 0 leaves y_i as it is
+        bki_minus = max(-bki, 0)
+        new_y[i] = TropicalElement(
+            tuple(
+                c + p * bki + q * bki_minus
+                for c, p, q in zip(seed.y[i].exponents, ck_plus, ck)
+            )
+        )
 
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_x
@@ -498,7 +522,7 @@ def seed_from_json(obj: Mapping) -> Seed:
         int(obj["n"]),
         int(obj["frozen"]),
         _as_matrix(obj["B"]),
-        tuple(TropicalElement(tuple(e)) for e in obj["y"]),
+        tuple(TropicalElement(tuple(int(e) for e in exps)) for exps in obj["y"]),
         tuple(poly_from_json(p) for p in obj["cluster"]),
         tuple(int(k) for k in obj["history"]),
     )

@@ -67,8 +67,6 @@ CLAIM_IDS = (
     "conj1-a2",
 )
 
-_EXPLORATORY = {"conj-an", "conj1-a2"}
-
 WITNESS_CAP = 20
 
 
@@ -201,21 +199,17 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 
     expected = n * (n + 3) // 2
     if len(by_key) != expected:
-        report.witnesses.append(
-            {"kind": "count", "route": "paths", "expected": expected, "got": len(by_key)}
-        )
+        report.add({"kind": "count", "route": "paths", "expected": expected, "got": len(by_key)})
     if len(mutated) != expected:
-        report.witnesses.append(
+        report.add(
             {"kind": "count", "route": "mutation", "expected": expected, "got": len(mutated)}
         )
-    only_paths = sorted(set(by_key) - set(mutated))
-    only_mutation = sorted(set(mutated) - set(by_key))
-    for key in only_paths[:5]:
-        report.witnesses.append(
+    for key in sorted(set(by_key) - set(mutated)):
+        report.add(
             {"kind": "route-mismatch", "route": "paths-only", "poly": poly_to_json(by_key[key])}
         )
-    for key in only_mutation[:5]:
-        report.witnesses.append(
+    for key in sorted(set(mutated) - set(by_key)):
+        report.add(
             {"kind": "route-mismatch", "route": "mutation-only", "poly": poly_to_json(mutated[key])}
         )
 
@@ -255,7 +249,7 @@ def verify_coeff_bounds(n: int) -> Report:
         kept = expand_variable(tri, a, b, coefficient_free=False)
         free_coeffs = set(free.coefficients())
         if not free_coeffs <= {1, 2}:
-            report.witnesses.append(
+            report.add(
                 {
                     "kind": "coefficient-free-out-of-range",
                     "chord": [a, b],
@@ -267,7 +261,7 @@ def verify_coeff_bounds(n: int) -> Report:
             has_two = True
         kept_coeffs = set(kept.coefficients())
         if kept_coeffs != {1}:
-            report.witnesses.append(
+            report.add(
                 {
                     "kind": "kept-coefficient-not-one",
                     "chord": [a, b],
@@ -577,7 +571,7 @@ def verify_a2_monomials(deg: int) -> Report:
                     nd.numerator, kind="not-log-concave", chart=chart, exponents=[m1, m2]
                 )
                 if w is not None:
-                    report.witnesses.append(w)
+                    report.add(w)
                 if chart == 3:
                     expected_terms = {}
                     for k in range(m2 + 1):
@@ -587,7 +581,7 @@ def verify_a2_monomials(deg: int) -> Report:
                                 expected_terms[(k, l)] = coeff
                     expected = LaurentPoly(2, expected_terms)
                     if nd.numerator != expected or nd.d_vector != (m1 + m2, m2):
-                        report.witnesses.append(
+                        report.add(
                             {
                                 "kind": "closed-form-mismatch",
                                 "chart": chart,
@@ -607,9 +601,7 @@ def verify_a2_monomials(deg: int) -> Report:
     for nn in range(binom_rows):
         for kk in range(nn + 1):
             if _c(nn, kk) ** 2 < _c(nn - 1, kk) * _c(nn + 1, kk):
-                report.witnesses.append(
-                    {"kind": "binomial-inequality", "n": nn, "k": kk}
-                )
+                report.add({"kind": "binomial-inequality", "n": nn, "k": kk})
     report.stats = {"num_monomials": num_monomials, "binomial_rows": binom_rows}
     return _settle(report)
 
@@ -682,13 +674,13 @@ def explore_a2_structure_constants(deg: int) -> Report:
             }
             if residual:
                 num_unresolved += 1
-                report.witnesses.append(
+                report.add(
                     {"kind": "unresolved-residual", "residual": poly_to_json(residual), **pair_json}
                 )
                 continue
             negatives = {t: c for t, c in coeffs.items() if c < 0}
             if negatives:
-                report.witnesses.append(
+                report.add(
                     {
                         "kind": "negative-constant",
                         "constants": [
@@ -704,7 +696,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
                     continue  # already witnessed above
                 res = is_log_concave(table)
                 if not res.ok:
-                    report.witnesses.append(
+                    report.add(
                         {
                             "kind": "table-not-log-concave",
                             "chart": chart,
@@ -720,7 +712,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
         "max_constant": max_constant,
         "num_unresolved": num_unresolved,
     }
-    return report
+    return _settle(report)
 
 
 def run_claim(

@@ -8,7 +8,7 @@ representation.
 from itertools import product
 from typing import Dict, Tuple
 
-from cluster_logcc import ExchangeGraph, LaurentPoly, Seed, canonical_seed_key
+from cluster_logcc import ExchangeGraph, LaurentPoly, Seed, TropicalElement, canonical_seed_key
 from cluster_logcc.pattern import DEFAULT_BUDGET
 
 
@@ -110,16 +110,52 @@ def dense_mutate_matrix(B, k):
     )
 
 
+def trop_mul(a, b):
+    """Product in the tropical semifield on exponent vectors: a + b."""
+    if len(a) != len(b):
+        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
+    return tuple(e + f for e, f in zip(a, b))
+
+
+def trop_inverse(a):
+    """Inverse in the tropical semifield: -a."""
+    return tuple(-e for e in a)
+
+
+def trop_oplus(a, b):
+    """Tropical sum: the componentwise minimum of the exponents."""
+    if len(a) != len(b):
+        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
+    return tuple(min(e, f) for e, f in zip(a, b))
+
+
+def trop_one_oplus(a):
+    """1 (+) a: the componentwise minimum with 0."""
+    return trop_oplus((0,) * len(a), a)
+
+
+def trop_split_pm(a):
+    """The pair (a / (1 (+) a), 1 / (1 (+) a)): exponents [a]_+ and [-a]_+."""
+    h = trop_one_oplus(a)
+    return trop_mul(a, trop_inverse(h)), trop_inverse(h)
+
+
 def plain_mutate(seed, k):
-    """Seed mutation with every exchange binomial multiplied out and divided."""
+    """Seed mutation with every exchange binomial multiplied out and divided.
+
+    Coefficients take the tropical semifield route, through the trop_*
+    helpers above: with h = 1 (+) y_k, the binomial's frozen monomials are
+    y_k / h and 1 / h, y_k becomes y_k^-1, and y_i becomes
+    y_i y_k^{[b_ki]_+} h^{-b_ki}.
+    """
     n = seed.n
     kk = k - 1
-    yk = seed.y[kk]
-    h = yk.one_oplus()
-    plus, minus = yk.split_pm()
+    yk = seed.y[kk].exponents
+    h = trop_one_oplus(yk)
+    plus, minus = trop_split_pm(yk)
     m = seed.num_vars
-    pos = LaurentPoly.monomial(m, (0,) * n + plus.exponents)
-    neg = LaurentPoly.monomial(m, (0,) * n + minus.exponents)
+    pos = LaurentPoly.monomial(m, (0,) * n + plus)
+    neg = LaurentPoly.monomial(m, (0,) * n + minus)
     for j in range(n):
         bjk = seed.B[j][kk]
         if bjk > 0:
@@ -128,12 +164,14 @@ def plain_mutate(seed, k):
             neg = neg * seed.cluster[j] ** (-bjk)
     new_x = (pos + neg).div_exact(seed.cluster[kk])
     new_y = list(seed.y)
-    new_y[kk] = yk.inverse()
+    new_y[kk] = TropicalElement(trop_inverse(yk))
     for i in range(n):
         if i != kk:
             bki = seed.B[kk][i]
-            yi = seed.y[i] * (yk ** bki) if bki > 0 else seed.y[i]
-            new_y[i] = yi * (h ** (-bki))
+            yi = seed.y[i].exponents
+            gain = tuple(e * max(bki, 0) for e in yk)
+            loss = tuple(f * -bki for f in h)
+            new_y[i] = TropicalElement(trop_mul(trop_mul(yi, gain), loss))
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_x
     return Seed(

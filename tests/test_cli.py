@@ -62,6 +62,32 @@ def test_budget_env_var(capsys, monkeypatch):
     assert "CLUSTER_LOGCC_BUDGET" in err
 
 
+def test_inexact_division_is_an_error_not_a_finding(capsys, monkeypatch):
+    # A planted coefficient defect: each mutated seed gets y_k off by one, so
+    # a later exchange binomial does not divide.  That must not read as
+    # exit 1 ("witnesses found"), and no report is written.
+    import dataclasses
+
+    import cluster_logcc.pattern as pattern
+    from cluster_logcc import TropicalElement
+
+    honest = pattern.mutate
+
+    def corrupt_y(seed, k):
+        s = honest(seed, k)
+        y = list(s.y)
+        exps = list(y[k - 1].exponents)
+        exps[0] += 1
+        y[k - 1] = TropicalElement(tuple(exps))
+        return dataclasses.replace(s, y=tuple(y))
+
+    monkeypatch.setattr(pattern, "mutate", corrupt_y)
+    code, out, err = run_cli(capsys, "verify", "--claim", "gyo21", "--rank", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not exact" in err
+
+
 # ---- mutate ----
 
 

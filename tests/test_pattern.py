@@ -108,6 +108,12 @@ def test_is_skew_symmetrizable():
 # ---- seed mutation ----
 
 
+def test_identity_and_generator():
+    assert TropicalElement.identity(3).exponents == (0, 0, 0)
+    assert TropicalElement.generator(3, 1).exponents == (0, 1, 0)
+    assert TropicalElement.identity(0).exponents == ()
+
+
 def test_coefficient_free_initial_seed():
     s = coefficient_free_seed(B2)
     assert s.n == 2 and s.num_frozen == 0 and s.num_vars == 2
@@ -137,6 +143,29 @@ def test_mutation_is_involutive():
 def test_mutation_direction_out_of_range():
     with pytest.raises(IndexError):
         mutate(coefficient_free_seed(B2), 3)
+
+
+_entries = st.integers(min_value=-2, max_value=2)
+_exponents = st.tuples(*([st.integers(min_value=-4, max_value=4)] * 3))
+
+
+@given(
+    st.tuples(_entries, _entries, _entries),
+    st.tuples(_exponents, _exponents, _exponents),
+    st.integers(min_value=1, max_value=3),
+)
+def test_mutation_matches_semifield_route_with_mixed_sign_coefficients(upper, ys, k):
+    # Principal sweeps only meet sign-coherent coefficients; these y_k may
+    # mix signs, so both frozen monomials of the binomial and both branches
+    # of the coefficient rule are exercised.
+    a, b, c = upper
+    B = ((0, a, b), (-a, 0, c), (-b, -c, 0))
+    cluster = tuple(LaurentPoly.variable(6, i) for i in range(3))
+    seed = Seed(3, 3, B, tuple(TropicalElement(e) for e in ys), cluster)
+    got, want = mutate(seed, k), plain_mutate(seed, k)
+    assert got.y == want.y
+    assert got.B == want.B
+    assert got.cluster == want.cluster
 
 
 # Frozen walk of the rank-2 principal pattern along directions 1,2,1,2.

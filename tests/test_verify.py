@@ -259,3 +259,18 @@ def test_planted_g_matrix_defect_falsifies(capsys, monkeypatch, claim, kind):
 
     monkeypatch.setattr(pattern, "cg_step", negated_entry)
     assert kind in _falsified_kinds(capsys, claim)
+
+
+def test_always_failing_log_concavity_caps_a2_monomial_witnesses(capsys, monkeypatch):
+    import cluster_logcc.verify as verify
+    from cluster_logcc import LogConcavityResult
+    from cluster_logcc.cli import main
+
+    monkeypatch.setattr(verify, "is_log_concave", lambda p: LogConcavityResult(False, 0, (0, 0)))
+    code = main(["verify", "--claim", "a2-monomials", "--deg", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["status"] == "falsified"
+    # 5 charts x 15 monomials of total degree at most 4, the first 20 kept
+    assert len(report["witnesses"]) == 20
+    assert report["stats"]["num_witnesses"] == 75
+    assert {w["kind"] for w in report["witnesses"]} == {"not-log-concave"}
