@@ -9,11 +9,17 @@ arithmetic; floating point is never touched.
 Instances are treated as immutable values: no public operation mutates an
 existing polynomial, and equality/hashing go through a canonical sorted term
 key, so polynomials can live in sets and dict keys.
+
+Only the public constructor validates its input (exponent lengths, integer
+coefficients, merging and dropping zeros).  The ring operations build a
+fresh term dict that is clean by construction and hand it to the result
+unchecked, through LaurentPoly._trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, index
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 Exponent = tuple  # tuple[int, ...], one entry per ambient variable
@@ -61,6 +67,19 @@ class LaurentPoly:
         self.num_vars = num_vars
         self.terms = clean
         self._key = None
+
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: dict) -> "LaurentPoly":
+        """Wrap a term dict without copying or checking it.
+
+        The caller gives up the dict, which must already be clean: every key
+        a tuple of length num_vars, every value a nonzero int.
+        """
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p.terms = terms
+        p._key = None
+        return p
 
     # ---- constructors ----
 
@@ -121,10 +140,10 @@ class LaurentPoly:
                 out[exp] = acc
             else:
                 out.pop(exp, None)
-        return LaurentPoly(self.num_vars, out)
+        return LaurentPoly._trusted(self.num_vars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -134,27 +153,27 @@ class LaurentPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 acc = out.get(exp, 0) + c1 * c2
                 if acc:
                     out[exp] = acc
                 else:
                     del out[exp]
-        return LaurentPoly(self.num_vars, out)
+        return LaurentPoly._trusted(self.num_vars, out)
 
     def scale(self, factor: int) -> "LaurentPoly":
+        factor = index(factor)  # an int, or the result would not be exact
         if not factor:
             return LaurentPoly.zero(self.num_vars)
-        return LaurentPoly(self.num_vars, {e: c * factor for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.num_vars, {e: c * factor for e, c in self.terms.items()})
 
     def shift(self, offsets: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial x^offsets (exact, always invertible)."""
         if len(offsets) != self.num_vars:
             raise DimensionMismatchError("offset length must equal num_vars")
         off = tuple(offsets)
-        return LaurentPoly(
-            self.num_vars,
-            {tuple(a + b for a, b in zip(e, off)): c for e, c in self.terms.items()},
+        return LaurentPoly._trusted(
+            self.num_vars, {tuple(map(add, e, off)): c for e, c in self.terms.items()}
         )
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
@@ -217,8 +236,8 @@ class LaurentPoly:
                 else:
                     rem.pop(ne, None)
         offset = tuple(a - b for a, b in zip(smin, dmin))
-        return LaurentPoly(
-            m, {tuple(a + b for a, b in zip(e, offset)): c for e, c in quotient.items()}
+        return LaurentPoly._trusted(
+            m, {tuple(map(add, e, offset)): c for e, c in quotient.items()}
         )
 
     # ---- support queries ----
@@ -256,7 +275,7 @@ class LaurentPoly:
                 out[ne] = acc
             else:
                 del out[ne]
-        return LaurentPoly(len(keep), out)
+        return LaurentPoly._trusted(len(keep), out)
 
     def coefficients(self) -> Iterator[int]:
         return iter(self.terms.values())

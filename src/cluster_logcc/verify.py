@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
     LaurentPoly,
@@ -414,12 +414,35 @@ def a2_cluster_monomial(chart: int, m1: int, m2: int) -> ClusterMonomial:
     return ClusterMonomial(chart, (m1, m2), (z1 ** m1) * (z2 ** m2))
 
 
+def _powers(z: LaurentPoly, deg: int) -> List[LaurentPoly]:
+    """z^0, ..., z^deg, one multiplication per step."""
+    table = [LaurentPoly.const(z.num_vars, 1)]
+    for _ in range(deg):
+        table.append(table[-1] * z)
+    return table
+
+
+def _a2_monomials(deg: int) -> Iterator[ClusterMonomial]:
+    """Every rank-2 cluster monomial of total degree at most deg.
+
+    Charts, then m1, then m2 ascending; the values are those of
+    a2_cluster_monomial, formed from per-chart power tables.
+    """
+    if deg < 0:
+        raise ValueError("degree bound must be nonnegative")
+    for chart, (z1, z2) in enumerate(a2_charts(), start=1):
+        p1, p2 = _powers(z1, deg), _powers(z2, deg)
+        for m1 in range(deg + 1):
+            for m2 in range(deg + 1 - m1):
+                yield ClusterMonomial(chart, (m1, m2), p1[m1] * p2[m2])
+
+
 def _graded_lex_key(exp: Tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
 
 
-def _leading_exponent(p: LaurentPoly) -> Tuple[int, ...]:
-    return max(p.terms, key=_graded_lex_key)
+def _leading_exponent(terms: Dict[tuple, int]) -> Tuple[int, ...]:
+    return max(terms, key=_graded_lex_key)
 
 
 @dataclass(frozen=True)
@@ -447,24 +470,20 @@ def a2_basis(deg: int) -> List[BasisElement]:
     are pairwise distinct and carry coefficient 1, which is what makes the
     greedy expansion in a2_structure_constants well defined.
     """
-    if deg < 0:
-        raise ValueError("degree bound must be nonnegative")
     merged: Dict[tuple, List] = {}
-    for chart in range(1, 6):
-        for m1 in range(deg + 1):
-            for m2 in range(deg + 1 - m1):
-                cm = a2_cluster_monomial(chart, m1, m2)
-                key = cm.value.key()
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [cm.value, m1 + m2, [(chart, (m1, m2))]]
-                else:
-                    if entry[1] != m1 + m2:
-                        raise RuntimeError("inconsistent degree among aliases")
-                    entry[2].append((chart, (m1, m2)))
+    for cm in _a2_monomials(deg):
+        degree = sum(cm.exponents)
+        key = cm.value.key()
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [cm.value, degree, [(cm.chart, cm.exponents)]]
+        else:
+            if entry[1] != degree:
+                raise RuntimeError("inconsistent degree among aliases")
+            entry[2].append((cm.chart, cm.exponents))
     elements = []
     for value, degree, aliases in merged.values():
-        lead = _leading_exponent(value)
+        lead = _leading_exponent(value.terms)
         if value.terms[lead] != 1:
             raise RuntimeError("basis leading coefficient is not 1")
         elements.append(BasisElement(value, degree, lead, tuple(aliases)))
@@ -493,24 +512,30 @@ def _eliminate(
     """Greedy elimination of prod over the basis on graded-lex leading terms.
 
     Each step cancels the current leading term against the unique basis
-    element carrying it.  Returns the nonzero constants by basis index and
-    the residual, which is nonzero when some leading term has no basis
-    element.
+    element carrying it, subtracting in place from one term dict.  Returns
+    the nonzero constants by basis index and the residual, which is nonzero
+    when some leading term has no basis element.
     """
     coeffs: Dict[int, int] = {}
+    rem = dict(prod.terms)
     steps = 0
-    while prod:
+    while rem:
         steps += 1
         if steps > _ELIMINATION_GUARD:
             raise RuntimeError("expansion did not terminate within the step guard")
-        lead = _leading_exponent(prod)
+        lead = _leading_exponent(rem)
         i = lead_index.get(lead)
         if i is None:
             break
-        c = prod.terms[lead]
+        c = rem[lead]
         coeffs[i] = coeffs.get(i, 0) + c
-        prod = prod - basis[i].value.scale(c)
-    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, prod
+        for e, b in basis[i].value.terms.items():
+            acc = rem.get(e, 0) - c * b
+            if acc:
+                rem[e] = acc
+            else:
+                del rem[e]
+    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, LaurentPoly(prod.num_vars, rem)
 
 
 def a2_structure_constants(
@@ -561,36 +586,32 @@ def verify_a2_monomials(deg: int) -> Report:
     """
     report = Report("a2-monomials", {"deg": deg}, "pending")
     num_monomials = 0
-    for chart in range(1, 6):
-        for m1 in range(deg + 1):
-            for m2 in range(deg + 1 - m1):
-                cm = a2_cluster_monomial(chart, m1, m2)
-                num_monomials += 1
-                nd = normalize_denominator(cm.value, 2)
-                w = _logcc_witness(
-                    nd.numerator, kind="not-log-concave", chart=chart, exponents=[m1, m2]
+    for cm in _a2_monomials(deg):
+        chart, (m1, m2) = cm.chart, cm.exponents
+        num_monomials += 1
+        nd = normalize_denominator(cm.value, 2)
+        w = _logcc_witness(nd.numerator, kind="not-log-concave", chart=chart, exponents=[m1, m2])
+        if w is not None:
+            report.add(w)
+        if chart == 3:
+            expected_terms = {}
+            for k in range(m2 + 1):
+                for l in range(m1 + m2 - k + 1):
+                    coeff = math.comb(m2, k) * math.comb(m1 + m2 - k, l)
+                    if coeff:
+                        expected_terms[(k, l)] = coeff
+            expected = LaurentPoly(2, expected_terms)
+            if nd.numerator != expected or nd.d_vector != (m1 + m2, m2):
+                report.add(
+                    {
+                        "kind": "closed-form-mismatch",
+                        "chart": chart,
+                        "exponents": [m1, m2],
+                        "numerator": poly_to_json(nd.numerator),
+                        "expected": poly_to_json(expected),
+                        "d_vector": list(nd.d_vector),
+                    }
                 )
-                if w is not None:
-                    report.add(w)
-                if chart == 3:
-                    expected_terms = {}
-                    for k in range(m2 + 1):
-                        for l in range(m1 + m2 - k + 1):
-                            coeff = math.comb(m2, k) * math.comb(m1 + m2 - k, l)
-                            if coeff:
-                                expected_terms[(k, l)] = coeff
-                    expected = LaurentPoly(2, expected_terms)
-                    if nd.numerator != expected or nd.d_vector != (m1 + m2, m2):
-                        report.add(
-                            {
-                                "kind": "closed-form-mismatch",
-                                "chart": chart,
-                                "exponents": [m1, m2],
-                                "numerator": poly_to_json(nd.numerator),
-                                "expected": poly_to_json(expected),
-                                "d_vector": list(nd.d_vector),
-                            }
-                        )
 
     def _c(nn: int, kk: int) -> int:
         if nn < 0 or kk < 0 or kk > nn:
@@ -611,21 +632,31 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
 
     Enumerates every cluster, every monomial in its variables up to total
     degree deg.  Violations are recorded as witnesses; none is expected, but
-    the claim is open, so the report stays exploratory either way.
+    the claim is open, so the report stays exploratory either way.  Each
+    distinct cluster variable's powers are built once, by _powers.
     """
+    if deg < 0:
+        raise ValueError("degree bound must be nonnegative")
     report = Report("conj-an", {"rank": n, "deg": deg}, "exploratory")
     seeds = _sweep(coefficient_free_seed(a_n_matrix(n)), budget)
+    powers: Dict[tuple, List[LaurentPoly]] = {}
     seen: Dict[tuple, bool] = {}
     max_coeff = 0
     for idx, seed in enumerate(seeds):
+        tables = []
+        for x in seed.cluster:
+            table = powers.get(x.key())
+            if table is None:
+                table = powers[x.key()] = _powers(x, deg)
+            tables.append(table)
         for m in iter_product(range(deg + 1), repeat=n):
             total = sum(m)
             if total == 0 or total > deg:
                 continue
-            value = LaurentPoly.const(n, 1)
-            for i, e in enumerate(m):
+            value = None
+            for table, e in zip(tables, m):
                 if e:
-                    value = value * seed.cluster[i] ** e
+                    value = table[e] if value is None else value * table[e]
             key = value.key()
             if key in seen:
                 continue

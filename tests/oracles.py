@@ -54,6 +54,24 @@ def slow_poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.num_vars, terms)
 
 
+def plain_eliminate(prod, basis, lead_index):
+    """Greedy graded-lex elimination with the ring operations.
+
+    Each step subtracts basis[i].value.scale(c) from a new polynomial.
+    Returns the nonzero constants by basis index and the residual.
+    """
+    coeffs: Dict[int, int] = {}
+    while prod:
+        lead = max(prod.terms, key=lambda e: (sum(e), e))
+        i = lead_index.get(lead)
+        if i is None:
+            break
+        c = prod.terms[lead]
+        coeffs[i] = coeffs.get(i, 0) + c
+        prod = prod - basis[i].value.scale(c)
+    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, prod
+
+
 def _dense_mul(A, B):
     return tuple(
         tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0])))

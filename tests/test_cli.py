@@ -51,6 +51,21 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "scope",
+    [
+        ("--claim", "a2-monomials", "--deg", "-1"),
+        ("--claim", "conj-an", "--rank", "3", "--deg", "-2"),
+        ("--claim", "conj1-a2", "--deg", "-1"),
+    ],
+)
+def test_negative_degree_is_a_usage_error(capsys, scope):
+    code, out, err = run_cli(capsys, "verify", *scope)
+    assert code == 2
+    assert out == ""
+    assert "degree bound must be nonnegative" in err
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "2")
     code, _, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")

@@ -104,6 +104,44 @@ def test_mul_matches_schoolbook(p, q):
     assert p * q == slow_poly_mul(p, q)
 
 
+def test_scale_rejects_inexact_factors():
+    with pytest.raises(TypeError):
+        P(1, {(0,): 3}).scale(0.5)
+
+
+@given(
+    polys(3),
+    polys(3).filter(bool),
+    st.integers(min_value=-3, max_value=3),
+    st.tuples(exponents, exponents, exponents),
+    st.sets(st.integers(min_value=0, max_value=2)),
+    st.integers(min_value=0, max_value=3),
+)
+def test_ring_results_are_clean_fresh_and_leave_operands_alone(p, q, k, offsets, drop, power):
+    # Ring operations skip the constructor's validation, so their results
+    # must already be what the constructor would build.
+    pq = p * q
+    before = [dict(x.terms) for x in (p, q, pq)]
+    results = [
+        (p + q, (p, q)),
+        (p - q, (p, q)),
+        (-p, (p,)),
+        (p * q, (p, q)),
+        (p.scale(k), (p,)),
+        (p.shift(offsets), (p,)),
+        (pq.div_exact(q), (pq, q)),
+        (p.substitute_ones(drop), (p,)),
+        (p ** power, (p,)),
+    ]
+    for r, operands in results:
+        assert r == LaurentPoly(r.num_vars, r.terms)
+        for e, c in r.terms.items():
+            assert type(e) is tuple and len(e) == r.num_vars
+            assert isinstance(c, int) and c != 0
+        assert all(r.terms is not x.terms for x in operands)
+    assert [x.terms for x in (p, q, pq)] == before
+
+
 # ---- exact division ----
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from cluster_logcc import (
     a2_structure_constants,
     explore_a2_structure_constants,
     explore_an_monomials,
+    normalize_denominator,
     run_claim,
     verify_a2_monomials,
     verify_coeff_bounds,
@@ -52,6 +55,52 @@ def test_cluster_monomial_values():
         a2_cluster_monomial(1, -1, 0)
     with pytest.raises(IndexError):
         a2_cluster_monomial(6, 1, 0)
+
+
+def test_power_tables_match_repeated_squaring():
+    from cluster_logcc.verify import _a2_monomials
+
+    want = [
+        a2_cluster_monomial(chart, m1, m2)
+        for chart in range(1, 6)
+        for m1 in range(13)
+        for m2 in range(13 - m1)
+    ]
+    assert list(_a2_monomials(12)) == want
+
+
+def test_conj_an_power_tables_match_repeated_squaring():
+    from cluster_logcc import a_n_matrix, coefficient_free_seed, enumerate_exchange_graph
+
+    n, deg = 3, 4
+    values = {}
+    for seed in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))).seeds:
+        for m in product(range(deg + 1), repeat=n):
+            if 0 < sum(m) <= deg:
+                value = LaurentPoly.const(n, 1)
+                for x, e in zip(seed.cluster, m):
+                    value = value * x ** e
+                values[value.key()] = value
+    stats = explore_an_monomials(n, deg).stats
+    assert stats["num_monomials"] == len(values)
+    assert stats["max_numerator_coefficient"] == max(
+        max(normalize_denominator(v, n).numerator.coefficients()) for v in values.values()
+    )
+
+
+def test_a2_monomials_builds_each_power_once(monkeypatch):
+    calls = 0
+    honest = LaurentPoly.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return honest(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    assert run_claim("a2-monomials", deg=8).ok
+    # per chart: 2 x 8 power steps, then one product per (m1, m2), m1 + m2 <= 8
+    assert calls <= 5 * (2 * 8 + 45)
 
 
 # ---- basis ----
@@ -122,6 +171,35 @@ def test_product_within_one_chart_is_a_single_element():
     ((idx, c),) = exp.coefficients.items()
     assert c == 1
     assert (3, (2, 3)) in alias_set(exp, idx)
+
+
+def test_in_place_elimination_matches_plain_loop(monkeypatch):
+    import cluster_logcc.verify as verify
+    from oracles import plain_eliminate
+
+    # A slip that stops the lead from cancelling fails here, not after a
+    # million steps.
+    monkeypatch.setattr(verify, "_ELIMINATION_GUARD", 10_000)
+    basis = a2_basis(6)
+    lead_index = {e.leading: i for i, e in enumerate(basis)}
+    products = [
+        a.value * b.value
+        for ai, a in enumerate(basis)
+        for b in basis[ai:]
+        if a.degree + b.degree <= 6
+    ]
+    for prod in products:
+        assert verify._eliminate(prod, basis, lead_index) == plain_eliminate(
+            prod, basis, lead_index
+        )
+    planted = (
+        a2_cluster_monomial(2, 2, 1).value * a2_cluster_monomial(4, 1, 1).value
+        + LaurentPoly.monomial(2, (-5, -5))
+    )
+    assert (-5, -5) not in lead_index
+    coeffs, residual = verify._eliminate(planted, basis, lead_index)
+    assert coeffs and residual == LaurentPoly.monomial(2, (-5, -5))
+    assert (coeffs, residual) == plain_eliminate(planted, basis, lead_index)
 
 
 def test_expansion_reassembles_the_product():
@@ -206,11 +284,15 @@ def test_budget_propagates():
 # ---- planted defects: each checker must be seen to fail ----
 
 
-def _falsified_report(capsys, claim):
+def _verify_report(capsys, claim, *scope):
     from cluster_logcc.cli import main
 
-    code = main(["verify", "--claim", claim, "--rank", "3"])
-    report = json.loads(capsys.readouterr().out)
+    code = main(["verify", "--claim", claim, *scope])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _falsified_report(capsys, claim, *scope):
+    code, report = _verify_report(capsys, claim, *(scope or ("--rank", "3")))
     assert code == 1
     assert report["status"] == "falsified"
     assert len(report["witnesses"]) <= 20
@@ -274,3 +356,36 @@ def test_always_failing_log_concavity_caps_a2_monomial_witnesses(capsys, monkeyp
     assert len(report["witnesses"]) == 20
     assert report["stats"]["num_witnesses"] == 75
     assert {w["kind"] for w in report["witnesses"]} == {"not-log-concave"}
+
+
+def test_planted_chart_variable_defect_falsifies_a2_monomials(capsys, monkeypatch):
+    import cluster_logcc.verify as verify
+
+    honest = verify._a2_variables
+
+    def doubled_corner():
+        x1, x2, v, u, w = honest()
+        return x1, x2, v, u + LaurentPoly.monomial(2, (-1, -1)), w
+
+    monkeypatch.setattr(verify, "_a2_variables", doubled_corner)
+    report = _falsified_report(capsys, "a2-monomials", "--deg", "4")
+    assert "closed-form-mismatch" in {w["kind"] for w in report["witnesses"]}
+
+
+def test_planted_basis_defect_leaves_conj1_a2_residuals(capsys, monkeypatch):
+    import cluster_logcc.verify as verify
+
+    honest = verify.a2_basis
+
+    def perturbed(deg):
+        basis = honest(deg)
+        e = basis[2]
+        basis[2] = dataclasses.replace(e, value=e.value + LaurentPoly.monomial(2, (-1, 0)))
+        return basis
+
+    monkeypatch.setattr(verify, "a2_basis", perturbed)
+    code, report = _verify_report(capsys, "conj1-a2", "--deg", "4")
+    assert code == 1
+    assert report["status"] == "exploratory"
+    assert report["stats"]["num_unresolved"] > 0
+    assert "unresolved-residual" in {w["kind"] for w in report["witnesses"]}
