@@ -68,26 +68,48 @@ def a_n_matrix(n: int) -> Matrix:
     return _as_matrix(B)
 
 
+def _mutate_rows(rows: Sequence[Tuple[int, ...]], row_k: Tuple[int, ...], kk: int) -> list:
+    """The matrix mutation rule at 0-based kk, applied to rows other than kk.
+
+    a'_ij = a_ij + |a_ik| b_kj when a_ik and b_kj have the same sign, and a_ij
+    otherwise, for j != kk; a'_ik = -a_ik.  row_k is row kk of the exchange
+    matrix.  Its positive and negative entries are listed once; a row with
+    a_ik != 0 adds only over the entries of the matching sign, and a row with
+    a_ik = 0 is reused as it is.
+    """
+    pos = [(j, b) for j, b in enumerate(row_k) if b > 0]
+    neg = [(j, b) for j, b in enumerate(row_k) if b < 0]
+    out = []
+    for row in rows:
+        a = row[kk]
+        if a == 0:
+            out.append(row)
+            continue
+        new = list(row)
+        if a > 0:
+            for j, b in pos:
+                new[j] += a * b
+        else:
+            for j, b in neg:
+                new[j] -= a * b
+        new[kk] = -a
+        out.append(tuple(new))
+    return out
+
+
 def mutate_matrix(B: Matrix, k: int) -> Matrix:
-    """Matrix mutation in direction k (1-based); an involution."""
+    """Matrix mutation in direction k (1-based); an involution.
+
+    Row k is negated.  Every other row follows _mutate_rows, which reuses a
+    row with b_ik = 0 and otherwise adds only over the nonzero entries of
+    row k whose sign matches b_ik.
+    """
     n = len(B)
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
-    row_k = B[kk]
-    out = []
-    for i, row in enumerate(B):
-        bik = row[kk]
-        if i == kk:
-            out.append(tuple(-b for b in row))
-        elif bik == 0:
-            out.append(row)  # b_ik = 0 leaves the row as it is
-        else:
-            new = [
-                b + max(bik, 0) * bkj + bik * max(-bkj, 0) for b, bkj in zip(row, row_k)
-            ]
-            new[kk] = -bik
-            out.append(tuple(new))
+    out = _mutate_rows(B, B[kk], kk)  # b_kk = 0, so row k passes through
+    out[kk] = tuple(-b for b in B[kk])
     return tuple(out)
 
 
@@ -288,16 +310,23 @@ def d_vector_step(D: Matrix, B: Matrix, k: int) -> Matrix:
     """Denominator-vector recursion: replace column k (1-based).
 
     d'_k = -d_k + max(sum_i [b_ik]_+ d_i, sum_i [-b_ik]_+ d_i), the maximum
-    taken componentwise; other columns are untouched.
+    taken componentwise; other columns are untouched.  The nonzero entries of
+    column k of B are listed once, split by sign, and each row of D computes
+    only its entry k from those lists.
     """
-    n = len(D)
     kk = k - 1
-    out = [list(row) for row in D]
-    for j in range(n):
-        s_plus = sum(max(B[i][kk], 0) * D[j][i] for i in range(n))
-        s_minus = sum(max(-B[i][kk], 0) * D[j][i] for i in range(n))
-        out[j][kk] = -D[j][kk] + max(s_plus, s_minus)
-    return _as_matrix(out)
+    plus = [(i, b) for i, row in enumerate(B) if (b := row[kk]) > 0]
+    minus = [(i, -b) for i, row in enumerate(B) if (b := row[kk]) < 0]
+    out = []
+    for row in D:
+        s_plus = 0
+        for i, b in plus:
+            s_plus += b * row[i]
+        s_minus = 0
+        for i, b in minus:
+            s_minus += b * row[i]
+        out.append(row[:kk] + ((s_plus if s_plus > s_minus else s_minus) - row[kk],) + row[k:])
+    return tuple(out)
 
 
 def cg_step(C: Matrix, G: Matrix, B_t: Matrix, B0: Matrix, k: int) -> Tuple[Matrix, Matrix]:
@@ -312,28 +341,24 @@ def cg_step(C: Matrix, G: Matrix, B_t: Matrix, B0: Matrix, k: int) -> Tuple[Matr
     c'_ij = c_ij + [c_ik]_+ [b_kj]_+ - [-c_ik]_+ [-b_kj]_+,
     while G changes only in column k,
     g'_ik = -g_ik + sum_t g_it [b_tk]_+ - sum_t b0_it [c_tk]_+;
-    these entry formulas are what is computed, in O(n^2) per step.
+    these entry formulas are what is computed, sparsely.  The C rule is the
+    matrix mutation rule on rows, so C goes through _mutate_rows: a row with
+    c_ik = 0 is reused, any other adds only over the nonzero entries of row
+    k of B_t whose sign matches c_ik.  The sums for column k of G run only
+    over the nonzero [b_tk]_+ and [c_tk]_+.
     """
     kk = k - 1
-    b_plus = [max(b, 0) for b in B_t[kk]]
-    b_minus = [max(-b, 0) for b in B_t[kk]]
-    C2 = []
-    for row in C:
-        p, m = max(row[kk], 0), max(-row[kk], 0)
-        new = [c + p * bp - m * bm for c, bp, bm in zip(row, b_plus, b_minus)]
-        new[kk] = -row[kk]
-        C2.append(tuple(new))
-    bcol_plus = [max(row[kk], 0) for row in B_t]
-    ccol_plus = [max(row[kk], 0) for row in C]
+    C2 = _mutate_rows(C, B_t[kk], kk)
+    bcol_plus = [(t, b) for t, row in enumerate(B_t) if (b := row[kk]) > 0]
+    ccol_plus = [(t, c) for t, row in enumerate(C) if (c := row[kk]) > 0]
     G2 = []
     for g_row, b0_row in zip(G, B0):
-        new = list(g_row)
-        new[kk] = (
-            -g_row[kk]
-            + sum(g * b for g, b in zip(g_row, bcol_plus))
-            - sum(b * c for b, c in zip(b0_row, ccol_plus))
-        )
-        G2.append(tuple(new))
+        g_kk = -g_row[kk]
+        for t, b in bcol_plus:
+            g_kk += g_row[t] * b
+        for t, c in ccol_plus:
+            g_kk -= b0_row[t] * c
+        G2.append(g_row[:kk] + (g_kk,) + g_row[k:])
     return tuple(C2), tuple(G2)
 
 
@@ -393,22 +418,38 @@ def f_data(seed: Seed) -> FData:
 def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, LaurentPoly, LaurentPoly]]:
     """Compare each coefficient-free variable with its monomial-times-F form.
 
-    Returns mismatches as (index, specialized variable, reconstructed form);
-    empty means the separation identity holds at this seed.
+    Variable i, with the frozen variables set to 1, must equal
+    x^{g_i} F_i(y-hat): F_i is the variable with the exchangeable ones set to
+    1, and y-hat_t = prod_j x_j^{b0_jt}.  One pass over the terms reads both
+    specializations; the hatted exponents are summed over the nonzero
+    entries of each row of B0.  Returns mismatches as (index, specialized
+    variable, reconstructed form); empty means the separation identity holds
+    at this seed.
     """
     n = seed.n
     if seed.num_frozen != n:
         raise ValueError("separation check needs a principal-coefficients seed")
+    b0_rows = [[(t, b) for t, b in enumerate(row) if b] for row in B0]
     mismatches = []
-    for i in range(n):
-        lhs = seed.cluster[i].substitute_ones(range(n, 2 * n))
-        fpoly = seed.cluster[i].substitute_ones(range(n))
+    for i, x in enumerate(seed.cluster):
+        lhs_terms: Dict[tuple, int] = {}
+        f_terms: Dict[tuple, int] = {}
+        for e, c in x.terms.items():
+            xe, ye = e[:n], e[n:]
+            lhs_terms[xe] = lhs_terms.get(xe, 0) + c
+            f_terms[ye] = f_terms.get(ye, 0) + c
+        g_col = [G[j][i] for j in range(n)]
         hat_terms: Dict[tuple, int] = {}
-        for cexp, coeff in fpoly.terms.items():
-            exp = tuple(sum(cexp[t] * B0[j][t] for t in range(n)) for j in range(n))
-            hat_terms[exp] = hat_terms.get(exp, 0) + coeff
-        g_col = tuple(G[j][i] for j in range(n))
-        rhs = LaurentPoly(n, hat_terms).shift(g_col)
+        for ye, c in f_terms.items():
+            hat = []
+            for g, row in zip(g_col, b0_rows):
+                for t, b in row:
+                    g += ye[t] * b
+                hat.append(g)
+            exp = tuple(hat)
+            hat_terms[exp] = hat_terms.get(exp, 0) + c
+        lhs = LaurentPoly._trusted(n, {e: c for e, c in lhs_terms.items() if c})
+        rhs = LaurentPoly._trusted(n, {e: c for e, c in hat_terms.items() if c})
         if lhs != rhs:
             mismatches.append((i, lhs, rhs))
     return mismatches

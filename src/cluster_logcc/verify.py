@@ -126,10 +126,15 @@ def _logcc_witness(p: LaurentPoly, **extra) -> Optional[dict]:
 
 
 def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0])))
-        for i in range(len(A))
-    )
+    """A B, adding row t of B into row i only where a_it != 0."""
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, b_row in zip(row, B):
+            if a:
+                acc = [s + a * b for s, b in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _pos_part(A: Matrix) -> Matrix:
@@ -281,13 +286,29 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     the two companion matrices; denominator columns match the normalized
     denominators of the actual variables; coefficient exponent vectors match
     the columns of the coefficient companion matrix.
+
+    A sweep shares one object among all the seeds that hold the same
+    variable, so the facts that read only the variable, its x->1 degree
+    vector and its normalized denominator vector, are computed once per
+    object (keyed on id; the states list keeps every object alive).  The
+    comparisons with seed data run per seed, in the order above.
     """
     report = Report("gyo21", {"rank": n}, "pending")
     states = _principal_states(n, budget)
     B0 = states[0].seed.B
+    facts: Dict[int, Tuple[tuple, tuple]] = {}  # id(x) -> (f-vector, d-vector)
     for idx, st in enumerate(states):
         seed = st.seed
-        fm = f_data(seed).f_matrix
+        cols = []
+        for x in seed.cluster:
+            fd = facts.get(id(x))
+            if fd is None:
+                fd = facts[id(x)] = (
+                    x.substitute_ones(range(n)).max_degrees(),
+                    normalize_denominator(x, n).d_vector,
+                )
+            cols.append(fd)
+        fm = tuple(tuple(f[j] for f, _ in cols) for j in range(n))
         if fm != _pos_part(st.D):
             report.add(
                 {
@@ -308,16 +329,15 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                     "G": [list(r) for r in st.G],
                 }
             )
-        for i in range(n):
+        for i, (_, d_vector) in enumerate(cols):
             d_col = tuple(st.D[j][i] for j in range(n))
-            nd = normalize_denominator(seed.cluster[i], n)
-            if nd.d_vector != d_col:
+            if d_vector != d_col:
                 report.add(
                     {
                         "kind": "denominator-column",
                         "seed_index": idx,
                         "position": i,
-                        "expected": list(nd.d_vector),
+                        "expected": list(d_vector),
                         "got": list(d_col),
                     }
                 )
@@ -561,17 +581,18 @@ def a2_structure_constants(
 def _chart_tables(
     basis: List[BasisElement], coefficients: Dict[int, int]
 ) -> Dict[int, LaurentPoly]:
-    """Arrange expansion constants as one exponent-indexed table per chart."""
-    tables: Dict[int, LaurentPoly] = {}
-    for chart in range(1, 6):
-        entries: Dict[tuple, int] = {}
-        for idx, coeff in coefficients.items():
-            for alias_chart, m in basis[idx].aliases:
-                if alias_chart == chart:
-                    entries[m] = coeff
-        if entries:
-            tables[chart] = LaurentPoly(2, entries)
-    return tables
+    """Arrange expansion constants as one exponent-indexed table per chart.
+
+    One pass over the constants fills every chart's entries, in index order
+    within each chart; the tables come back in ascending chart order.  The
+    constants are the nonzero ints _eliminate returns, so each table's term
+    dict is clean as built.
+    """
+    entries: Dict[int, Dict[tuple, int]] = {}
+    for idx, coeff in coefficients.items():
+        for chart, m in basis[idx].aliases:
+            entries.setdefault(chart, {})[m] = coeff
+    return {chart: LaurentPoly._trusted(2, entries[chart]) for chart in sorted(entries)}
 
 
 def verify_a2_monomials(deg: int) -> Report:

@@ -72,6 +72,24 @@ def plain_eliminate(prod, basis, lead_index):
     return {i: c for i, c in sorted(coeffs.items()) if c != 0}, prod
 
 
+def plain_chart_tables(basis, coefficients):
+    """Expansion constants as one table per chart, one scan per chart.
+
+    Chart by chart, every constant's alias list is scanned for entries on
+    that chart; charts with no entry are left out.
+    """
+    tables = {}
+    for chart in range(1, 6):
+        entries = {}
+        for idx, coeff in coefficients.items():
+            for alias_chart, m in basis[idx].aliases:
+                if alias_chart == chart:
+                    entries[m] = coeff
+        if entries:
+            tables[chart] = LaurentPoly(2, entries)
+    return tables
+
+
 def _dense_mul(A, B):
     return tuple(
         tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0])))
@@ -108,6 +126,46 @@ def dense_cg_step(C, G, B_t, B0, k):
     C2 = _dense_add(_dense_mul(C, _dense_add(J, row_k)), _dense_mul(neg_c_col, B_t))
     G2 = _dense_add(_dense_mul(G, _dense_add(J, col_k)), _dense_mul(B0, pos_c_col), sign=-1)
     return C2, G2
+
+
+def dense_d_vector_step(D, B, k):
+    """Denominator-vector recursion with every sum taken over all rows.
+
+    d'_k = -d_k + max(sum_i [b_ik]_+ d_i, sum_i [-b_ik]_+ d_i), componentwise;
+    other columns are untouched.  Directions are 1-based.
+    """
+    n = len(D)
+    kk = k - 1
+    out = [list(row) for row in D]
+    for j in range(n):
+        s_plus = sum(max(B[i][kk], 0) * D[j][i] for i in range(n))
+        s_minus = sum(max(-B[i][kk], 0) * D[j][i] for i in range(n))
+        out[j][kk] = -D[j][kk] + max(s_plus, s_minus)
+    return tuple(tuple(row) for row in out)
+
+
+def plain_check_separation(seed, G, B0):
+    """The separation check with both specializations by substitute_ones.
+
+    For each cluster position i, the variable with the frozen variables set
+    to 1 is compared with x^{g_i} F_i(y-hat), where F_i is the variable with
+    the exchangeable ones set to 1 and y-hat_t = prod_j x_j^{b0_jt}.
+    Returns (index, specialized variable, reconstructed form) per mismatch.
+    """
+    n = seed.n
+    mismatches = []
+    for i in range(n):
+        lhs = seed.cluster[i].substitute_ones(range(n, 2 * n))
+        fpoly = seed.cluster[i].substitute_ones(range(n))
+        hat_terms: Dict[tuple, int] = {}
+        for cexp, coeff in fpoly.terms.items():
+            exp = tuple(sum(cexp[t] * B0[j][t] for t in range(n)) for j in range(n))
+            hat_terms[exp] = hat_terms.get(exp, 0) + coeff
+        g_col = tuple(G[j][i] for j in range(n))
+        rhs = LaurentPoly(n, hat_terms).shift(g_col)
+        if lhs != rhs:
+            mismatches.append((i, lhs, rhs))
+    return mismatches
 
 
 def dense_mutate_matrix(B, k):

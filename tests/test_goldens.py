@@ -147,3 +147,57 @@ def test_flip_search_order():
         for n in range(1, 6)
     ]
     assert got == TRIANGULATIONS
+
+
+# the principal claims at rank 6 (132 seeds at rank 5, 429 here)
+RANK_6 = {
+    "gyo21": "291339eb42305d43186d6d2f015e96978f064a436ea3a95eb94c91a174c69125",
+    "fpoly": "eac129ccde3c31d61352bce347451953bd9313349586881a9a2e02253ba385d4",
+    "separation": "3e0b15a5f3492e42fef8693dd386d2ffdc4bb575f06a8fe827a65370fb3c0834",
+}
+
+
+@pytest.mark.parametrize("claim", sorted(RANK_6))
+def test_principal_claim_reports_at_rank_6(claim):
+    assert _digest(run_claim(claim, rank=6).to_json_dict()) == RANK_6[claim]
+
+
+def _off_by_one_d(honest):
+    def planted(D, B, k):
+        out = [list(row) for row in honest(D, B, k)]
+        out[0][k - 1] += 1
+        return tuple(tuple(row) for row in out)
+
+    return planted
+
+
+def _negated_g_kk(honest):
+    def planted(C, G, B_t, B0, k):
+        C2, G2 = honest(C, G, B_t, B0, k)
+        out = [list(row) for row in G2]
+        out[k - 1][k - 1] = -out[k - 1][k - 1]
+        return C2, tuple(tuple(row) for row in out)
+
+    return planted
+
+
+# Full falsified reports at rank 4 under the planted companion-step defects of
+# test_verify.py: witness order, the kept 20 witnesses and num_witnesses.
+PLANTED_RANK_4 = [
+    ("d_vector_step", _off_by_one_d, "gyo21",
+     "24d0f6db22b02e8e1280f5383ce896cafd1f5b2f1b2394d0e1625fd0093223d4"),
+    ("cg_step", _negated_g_kk, "gyo21",
+     "f06e0436a3bfb0ff767ca64734bd3efe555a79eff43793c0a5d1771f4db69803"),
+    ("cg_step", _negated_g_kk, "separation",
+     "aa2448b107e901222dd79a4d6321aacdb66e55e5b3f31871b87ed2d200897c8a"),
+]
+
+
+@pytest.mark.parametrize("step,plant,claim,digest", PLANTED_RANK_4)
+def test_planted_defect_reports_at_rank_4(monkeypatch, step, plant, claim, digest):
+    import cluster_logcc.pattern as pattern
+
+    monkeypatch.setattr(pattern, step, plant(getattr(pattern, step)))
+    report = run_claim(claim, rank=4)
+    assert report.status == "falsified"
+    assert _digest(report.to_json_dict()) == digest

@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dense_cg_step, dense_mutate_matrix, plain_exchange_graph, plain_mutate
+from oracles import (
+    dense_cg_step,
+    dense_d_vector_step,
+    dense_mutate_matrix,
+    plain_check_separation,
+    plain_exchange_graph,
+    plain_mutate,
+)
 
 import cluster_logcc.pattern as pattern
 import cluster_logcc.verify as verify
@@ -19,6 +26,7 @@ from cluster_logcc import (
     check_separation,
     cluster_variables,
     coefficient_free_seed,
+    d_vector_step,
     enumerate_exchange_graph,
     expand_variable,
     f_data,
@@ -313,6 +321,48 @@ def test_cg_step_matches_dense_products_at_every_principal_seed(n):
             assert cg_step(state.C, state.G, state.seed.B, state.B0, k) == dense_cg_step(
                 state.C, state.G, state.seed.B, state.B0, k
             )
+
+
+@pytest.mark.parametrize(
+    "B0",
+    [a_n_matrix(n) for n in range(1, 7)] + [TYPE_B2, TYPE_G2, ((0, 2), (-2, 0))],
+)
+def test_d_vector_step_matches_dense_formula_along_random_paths(B0):
+    rng = random.Random(20261018 + len(B0))
+    n = len(B0)
+    for _ in range(200 // n):
+        D, B = initial_d_matrix(n), B0
+        for _ in range(rng.randint(1, 8)):
+            k = rng.randint(1, n)
+            got = d_vector_step(D, B, k)
+            assert got == dense_d_vector_step(D, B, k)
+            D = got
+            B = mutate_matrix(B, k)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_d_vector_step_matches_dense_formula_at_every_principal_seed(n):
+    for state in _principal_states(n, None):
+        for k in range(1, n + 1):
+            assert d_vector_step(state.D, state.seed.B, k) == dense_d_vector_step(
+                state.D, state.seed.B, k
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_check_separation_matches_plain_check_at_every_principal_seed(n):
+    for state in _principal_states(n, None):
+        seed, G, B0 = state.seed, state.G, state.B0
+        assert check_separation(seed, G, B0) == plain_check_separation(seed, G, B0) == []
+        # negate one nonzero entry of G (column 0 of an invertible G has
+        # one): both checks must list the same mismatches
+        j = next(j for j in range(n) if G[j][0])
+        bad = tuple(
+            tuple(-g if (r, c) == (j, 0) else g for c, g in enumerate(row))
+            for r, row in enumerate(G)
+        )
+        mismatches = check_separation(seed, bad, B0)
+        assert mismatches and mismatches == plain_check_separation(seed, bad, B0)
 
 
 def test_laurent_phenomenon_blocks_on_inexact_division():

@@ -202,6 +202,39 @@ def test_in_place_elimination_matches_plain_loop(monkeypatch):
     assert (coeffs, residual) == plain_eliminate(planted, basis, lead_index)
 
 
+def test_sparse_mat_mul_matches_dense_product():
+    import random
+
+    import cluster_logcc.verify as verify
+    from oracles import _dense_mul
+
+    rng = random.Random(20261018)
+    for _ in range(200):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        A = tuple(tuple(rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(inner)) for _ in range(rows))
+        B = tuple(tuple(rng.randint(-4, 4) for _ in range(cols)) for _ in range(inner))
+        assert verify._mat_mul(A, B) == _dense_mul(A, B)
+
+
+def test_chart_tables_match_per_chart_scan():
+    import cluster_logcc.verify as verify
+    from oracles import plain_chart_tables
+
+    basis = a2_basis(6)
+    lead_index = {e.leading: i for i, e in enumerate(basis)}
+    num_tables = 0
+    for ai, a in enumerate(basis):
+        for b in basis[ai:]:
+            if a.degree + b.degree > 6:
+                continue
+            coeffs, _ = verify._eliminate(a.value * b.value, basis, lead_index)
+            got = verify._chart_tables(basis, coeffs)
+            want = plain_chart_tables(basis, coeffs)
+            assert list(got.items()) == list(want.items())
+            num_tables += len(got)
+    assert num_tables > 0
+
+
 def test_expansion_reassembles_the_product():
     factors = [a2_cluster_monomial(2, 1, 1), a2_cluster_monomial(5, 1, 0)]
     exp = a2_structure_constants(factors)
@@ -389,3 +422,66 @@ def test_planted_basis_defect_leaves_conj1_a2_residuals(capsys, monkeypatch):
     assert report["status"] == "exploratory"
     assert report["stats"]["num_unresolved"] > 0
     assert "unresolved-residual" in {w["kind"] for w in report["witnesses"]}
+
+
+def test_planted_per_variable_denominator_defect_falsifies_every_slot(capsys, monkeypatch):
+    import cluster_logcc.verify as verify
+    from cluster_logcc import a_n_matrix, mutate, principal_seed
+
+    # one non-initial variable, chosen by value, gets a wrong denominator
+    target = mutate(principal_seed(a_n_matrix(4)), 2).cluster[1]
+    honest = verify.normalize_denominator
+
+    def bumped(p, n):
+        nd = honest(p, n)
+        if p == target:
+            return dataclasses.replace(nd, d_vector=(nd.d_vector[0] + 1,) + nd.d_vector[1:])
+        return nd
+
+    monkeypatch.setattr(verify, "normalize_denominator", bumped)
+    slots = [
+        (idx, i)
+        for idx, st in enumerate(verify._principal_states(4, None))
+        for i, x in enumerate(st.seed.cluster)
+        if x == target
+    ]
+    assert len(slots) == 10  # below the witness cap, so every slot is listed
+    report = _falsified_report(capsys, "gyo21", "--rank", "4")
+    assert {w["kind"] for w in report["witnesses"]} == {"denominator-column"}
+    assert [(w["seed_index"], w["position"]) for w in report["witnesses"]] == slots
+    assert report["stats"] == {"num_seeds": 42}
+
+
+def test_planted_squared_f_polynomial_falsifies_fpoly(capsys, monkeypatch):
+    import cluster_logcc.verify as verify
+
+    honest = verify.f_data
+
+    def squared(seed):
+        fd = honest(seed)
+        fpolys = list(fd.f_polynomials)
+        for i, fp in enumerate(fpolys):
+            if len(fp.terms) >= 2:
+                fpolys[i] = fp * fp
+                break
+        return fd._replace(f_polynomials=tuple(fpolys))
+
+    monkeypatch.setattr(verify, "f_data", squared)
+    report = _falsified_report(capsys, "fpoly")
+    assert [w["kind"] for w in report["witnesses"]] == ["degree-out-of-range"] * 6
+
+
+def test_planted_log_concavity_failure_falsifies_fpoly(capsys, monkeypatch):
+    import cluster_logcc.verify as verify
+    from cluster_logcc import LogConcavityResult
+
+    honest = verify.is_log_concave
+
+    def fails_from_three_terms(p):
+        if len(p.terms) >= 3:
+            return LogConcavityResult(False, 0, (0,) * p.num_vars)
+        return honest(p)
+
+    monkeypatch.setattr(verify, "is_log_concave", fails_from_three_terms)
+    report = _falsified_report(capsys, "fpoly")
+    assert [w["kind"] for w in report["witnesses"]] == ["not-log-concave"] * 3
