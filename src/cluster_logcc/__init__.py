@@ -6,10 +6,11 @@ companion matrix data of mutation paths, and machine-checks log-concavity
 properties of the resulting numerators, specializations, and expansion
 constants.  All arithmetic is exact integer arithmetic on sparse Laurent
 polynomials.
+
+The names imported below are the public surface; tests/test_api.py pins it.
 """
 
 from .poly import (
-    DenominatorForm,
     DimensionMismatchError,
     InexactDivisionError,
     LaurentPoly,
@@ -22,8 +23,6 @@ from .poly import (
 from .pattern import (
     DEFAULT_BUDGET,
     ExchangeGraph,
-    FData,
-    PatternState,
     Seed,
     TropicalElement,
     a_n_matrix,
@@ -64,17 +63,11 @@ from .polygon import (
     intersection_parameter,
     principal_b_matrix,
     tpath_monomial,
-    tpath_to_json,
     triangulation_from_json,
     triangulation_to_json,
     zigzag,
 )
 from .verify import (
-    CLAIM_IDS,
-    BasisElement,
-    ClusterMonomial,
-    Report,
-    StructureExpansion,
     a2_basis,
     a2_charts,
     a2_cluster_monomial,
@@ -89,79 +82,3 @@ from .verify import (
     verify_main1,
     verify_separation,
 )
-
-__all__ = [
-    "DEFAULT_BUDGET",
-    "CLAIM_IDS",
-    "BasisElement",
-    "ClusterMonomial",
-    "DenominatorForm",
-    "DimensionMismatchError",
-    "ExchangeGraph",
-    "FData",
-    "InexactDivisionError",
-    "LaurentPoly",
-    "LogConcavityResult",
-    "PatternState",
-    "Report",
-    "Seed",
-    "StructureExpansion",
-    "TPath",
-    "Triangulation",
-    "TropicalElement",
-    "a2_basis",
-    "a2_charts",
-    "a2_cluster_monomial",
-    "a2_structure_constants",
-    "a_n_matrix",
-    "assert_valid_t_path",
-    "b_matrix_of",
-    "boundary_seed",
-    "canonical_seed_key",
-    "cg_step",
-    "check_separation",
-    "cluster_variables",
-    "coefficient_free_seed",
-    "crosses",
-    "crossing_d_vector",
-    "d_vector_step",
-    "diagonals_crossing",
-    "enumerate_exchange_graph",
-    "enumerate_t_paths",
-    "enumerate_triangulations",
-    "expand_variable",
-    "explore_a2_structure_constants",
-    "explore_an_monomials",
-    "f_data",
-    "fan",
-    "flip",
-    "from_diagonals",
-    "graph_to_json",
-    "initial_d_matrix",
-    "intersection_parameter",
-    "is_log_concave",
-    "is_skew_symmetrizable",
-    "mutate",
-    "mutate_matrix",
-    "normalize_denominator",
-    "poly_from_json",
-    "poly_to_json",
-    "principal_b_matrix",
-    "principal_seed",
-    "principal_state",
-    "run_claim",
-    "seed_from_json",
-    "seed_to_json",
-    "state_step",
-    "tpath_monomial",
-    "tpath_to_json",
-    "triangulation_from_json",
-    "triangulation_to_json",
-    "verify_a2_monomials",
-    "verify_coeff_bounds",
-    "verify_fd",
-    "verify_fpoly_logcc",
-    "verify_main1",
-    "verify_separation",
-    "zigzag",
-]

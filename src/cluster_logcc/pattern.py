@@ -39,10 +39,6 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _neg_identity(n: int) -> Matrix:
-    return tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(int(e) for e in row) for row in rows)
 
@@ -153,16 +149,6 @@ class TropicalElement:
 
     exponents: Tuple[int, ...]
 
-    @classmethod
-    def identity(cls, rank: int) -> "TropicalElement":
-        return cls((0,) * rank)
-
-    @classmethod
-    def generator(cls, rank: int, index: int) -> "TropicalElement":
-        exps = [0] * rank
-        exps[index] = 1
-        return cls(tuple(exps))
-
 
 @dataclass(frozen=True)
 class Seed:
@@ -195,7 +181,7 @@ def coefficient_free_seed(B: Sequence[Sequence[int]]) -> Seed:
     if not is_skew_symmetrizable(Bm):
         raise ValueError("exchange matrix is not skew-symmetrizable")
     n = len(Bm)
-    y = tuple(TropicalElement.identity(0) for _ in range(n))
+    y = tuple(TropicalElement(()) for _ in range(n))
     return Seed(n, 0, Bm, y, _initial_cluster(n, 0))
 
 
@@ -205,7 +191,7 @@ def principal_seed(B: Sequence[Sequence[int]]) -> Seed:
     if not is_skew_symmetrizable(Bm):
         raise ValueError("exchange matrix is not skew-symmetrizable")
     n = len(Bm)
-    y = tuple(TropicalElement.generator(n, i) for i in range(n))
+    y = tuple(TropicalElement(row) for row in _identity(n))
     return Seed(n, n, Bm, y, _initial_cluster(n, n))
 
 
@@ -303,7 +289,7 @@ def mutate(seed: Seed, k: int) -> Seed:
 
 def initial_d_matrix(n: int) -> Matrix:
     """Column i is the denominator vector of the initial variable x_i: -e_i."""
-    return _neg_identity(n)
+    return tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def d_vector_step(D: Matrix, B: Matrix, k: int) -> Matrix:
@@ -532,13 +518,23 @@ def enumerate_exchange_graph(
         _exchange_memo.reset(token)
 
 
-def cluster_variables(seed: Seed, budget: Optional[int] = None) -> List[LaurentPoly]:
-    """All cluster variables reachable from the seed, canonically sorted."""
-    graph = enumerate_exchange_graph(seed, budget)
+def sweep(seed, budget: Optional[int] = None, step=None, key=None) -> list:
+    """Every class enumerate_exchange_graph reaches from seed, in its order.
+
+    A graph that is not closed within the budget is an error, raised here
+    and nowhere else, so the free, principal and flip searches all report a
+    budget overrun with one message.
+    """
+    graph = enumerate_exchange_graph(seed, budget, step, key)
     if not graph.closed:
         raise RuntimeError("exchange graph not closed within budget")
+    return graph.seeds
+
+
+def cluster_variables(seed: Seed, budget: Optional[int] = None) -> List[LaurentPoly]:
+    """All cluster variables reachable from the seed, canonically sorted."""
     seen: Dict[tuple, LaurentPoly] = {}
-    for s in graph.seeds:
+    for s in sweep(seed, budget):
         for x in s.cluster:
             seen.setdefault(x.key(), x)
     return [seen[key] for key in sorted(seen)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .pattern import enumerate_exchange_graph
+from .pattern import sweep
 from .poly import LaurentPoly
 
 Pair = Tuple[int, int]
@@ -237,12 +237,9 @@ def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None)
     Listed in breadth-first order by the exchange-graph search; more than
     `budget` (default DEFAULT_BUDGET) triangulations is an error.
     """
-    graph = enumerate_exchange_graph(
+    return sweep(
         start, budget, lambda tri, k: flip(tri, k)[0], lambda tri: frozenset(tri.diagonal_pairs())
     )
-    if not graph.closed:
-        raise RuntimeError("triangulation enumeration exceeded budget")
-    return graph.seeds
 
 
 # ---- path expansion ----
@@ -426,10 +423,18 @@ def triangulation_to_json(tri: Triangulation) -> dict:
 
 
 def triangulation_from_json(obj: Mapping) -> Triangulation:
-    ngon = int(obj["ngon"])
+    """Read {"ngon": int, "diagonals": [[u, v], ...]}; a malformed object is a ValueError."""
+    if not isinstance(obj, Mapping) or type(obj.get("ngon")) is not int:
+        raise ValueError("triangulation JSON must be an object with an integer 'ngon'")
+    ngon, diagonals = obj["ngon"], obj.get("diagonals")
+    if not isinstance(diagonals, (list, tuple)) or not all(
+        isinstance(d, (list, tuple)) and len(d) == 2 and all(type(v) is int for v in d)
+        for d in diagonals
+    ):
+        raise ValueError("triangulation 'diagonals' must be a list of integer vertex pairs")
     if ngon < 4:
         raise ValueError("polygon must have at least 4 vertices")
-    return from_diagonals(ngon - 3, [tuple(d) for d in obj["diagonals"]])
+    return from_diagonals(ngon - 3, [tuple(d) for d in diagonals])
 
 
 def tpath_to_json(tri: Triangulation, path: TPath, coefficient_free: bool = True) -> dict:

@@ -49,23 +49,12 @@ from .pattern import (
     canonical_seed_key,
     check_separation,
     coefficient_free_seed,
-    enumerate_exchange_graph,
     f_data,
     principal_state,
     state_step,
+    sweep,
 )
 from .polygon import expand_variable, zigzag
-
-CLAIM_IDS = (
-    "main1",
-    "coeff012",
-    "gyo21",
-    "fpoly",
-    "separation",
-    "a2-monomials",
-    "conj-an",
-    "conj1-a2",
-)
 
 WITNESS_CAP = 20
 
@@ -152,14 +141,6 @@ def _chords(size: int):
 # ---- seed sweeps ----
 
 
-def _sweep(start, budget: Optional[int], step=None, key=None) -> list:
-    """Every seed class reachable from start; an exceeded budget is an error."""
-    graph = enumerate_exchange_graph(start, budget, step, key)
-    if not graph.closed:
-        raise RuntimeError("exchange graph not closed within budget")
-    return graph.seeds
-
-
 def _principal_states(n: int, budget: Optional[int]) -> List[PatternState]:
     """Every principal seed of the rank-n pattern, with its companion matrices.
 
@@ -167,7 +148,7 @@ def _principal_states(n: int, budget: Optional[int]) -> List[PatternState]:
     for a seed follow the labeling of the first path that reached it, which
     keeps columns aligned with cluster positions.
     """
-    return _sweep(
+    return sweep(
         principal_state(a_n_matrix(n)), budget, state_step, lambda st: canonical_seed_key(st.seed)
     )
 
@@ -196,7 +177,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
             p = expand_variable(tri, a, b, coefficient_free=True)
         by_key[p.key()] = p
 
-    seeds = _sweep(coefficient_free_seed(a_n_matrix(n)), budget)
+    seeds = sweep(coefficient_free_seed(a_n_matrix(n)), budget)
     mutated: Dict[tuple, LaurentPoly] = {}
     for s in seeds:
         for x in s.cluster:
@@ -442,19 +423,45 @@ def _powers(z: LaurentPoly, deg: int) -> List[LaurentPoly]:
     return table
 
 
+def _cluster_monomials(
+    clusters: Sequence[Sequence[LaurentPoly]], deg: int
+) -> Iterator[Tuple[int, Tuple[int, ...], LaurentPoly]]:
+    """Every monomial of total degree at most deg in each cluster's variables.
+
+    Yields (cluster index, exponents, value): clusters in sequence, then
+    exponent vectors in ascending lexicographic order.  Each distinct
+    variable's powers come from one _powers table per call, keyed on its
+    key(), so clusters that share a variable share its table; only nonzero
+    factors are multiplied.
+    """
+    powers: Dict[tuple, List[LaurentPoly]] = {}
+    for idx, cluster in enumerate(clusters):
+        tables = []
+        for x in cluster:
+            table = powers.get(x.key())
+            if table is None:
+                table = powers[x.key()] = _powers(x, deg)
+            tables.append(table)
+        for m in iter_product(range(deg + 1), repeat=len(tables)):
+            if sum(m) > deg:
+                continue
+            value = None
+            for table, e in zip(tables, m):
+                if e:
+                    value = table[e] if value is None else value * table[e]
+            yield idx, m, tables[0][0] if value is None else value
+
+
 def _a2_monomials(deg: int) -> Iterator[ClusterMonomial]:
     """Every rank-2 cluster monomial of total degree at most deg.
 
     Charts, then m1, then m2 ascending; the values are those of
-    a2_cluster_monomial, formed from per-chart power tables.
+    a2_cluster_monomial, formed by _cluster_monomials.
     """
     if deg < 0:
         raise ValueError("degree bound must be nonnegative")
-    for chart, (z1, z2) in enumerate(a2_charts(), start=1):
-        p1, p2 = _powers(z1, deg), _powers(z2, deg)
-        for m1 in range(deg + 1):
-            for m2 in range(deg + 1 - m1):
-                yield ClusterMonomial(chart, (m1, m2), p1[m1] * p2[m2])
+    for idx, m, value in _cluster_monomials(a2_charts(), deg):
+        yield ClusterMonomial(idx + 1, m, value)
 
 
 def _graded_lex_key(exp: Tuple[int, ...]) -> tuple:
@@ -653,42 +660,25 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
 
     Enumerates every cluster, every monomial in its variables up to total
     degree deg.  Violations are recorded as witnesses; none is expected, but
-    the claim is open, so the report stays exploratory either way.  Each
-    distinct cluster variable's powers are built once, by _powers.
+    the claim is open, so the report stays exploratory either way.  The
+    monomials come from _cluster_monomials; the constant is skipped.
     """
     if deg < 0:
         raise ValueError("degree bound must be nonnegative")
     report = Report("conj-an", {"rank": n, "deg": deg}, "exploratory")
-    seeds = _sweep(coefficient_free_seed(a_n_matrix(n)), budget)
-    powers: Dict[tuple, List[LaurentPoly]] = {}
-    seen: Dict[tuple, bool] = {}
+    seeds = sweep(coefficient_free_seed(a_n_matrix(n)), budget)
+    seen = set()
     max_coeff = 0
-    for idx, seed in enumerate(seeds):
-        tables = []
-        for x in seed.cluster:
-            table = powers.get(x.key())
-            if table is None:
-                table = powers[x.key()] = _powers(x, deg)
-            tables.append(table)
-        for m in iter_product(range(deg + 1), repeat=n):
-            total = sum(m)
-            if total == 0 or total > deg:
-                continue
-            value = None
-            for table, e in zip(tables, m):
-                if e:
-                    value = table[e] if value is None else value * table[e]
-            key = value.key()
-            if key in seen:
-                continue
-            seen[key] = True
-            numerator = normalize_denominator(value, n).numerator
-            max_coeff = max(max_coeff, max(numerator.coefficients()))
-            w = _logcc_witness(
-                numerator, kind="not-log-concave", seed_index=idx, exponents=list(m)
-            )
-            if w is not None:
-                report.add(w)
+    for idx, m, value in _cluster_monomials([s.cluster for s in seeds], deg):
+        key = value.key()
+        if not any(m) or key in seen:
+            continue
+        seen.add(key)
+        numerator = normalize_denominator(value, n).numerator
+        max_coeff = max(max_coeff, max(numerator.coefficients()))
+        w = _logcc_witness(numerator, kind="not-log-concave", seed_index=idx, exponents=list(m))
+        if w is not None:
+            report.add(w)
     report.stats = {
         "num_clusters": len(seeds),
         "num_monomials": len(seen),
@@ -767,24 +757,23 @@ def explore_a2_structure_constants(deg: int) -> Report:
     return _settle(report)
 
 
-def run_claim(
-    claim: str, rank: int = 3, deg: int = 6, budget: Optional[int] = None
-) -> Report:
+# Claim identifier -> checker of (rank, deg, budget), in the order the CLI lists them.
+_CHECKERS = {
+    "main1": lambda rank, deg, budget: verify_main1(rank, budget),
+    "coeff012": lambda rank, deg, budget: verify_coeff_bounds(rank),
+    "gyo21": lambda rank, deg, budget: verify_fd(rank, budget),
+    "fpoly": lambda rank, deg, budget: verify_fpoly_logcc(rank, budget),
+    "separation": lambda rank, deg, budget: verify_separation(rank, budget),
+    "a2-monomials": lambda rank, deg, budget: verify_a2_monomials(deg),
+    "conj-an": lambda rank, deg, budget: explore_an_monomials(rank, deg, budget),
+    "conj1-a2": lambda rank, deg, budget: explore_a2_structure_constants(deg),
+}
+CLAIM_IDS = tuple(_CHECKERS)
+
+
+def run_claim(claim: str, rank: int = 3, deg: int = 6, budget: Optional[int] = None) -> Report:
     """Dispatch a claim identifier to its checker with the given scope."""
-    if claim == "main1":
-        return verify_main1(rank, budget)
-    if claim == "coeff012":
-        return verify_coeff_bounds(rank)
-    if claim == "gyo21":
-        return verify_fd(rank, budget)
-    if claim == "fpoly":
-        return verify_fpoly_logcc(rank, budget)
-    if claim == "separation":
-        return verify_separation(rank, budget)
-    if claim == "a2-monomials":
-        return verify_a2_monomials(deg)
-    if claim == "conj-an":
-        return explore_an_monomials(rank, deg, budget)
-    if claim == "conj1-a2":
-        return explore_a2_structure_constants(deg)
-    raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIM_IDS)}")
+    checker = _CHECKERS.get(claim)
+    if checker is None:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIM_IDS)}")
+    return checker(rank, deg, budget)

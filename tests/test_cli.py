@@ -77,6 +77,18 @@ def test_budget_env_var(capsys, monkeypatch):
     assert "CLUSTER_LOGCC_BUDGET" in err
 
 
+def test_budget_env_var_one_below_the_class_count(capsys, monkeypatch):
+    # rank 3 has 14 seed classes: a budget of 14 closes, 13 is a usage error
+    monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "14")
+    code, out, _ = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
+    assert code == 0 and json.loads(out)["stats"]["num_seeds"] == 14
+    monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "13")
+    code, out, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: exchange graph not closed within budget\n"
+
+
 def test_inexact_division_is_an_error_not_a_finding(capsys, monkeypatch):
     # A planted coefficient defect: each mutated seed gets y_k off by one, so
     # a later exchange binomial does not divide.  That must not read as
@@ -163,6 +175,26 @@ def test_tpaths_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["triangulation"]["ngon"] == 5
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"ngon": 6, "diagonals": [1, 2, 3]},
+        {"ngon": 6, "diagonals": None},
+        [1, 2],
+    ],
+    ids=["int-diagonals", "null-diagonals", "not-an-object"],
+)
+def test_tpaths_malformed_triangulation_file_is_a_usage_error(tmp_path, capsys, content):
+    tri_file = tmp_path / "tri.json"
+    tri_file.write_text(json.dumps(content))
+    code, out, err = run_cli(
+        capsys, "tpaths", "--triangulation", str(tri_file), "--from", "0", "--to", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_tpaths_usage_errors(capsys):

@@ -10,6 +10,11 @@ from oracles import (
     plain_check_separation,
     plain_exchange_graph,
     plain_mutate,
+    trop_inverse,
+    trop_mul,
+    trop_one_oplus,
+    trop_oplus,
+    trop_split_pm,
 )
 
 import cluster_logcc.pattern as pattern
@@ -28,6 +33,7 @@ from cluster_logcc import (
     coefficient_free_seed,
     d_vector_step,
     enumerate_exchange_graph,
+    enumerate_triangulations,
     expand_variable,
     f_data,
     graph_to_json,
@@ -116,10 +122,12 @@ def test_is_skew_symmetrizable():
 # ---- seed mutation ----
 
 
-def test_identity_and_generator():
-    assert TropicalElement.identity(3).exponents == (0, 0, 0)
-    assert TropicalElement.generator(3, 1).exponents == (0, 1, 0)
-    assert TropicalElement.identity(0).exponents == ()
+def test_initial_coefficients_are_the_generators():
+    # principal y_i starts as the i-th frozen generator; coefficient-free y_i is empty
+    assert [y.exponents for y in principal_seed(a_n_matrix(3)).y] == [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    ]
+    assert [y.exponents for y in coefficient_free_seed(a_n_matrix(3)).y] == [(), (), ()]
 
 
 def test_coefficient_free_initial_seed():
@@ -174,6 +182,32 @@ def test_mutation_matches_semifield_route_with_mixed_sign_coefficients(upper, ys
     assert got.y == want.y
     assert got.B == want.B
     assert got.cluster == want.cluster
+
+
+# The tropical semifield on exponent vectors, as plain_mutate uses it.
+
+
+@given(_exponents, _exponents, _exponents)
+def test_semifield_axioms(a, b, c):
+    assert trop_mul(trop_mul(a, b), c) == trop_mul(a, trop_mul(b, c))
+    assert trop_mul(a, b) == trop_mul(b, a)
+    assert trop_mul(a, trop_inverse(a)) == (0, 0, 0)
+    assert trop_oplus(a, b) == trop_oplus(b, a)
+    assert trop_oplus(trop_oplus(a, b), c) == trop_oplus(a, trop_oplus(b, c))
+    # distributivity of * over (+)
+    assert trop_mul(a, trop_oplus(b, c)) == trop_oplus(trop_mul(a, b), trop_mul(a, c))
+
+
+@given(_exponents)
+def test_split_pm_reassembles(a):
+    plus, minus = trop_split_pm(a)
+    assert trop_mul(plus, trop_inverse(minus)) == a
+    assert all(e >= 0 for e in plus)
+    assert all(e >= 0 for e in minus)
+    assert trop_one_oplus(a) == trop_inverse(minus)
+    # the frozen monomials of mutate's exchange binomial are [c]_+ and [-c]_+
+    assert plus == tuple(max(e, 0) for e in a)
+    assert minus == tuple(max(-e, 0) for e in a)
 
 
 # Frozen walk of the rank-2 principal pattern along directions 1,2,1,2.
@@ -399,6 +433,29 @@ def test_exchange_graph_budget():
     assert len(g.seeds) == 5
     with pytest.raises(RuntimeError, match="not closed within budget"):
         cluster_variables(coefficient_free_seed(a_n_matrix(3)), budget=5)
+
+
+# Every search goes through pattern.sweep, so each one closes with a budget of
+# exactly its class count (14 at rank 3) and fails one below with one message.
+_SEARCHES = {
+    "cluster_variables": lambda b: cluster_variables(coefficient_free_seed(a_n_matrix(3)), b),
+    "enumerate_triangulations": lambda b: enumerate_triangulations(zigzag(3), b),
+    "main1": lambda b: verify.run_claim("main1", rank=3, budget=b),
+    "gyo21": lambda b: verify.run_claim("gyo21", rank=3, budget=b),
+}
+
+
+@pytest.mark.parametrize("search", list(_SEARCHES))
+def test_every_search_closes_at_its_class_count_and_fails_one_below(search):
+    result = _SEARCHES[search](14)
+    if search == "cluster_variables":
+        assert len(result) == 9
+    elif search == "enumerate_triangulations":
+        assert len(result) == 14
+    else:
+        assert result.status == "verified" and result.stats["num_seeds"] == 14
+    with pytest.raises(RuntimeError, match="^exchange graph not closed within budget$"):
+        _SEARCHES[search](13)
 
 
 def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from itertools import product
 
 import pytest
@@ -99,8 +100,10 @@ def test_a2_monomials_builds_each_power_once(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
     assert run_claim("a2-monomials", deg=8).ok
-    # per chart: 2 x 8 power steps, then one product per (m1, m2), m1 + m2 <= 8
-    assert calls <= 5 * (2 * 8 + 45)
+    # 8 power steps for each of the 5 distinct variables (adjacent charts
+    # share one), then per chart one product per (m1, m2), m1, m2 >= 1,
+    # m1 + m2 <= 8
+    assert calls == 5 * 8 + 5 * math.comb(8, 2)
 
 
 # ---- basis ----
@@ -471,7 +474,7 @@ def test_planted_squared_f_polynomial_falsifies_fpoly(capsys, monkeypatch):
     assert [w["kind"] for w in report["witnesses"]] == ["degree-out-of-range"] * 6
 
 
-def test_planted_log_concavity_failure_falsifies_fpoly(capsys, monkeypatch):
+def _fail_log_concavity_from_three_terms(monkeypatch):
     import cluster_logcc.verify as verify
     from cluster_logcc import LogConcavityResult
 
@@ -483,5 +486,58 @@ def test_planted_log_concavity_failure_falsifies_fpoly(capsys, monkeypatch):
         return honest(p)
 
     monkeypatch.setattr(verify, "is_log_concave", fails_from_three_terms)
+
+
+def test_planted_log_concavity_failure_falsifies_fpoly(capsys, monkeypatch):
+    _fail_log_concavity_from_three_terms(monkeypatch)
     report = _falsified_report(capsys, "fpoly")
     assert [w["kind"] for w in report["witnesses"]] == ["not-log-concave"] * 3
+
+
+def test_planted_log_concavity_failure_falsifies_main1(capsys, monkeypatch):
+    _fail_log_concavity_from_three_terms(monkeypatch)
+    report = _falsified_report(capsys, "main1")
+    assert [w["kind"] for w in report["witnesses"]] == ["not-log-concave"] * 3
+    assert report["stats"] == {
+        "num_variables": 9, "num_seeds": 14, "max_numerator_coefficient": 2,
+    }
+
+
+def test_planted_log_concavity_failure_is_a_conj_an_witness(capsys, monkeypatch):
+    _fail_log_concavity_from_three_terms(monkeypatch)
+    code, report = _verify_report(capsys, "conj-an", "--rank", "3", "--deg", "2")
+    assert code == 1 and report["status"] == "exploratory"
+    assert [w["kind"] for w in report["witnesses"]] == ["not-log-concave"] * 20
+    assert report["stats"]["num_witnesses"] == 21
+
+
+def _extra_lowest_term_on_chord_0_3(monkeypatch):
+    """One more copy of the lowest-exponent term in the expansion of chord (0, 3)."""
+    import cluster_logcc.verify as verify
+
+    honest = verify.expand_variable
+
+    def doubled(tri, a, b, coefficient_free=True):
+        p = honest(tri, a, b, coefficient_free)
+        if (a, b) == (0, 3):
+            p = p + LaurentPoly.monomial(p.num_vars, min(p.terms))
+        return p
+
+    monkeypatch.setattr(verify, "expand_variable", doubled)
+
+
+def test_planted_doubled_path_falsifies_coeff012(capsys, monkeypatch):
+    _extra_lowest_term_on_chord_0_3(monkeypatch)
+    report = _falsified_report(capsys, "coeff012")
+    assert [w["kind"] for w in report["witnesses"]] == ["kept-coefficient-not-one"]
+    assert report["witnesses"][0]["chord"] == [0, 3]
+    assert report["witnesses"][0]["coefficients"] == [1, 2]
+
+
+def test_planted_doubled_path_falsifies_main1(capsys, monkeypatch):
+    _extra_lowest_term_on_chord_0_3(monkeypatch)
+    report = _falsified_report(capsys, "main1")
+    assert [(w["kind"], w["route"]) for w in report["witnesses"]] == [
+        ("route-mismatch", "paths-only"),
+        ("route-mismatch", "mutation-only"),
+    ]
