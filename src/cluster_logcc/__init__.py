@@ -35,7 +35,6 @@ from .pattern import (
     d_vector_step,
     enumerate_exchange_graph,
     f_data,
-    graph_to_json,
     initial_d_matrix,
     is_skew_symmetrizable,
     mutate,

@@ -381,24 +381,23 @@ def state_step(state: PatternState, k: int) -> PatternState:
 
 class FData(NamedTuple):
     f_polynomials: Tuple[LaurentPoly, ...]
-    f_vectors: Tuple[Tuple[int, ...], ...]
-    f_matrix: Matrix
+
+    @property
+    def f_matrix(self) -> Matrix:
+        """Per-generator maximum degrees; column i belongs to cluster variable i."""
+        return tuple(zip(*(fp.max_degrees() for fp in self.f_polynomials)))
 
 
 def f_data(seed: Seed) -> FData:
-    """Specialize x -> 1: the coefficient polynomials and their degree data.
+    """Specialize x -> 1: the coefficient polynomials, with their f-matrix.
 
     Only meaningful for seeds with one frozen variable per direction (the
-    principal setup); the f-matrix holds the per-generator maximum degrees,
-    column i belonging to cluster variable i.
+    principal setup).
     """
     n = seed.n
     if seed.num_frozen != n:
         raise ValueError("f-data needs a principal-coefficients seed")
-    fpolys = tuple(x.substitute_ones(range(n)) for x in seed.cluster)
-    fvecs = tuple(fp.max_degrees() for fp in fpolys)
-    fmat = tuple(tuple(fvecs[i][j] for i in range(n)) for j in range(n))
-    return FData(fpolys, fvecs, fmat)
+    return FData(tuple(x.substitute_ones(range(n)) for x in seed.cluster))
 
 
 def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, LaurentPoly, LaurentPoly]]:
@@ -459,7 +458,6 @@ def canonical_seed_key(seed: Seed) -> tuple:
 @dataclass
 class ExchangeGraph:
     seeds: List  # whatever the search stepped through: seeds, states, triangulations
-    edges: List[Tuple[int, int, int]]  # (seed index, direction, seed index)
     closed: bool
 
 
@@ -476,9 +474,11 @@ def enumerate_exchange_graph(
     call time.  The same search walks principal states and triangulation
     flips.  Seeds are identified when they differ only by a simultaneous
     permutation of cluster entries, coefficients, and matrix rows/columns.
+    Each class is kept as the first seed that reached it, in the order
+    reached; besides those, only the class keys and the frontier are held.
     The search stops at the first step that reaches a new class once
     `budget` classes are known; the graph then comes back with closed=False,
-    holding those classes and the edges recorded so far.
+    holding those classes.
 
     Each call gets its own exchange memo, so every distinct exchange relation
     met in the sweep is multiplied out and divided once; the memo is
@@ -492,28 +492,23 @@ def enumerate_exchange_graph(
         key = canonical_seed_key
     token = _exchange_memo.set({})
     try:
-        index: Dict[object, int] = {key(seed): 0}
+        seen = {key(seed)}
         seeds = [seed]
-        edges: List[Tuple[int, int, int]] = []
-        frontier = [0]
+        frontier = [seed]
         while frontier:
-            nxt: List[int] = []
-            for i in frontier:
-                s = seeds[i]
+            nxt = []
+            for s in frontier:
                 for k in range(1, s.n + 1):
                     t = step(s, k)
                     t_key = key(t)
-                    j = index.get(t_key)
-                    if j is None:
+                    if t_key not in seen:
                         if len(seeds) >= budget:
-                            return ExchangeGraph(seeds, edges, False)
-                        j = len(seeds)
-                        index[t_key] = j
+                            return ExchangeGraph(seeds, False)
+                        seen.add(t_key)
                         seeds.append(t)
-                        nxt.append(j)
-                    edges.append((i, k, j))
+                        nxt.append(t)
             frontier = nxt
-        return ExchangeGraph(seeds, edges, True)
+        return ExchangeGraph(seeds, True)
     finally:
         _exchange_memo.reset(token)
 
@@ -563,10 +558,3 @@ def seed_from_json(obj: Mapping) -> Seed:
         tuple(poly_from_json(p) for p in obj["cluster"]),
         tuple(int(k) for k in obj["history"]),
     )
-
-
-def graph_to_json(graph: ExchangeGraph) -> dict:
-    return {
-        "seeds": [seed_to_json(s) for s in graph.seeds],
-        "edges": [list(e) for e in graph.edges],
-    }

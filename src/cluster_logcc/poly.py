@@ -242,19 +242,17 @@ class LaurentPoly:
 
     # ---- support queries ----
 
-    def min_degrees(self, indices: Optional[Iterable[int]] = None) -> tuple:
+    def min_degrees(self) -> tuple:
         """Per-variable minimum exponent over the support; errors on zero."""
         if not self.terms:
             raise ValueError("the zero polynomial has no degree data")
-        idx = range(self.num_vars) if indices is None else list(indices)
-        return tuple(min(e[j] for e in self.terms) for j in idx)
+        return tuple(min(e[j] for e in self.terms) for j in range(self.num_vars))
 
-    def max_degrees(self, indices: Optional[Iterable[int]] = None) -> tuple:
+    def max_degrees(self) -> tuple:
         """Per-variable maximum exponent over the support; errors on zero."""
         if not self.terms:
             raise ValueError("the zero polynomial has no degree data")
-        idx = range(self.num_vars) if indices is None else list(indices)
-        return tuple(max(e[j] for e in self.terms) for j in idx)
+        return tuple(max(e[j] for e in self.terms) for j in range(self.num_vars))
 
     def substitute_ones(self, indices: Iterable[int]) -> "LaurentPoly":
         """Set the given variables to 1, merging coefficients.

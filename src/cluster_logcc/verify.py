@@ -99,17 +99,23 @@ def _settle(report: Report) -> Report:
     if report.status != "exploratory":
         report.status = "falsified" if report.witnesses else "verified"
     if report.found > WITNESS_CAP:
-        report.stats["num_witnesses"] = len(report.witnesses) + report.found - WITNESS_CAP
+        report.stats["num_witnesses"] = report.found
     return report
 
 
 def _logcc_witness(p: LaurentPoly, **extra) -> Optional[dict]:
-    res = is_log_concave(p)
-    if res.ok:
-        return None
+    """A witness unless p is log-concave.  A negative coefficient is a finding,
+    not an input error: it gives a negative-coefficient witness, never
+    is_log_concave's ValueError."""
     out = dict(extra)
-    out["axis"] = res.axis
-    out["point"] = list(res.point)
+    if any(c < 0 for c in p.coefficients()):
+        out["kind"] = "negative-coefficient"
+    else:
+        res = is_log_concave(p)
+        if res.ok:
+            return None
+        out["axis"] = res.axis
+        out["point"] = list(res.point)
     out["poly"] = poly_to_json(p)
     return out
 
@@ -201,6 +207,8 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 
     max_coeff = 0
     for key in sorted(by_key):
+        if not by_key[key]:
+            continue  # the zero polynomial is witnessed by the route comparison alone
         numerator = normalize_denominator(by_key[key], n).numerator
         max_coeff = max(max_coeff, max(numerator.coefficients()))
         w = _logcc_witness(numerator, kind="not-log-concave")
@@ -234,7 +242,7 @@ def verify_coeff_bounds(n: int) -> Report:
         free = expand_variable(tri, a, b, coefficient_free=True)
         kept = expand_variable(tri, a, b, coefficient_free=False)
         free_coeffs = set(free.coefficients())
-        if not free_coeffs <= {1, 2}:
+        if not free_coeffs or not free_coeffs <= {1, 2}:
             report.add(
                 {
                     "kind": "coefficient-free-out-of-range",

@@ -260,32 +260,32 @@ def plain_mutate(seed, k):
     )
 
 
-def plain_exchange_graph(seed, budget=None):
+def plain_exchange_graph(seed, budget=None, step=None):
     """Breadth-first search over plain_mutate, with no exchange memo.
 
     Same visiting order and budget rule as the package's search: classes are
-    numbered as first reached, and the search stops at the first step that
-    reaches a new class once `budget` classes (default DEFAULT_BUDGET) are
-    known.
+    kept in the order first reached, and the search stops at the first step
+    that reaches a new class once `budget` classes (default DEFAULT_BUDGET)
+    are known.  step(s, k) replaces plain_mutate when given.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    index = {canonical_seed_key(seed): 0}
+    if step is None:
+        step = plain_mutate
+    known = {canonical_seed_key(seed)}
     seeds = [seed]
-    edges = []
-    frontier = [0]
+    frontier = [seed]
     while frontier:
         nxt = []
-        for i in frontier:
+        for s in frontier:
             for k in range(1, seed.n + 1):
-                t = plain_mutate(seeds[i], k)
+                t = step(s, k)
                 t_key = canonical_seed_key(t)
-                if t_key not in index:
+                if t_key not in known:
                     if len(seeds) >= budget:
-                        return ExchangeGraph(seeds, edges, False)
-                    index[t_key] = len(seeds)
+                        return ExchangeGraph(seeds, False)
+                    known.add(t_key)
                     seeds.append(t)
-                    nxt.append(index[t_key])
-                edges.append((i, k, index[t_key]))
+                    nxt.append(t)
         frontier = nxt
-    return ExchangeGraph(seeds, edges, True)
+    return ExchangeGraph(seeds, True)

@@ -455,23 +455,43 @@ def test_planted_per_variable_denominator_defect_falsifies_every_slot(capsys, mo
     assert report["stats"] == {"num_seeds": 42}
 
 
-def test_planted_squared_f_polynomial_falsifies_fpoly(capsys, monkeypatch):
+def _planted_first_f_polynomial(monkeypatch, defect):
+    """At every seed, the first x->1 polynomial with at least 2 terms goes through defect."""
     import cluster_logcc.verify as verify
 
     honest = verify.f_data
 
-    def squared(seed):
+    def planted(seed):
         fd = honest(seed)
         fpolys = list(fd.f_polynomials)
         for i, fp in enumerate(fpolys):
             if len(fp.terms) >= 2:
-                fpolys[i] = fp * fp
+                fpolys[i] = defect(fp)
                 break
         return fd._replace(f_polynomials=tuple(fpolys))
 
-    monkeypatch.setattr(verify, "f_data", squared)
+    monkeypatch.setattr(verify, "f_data", planted)
+
+
+def _negated_at(p, e):
+    """p with the coefficient of its term at e negated."""
+    return p - LaurentPoly.monomial(p.num_vars, e, 2 * p.terms[e])
+
+
+def test_planted_squared_f_polynomial_falsifies_fpoly(capsys, monkeypatch):
+    _planted_first_f_polynomial(monkeypatch, lambda fp: fp * fp)
     report = _falsified_report(capsys, "fpoly")
     assert [w["kind"] for w in report["witnesses"]] == ["degree-out-of-range"] * 6
+
+
+def test_planted_negative_f_coefficient_falsifies_fpoly(capsys, monkeypatch):
+    _planted_first_f_polynomial(monkeypatch, lambda fp: _negated_at(fp, max(fp.terms)))
+    report = _falsified_report(capsys, "fpoly")
+    assert [w["kind"] for w in report["witnesses"]] == ["negative-coefficient"] * 6
+    assert all(
+        min(int(t["coeff"]) for t in w["poly"]["terms"]) == -1 for w in report["witnesses"]
+    )
+    assert report["stats"] == {"num_seeds": 14, "num_f_polynomials": 12}
 
 
 def _fail_log_concavity_from_three_terms(monkeypatch):
@@ -511,19 +531,24 @@ def test_planted_log_concavity_failure_is_a_conj_an_witness(capsys, monkeypatch)
     assert report["stats"]["num_witnesses"] == 21
 
 
-def _extra_lowest_term_on_chord_0_3(monkeypatch):
-    """One more copy of the lowest-exponent term in the expansion of chord (0, 3)."""
+def _planted_chord_0_3(monkeypatch, defect):
+    """The expansion of chord (0, 3) goes through defect(p, coefficient_free)."""
     import cluster_logcc.verify as verify
 
     honest = verify.expand_variable
 
-    def doubled(tri, a, b, coefficient_free=True):
+    def planted(tri, a, b, coefficient_free=True):
         p = honest(tri, a, b, coefficient_free)
-        if (a, b) == (0, 3):
-            p = p + LaurentPoly.monomial(p.num_vars, min(p.terms))
-        return p
+        return defect(p, coefficient_free) if (a, b) == (0, 3) else p
 
-    monkeypatch.setattr(verify, "expand_variable", doubled)
+    monkeypatch.setattr(verify, "expand_variable", planted)
+
+
+def _extra_lowest_term_on_chord_0_3(monkeypatch):
+    """One more copy of the lowest-exponent term in the expansion of chord (0, 3)."""
+    _planted_chord_0_3(
+        monkeypatch, lambda p, free: p + LaurentPoly.monomial(p.num_vars, min(p.terms))
+    )
 
 
 def test_planted_doubled_path_falsifies_coeff012(capsys, monkeypatch):
@@ -541,3 +566,32 @@ def test_planted_doubled_path_falsifies_main1(capsys, monkeypatch):
         ("route-mismatch", "paths-only"),
         ("route-mismatch", "mutation-only"),
     ]
+
+
+def test_planted_negative_chord_coefficient_falsifies_main1(capsys, monkeypatch):
+    _planted_chord_0_3(monkeypatch, lambda p, free: _negated_at(p, min(p.terms)))
+    report = _falsified_report(capsys, "main1")
+    assert [(w["kind"], w.get("route")) for w in report["witnesses"]] == [
+        ("route-mismatch", "paths-only"),
+        ("route-mismatch", "mutation-only"),
+        ("negative-coefficient", None),
+    ]
+    assert min(int(t["coeff"]) for t in report["witnesses"][2]["poly"]["terms"]) == -1
+
+
+def test_planted_zero_free_expansion_falsifies_coeff012(capsys, monkeypatch):
+    _planted_chord_0_3(monkeypatch, lambda p, free: LaurentPoly.zero(p.num_vars) if free else p)
+    report = _falsified_report(capsys, "coeff012")
+    assert [(w["kind"], w["chord"], w["coefficients"]) for w in report["witnesses"]] == [
+        ("coefficient-free-out-of-range", [0, 3], [])
+    ]
+
+
+def test_planted_zero_expansion_falsifies_main1(capsys, monkeypatch):
+    _planted_chord_0_3(monkeypatch, lambda p, free: LaurentPoly.zero(p.num_vars))
+    report = _falsified_report(capsys, "main1")
+    assert [(w["kind"], w["route"]) for w in report["witnesses"]] == [
+        ("route-mismatch", "paths-only"),
+        ("route-mismatch", "mutation-only"),
+    ]
+    assert report["witnesses"][0]["poly"]["terms"] == []
