@@ -143,7 +143,7 @@ def cmd_tpaths(args: argparse.Namespace) -> int:
         {
             "triangulation": triangulation_to_json(tri),
             "chord": [min(a, b), max(a, b)],
-            "paths": [tpath_to_json(tri, p, coefficient_free=True) for p in paths],
+            "paths": [tpath_to_json(tri, p) for p in paths],
             "variable": poly_to_json(expand_variable(tri, a, b, coefficient_free=True)),
             "variable_with_boundary": poly_to_json(
                 expand_variable(tri, a, b, coefficient_free=False)

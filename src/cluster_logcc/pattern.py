@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from fractions import Fraction
+from operator import index
 
 from .poly import LaurentPoly, poly_from_json, poly_to_json
 
@@ -40,7 +41,8 @@ def _identity(n: int) -> Matrix:
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(e) for e in row) for row in rows)
+    """Rows as int tuples; a float entry is a TypeError, never truncated."""
+    return tuple(tuple(map(index, row)) for row in rows)
 
 
 # ---- exchange matrices ----
@@ -551,10 +553,10 @@ def seed_to_json(seed: Seed) -> dict:
 
 def seed_from_json(obj: Mapping) -> Seed:
     return Seed(
-        int(obj["n"]),
-        int(obj["frozen"]),
+        index(obj["n"]),
+        index(obj["frozen"]),
         _as_matrix(obj["B"]),
-        tuple(TropicalElement(tuple(int(e) for e in exps)) for exps in obj["y"]),
+        tuple(TropicalElement(tuple(map(index, exps))) for exps in obj["y"]),
         tuple(poly_from_json(p) for p in obj["cluster"]),
-        tuple(int(k) for k in obj["history"]),
+        tuple(map(index, obj["history"])),
     )

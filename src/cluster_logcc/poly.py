@@ -11,9 +11,10 @@ existing polynomial, and equality/hashing go through a canonical sorted term
 key, so polynomials can live in sets and dict keys.
 
 Only the public constructor validates its input (exponent lengths, integer
-coefficients, merging and dropping zeros).  The ring operations build a
-fresh term dict that is clean by construction and hand it to the result
-unchecked, through LaurentPoly._trusted.
+exponents and coefficients, merging and dropping zeros); it reads integers
+through operator.index, so a float is a TypeError, never truncated.  The
+ring operations build a fresh term dict that is clean by construction and
+hand it to the result unchecked, through LaurentPoly._trusted.
 """
 
 from __future__ import annotations
@@ -48,18 +49,19 @@ class LaurentPoly:
     __slots__ = ("num_vars", "terms", "_key")
 
     def __init__(self, num_vars: int, terms: Optional[Mapping[Exponent, int]] = None):
+        num_vars = index(num_vars)
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         clean: dict = {}
         if terms:
             pairs = terms.items() if isinstance(terms, Mapping) else terms
             for exp, coeff in pairs:
-                exp = tuple(exp)
+                exp = tuple(map(index, exp))
                 if len(exp) != num_vars:
                     raise DimensionMismatchError(
                         f"exponent {exp!r} has length {len(exp)}, expected {num_vars}"
                     )
-                coeff = int(coeff)
+                coeff = index(coeff)
                 if coeff:
                     clean[exp] = clean.get(exp, 0) + coeff
                     if not clean[exp]:
@@ -283,29 +285,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.num_vars}, {dict(sorted(self.terms.items()))!r})"
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            for j, p in enumerate(e):
-                if p == 1:
-                    factors.append(f"x{j + 1}")
-                elif p:
-                    factors.append(f"x{j + 1}^{p}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(f"{c}")
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
-
 
 @dataclass(frozen=True)
 class DenominatorForm:
@@ -396,5 +375,10 @@ def poly_to_json(p: LaurentPoly) -> dict:
 
 
 def poly_from_json(obj: Mapping) -> LaurentPoly:
-    terms = {tuple(t["exp"]): int(t["coeff"]) for t in obj["terms"]}
-    return LaurentPoly(int(obj["num_vars"]), terms)
+    """Read poly_to_json's form.  A coefficient is a decimal string, as
+    poly_to_json writes it, or an integer; every other entry is an integer."""
+    terms = {}
+    for t in obj["terms"]:
+        c = t["coeff"]
+        terms[tuple(t["exp"])] = int(c) if isinstance(c, str) else c
+    return LaurentPoly(obj["num_vars"], terms)

@@ -386,7 +386,7 @@ def tpath_monomial(tri: Triangulation, path: TPath, coefficient_free: bool = Tru
         if coefficient_free and lab > tri.n:
             continue
         exps[lab - 1] += -1 if (i + 1) % 2 == 0 else 1
-    return LaurentPoly.monomial(num_vars, exps)
+    return LaurentPoly._trusted(num_vars, {tuple(exps): 1})  # clean as built
 
 
 def expand_variable(tri: Triangulation, a: int, b: int, coefficient_free: bool = True) -> LaurentPoly:
@@ -437,11 +437,12 @@ def triangulation_from_json(obj: Mapping) -> Triangulation:
     return from_diagonals(ngon - 3, [tuple(d) for d in diagonals])
 
 
-def tpath_to_json(tri: Triangulation, path: TPath, coefficient_free: bool = True) -> dict:
+def tpath_to_json(tri: Triangulation, path: TPath) -> dict:
+    """A path's vertices, edge labels and coefficient-free monomial."""
     from .poly import poly_to_json
 
     return {
         "vertices": list(path.vertices),
         "edges": list(path.edge_labels),
-        "monomial": poly_to_json(tpath_monomial(tri, path, coefficient_free)),
+        "monomial": poly_to_json(tpath_monomial(tri, path, coefficient_free=True)),
     }

@@ -50,6 +50,7 @@ from .pattern import (
     check_separation,
     coefficient_free_seed,
     f_data,
+    principal_seed,
     principal_state,
     state_step,
     sweep,
@@ -172,15 +173,9 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
     """
     report = Report("main1", {"rank": n}, "pending")
     tri = zigzag(n)
-    diag_set = {tri.pair_of(k): k for k in range(1, n + 1)}
-
     by_key: Dict[tuple, LaurentPoly] = {}
     for a, b in _chords(tri.size):
-        label = diag_set.get((a, b))
-        if label is not None:
-            p = LaurentPoly.variable(n, label - 1)
-        else:
-            p = expand_variable(tri, a, b, coefficient_free=True)
+        p = expand_variable(tri, a, b, coefficient_free=True)
         by_key[p.key()] = p
 
     seeds = sweep(coefficient_free_seed(a_n_matrix(n)), budget)
@@ -346,12 +341,16 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
 
 
 def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
-    """Log-concavity and 0/1 degrees of all x->1 specializations."""
+    """Log-concavity and 0/1 degrees of all x->1 specializations.
+
+    The F-polynomials read only the cluster variables, so the sweep walks
+    principal seeds without the companion matrices of _principal_states.
+    """
     report = Report("fpoly", {"rank": n}, "pending")
-    states = _principal_states(n, budget)
+    seeds = sweep(principal_seed(a_n_matrix(n)), budget)
     fpolys: Dict[tuple, LaurentPoly] = {}
-    for st in states:
-        for fp in f_data(st.seed).f_polynomials:
+    for seed in seeds:
+        for fp in f_data(seed).f_polynomials:
             fpolys.setdefault(fp.key(), fp)
     for key in sorted(fpolys):
         fp = fpolys[key]
@@ -363,7 +362,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
             report.add(
                 {"kind": "degree-out-of-range", "degrees": list(fvec), "poly": poly_to_json(fp)}
             )
-    report.stats = {"num_seeds": len(states), "num_f_polynomials": len(fpolys)}
+    report.stats = {"num_seeds": len(seeds), "num_f_polynomials": len(fpolys)}
     return _settle(report)
 
 
@@ -573,18 +572,15 @@ def _eliminate(
     return {i: c for i, c in sorted(coeffs.items()) if c != 0}, LaurentPoly(prod.num_vars, rem)
 
 
-def a2_structure_constants(
-    factors: Sequence[ClusterMonomial], deg: Optional[int] = None
-) -> StructureExpansion:
+def a2_structure_constants(factors: Sequence[ClusterMonomial]) -> StructureExpansion:
     """Expand a product of rank-2 cluster monomials over the monomial basis.
 
-    Greedy elimination on graded-lex leading terms (_eliminate).  A leftover
-    residual means the basis bound was too small (or the expansion genuinely
-    leaves the span); it is returned, not raised.
+    Greedy elimination on graded-lex leading terms (_eliminate) over the
+    basis up to the product's total degree.  A leftover residual means the
+    basis bound was too small (or the expansion genuinely leaves the span);
+    it is returned, not raised.
     """
-    total_degree = sum(f.exponents[0] + f.exponents[1] for f in factors)
-    bound = total_degree if deg is None else max(deg, total_degree)
-    basis = a2_basis(bound)
+    basis = a2_basis(sum(f.exponents[0] + f.exponents[1] for f in factors))
     lead_index = {e.leading: i for i, e in enumerate(basis)}
     prod = LaurentPoly.const(2, 1)
     for f in factors:

@@ -1,0 +1,67 @@
+"""Static guard for the engine's exactness rule.
+
+The arithmetic and claim modules never touch floating point and never
+swallow an InexactDivisionError: no float literal, no true division, no
+float() call, and no bare or broad except clause.  The CLI is exempt; it
+prints elapsed seconds and turns errors into exit codes.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cluster_logcc"
+MODULES = ["poly.py", "pattern.py", "polygon.py", "verify.py"]
+BROAD = {"BaseException", "Exception", "ArithmeticError", "InexactDivisionError"}
+
+
+def _caught_names(handler: ast.ExceptHandler):
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    for t in caught:
+        if isinstance(t, ast.Name):
+            yield t.id
+        elif isinstance(t, ast.Attribute):
+            yield t.attr
+
+
+def _breaches(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, f"float literal {node.value!r}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            yield node.lineno, "float() call"
+        elif isinstance(node, ast.ExceptHandler):
+            if node.type is None:
+                yield node.lineno, "bare except"
+            for name in _caught_names(node):
+                if name in BROAD:
+                    yield node.lineno, f"except {name}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_stays_exact(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert list(_breaches(tree)) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = 0.5",
+        "x = a / b",
+        "x /= 2",
+        "x = float(y)",
+        "try:\n    f()\nexcept:\n    pass",
+        "try:\n    f()\nexcept (ValueError, Exception):\n    pass",
+        "try:\n    f()\nexcept poly.InexactDivisionError:\n    pass",
+    ],
+)
+def test_guard_sees_each_breach(source):
+    assert len(list(_breaches(ast.parse(source)))) == 1

@@ -149,6 +149,22 @@ def test_flip_search_order():
     assert got == TRIANGULATIONS
 
 
+def test_fpoly_needs_no_companion_matrices(monkeypatch):
+    import cluster_logcc.pattern as pattern
+    import cluster_logcc.verify as verify
+
+    def unreachable(*args):
+        raise AssertionError("fpoly reads only the cluster variables of principal seeds")
+
+    for module, name in [
+        (pattern, "state_step"), (verify, "state_step"), (pattern, "cg_step"),
+        (pattern, "d_vector_step"),
+    ]:
+        monkeypatch.setattr(module, name, unreachable)
+    got = [_digest(run_claim("fpoly", rank=n).to_json_dict()) for n in range(1, 6)]
+    assert got == BY_RANK["fpoly"]
+
+
 # the principal claims at rank 6 (132 seeds at rank 5, 429 here)
 RANK_6 = {
     "gyo21": "291339eb42305d43186d6d2f015e96978f064a436ea3a95eb94c91a174c69125",

@@ -652,3 +652,24 @@ def test_seed_json_roundtrip():
     assert obj["n"] == 2 and obj["frozen"] == 2 and obj["history"] == [1, 2]
     back = seed_from_json(obj)
     assert back == s and back.history == s.history
+
+
+def test_non_integral_exchange_matrix_rejected():
+    # int() would have read this as the valid matrix ((0, 1), (-1, 0))
+    with pytest.raises(TypeError):
+        coefficient_free_seed([[0, 1.5], [-1.5, 0]])
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("B", [[0, 0.9], [-0.9, 0]]),  # int() would make this the zero matrix
+        ("y", [[1.0, 0], [0, 1]]),
+        ("history", [1.5]),
+    ],
+)
+def test_seed_json_non_integral_entries_rejected(field, value):
+    obj = seed_to_json(principal_seed(B2))
+    obj[field] = value
+    with pytest.raises(TypeError):
+        seed_from_json(obj)

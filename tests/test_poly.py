@@ -52,6 +52,13 @@ def test_wrong_arity_rejected():
         P(2, {(1,): 1})
 
 
+@pytest.mark.parametrize("terms", [{(0,): 0.5}, {(0,): 1.5}, {(0.5,): 1}, {(1.0,): 1}])
+def test_non_integral_terms_rejected(terms):
+    # a float is never truncated: 0.5 would be the zero polynomial, 1.5 a 1
+    with pytest.raises(TypeError):
+        P(1, terms)
+
+
 def test_constructors():
     assert LaurentPoly.zero(3).terms == {}
     assert LaurentPoly.const(2, 7).terms == {(0, 0): 7}
@@ -324,6 +331,24 @@ def test_json_handles_big_coefficients():
     big = 10 ** 40
     p = P(1, {(0,): big})
     assert poly_from_json(poly_to_json(p)).terms == {(0,): big}
+
+
+def test_json_reads_string_and_integer_coefficients():
+    obj = {"num_vars": 1, "terms": [{"exp": [0], "coeff": "-3"}, {"exp": [1], "coeff": 2}]}
+    assert poly_from_json(obj) == P(1, {(0,): -3, (1,): 2})
+
+
+@pytest.mark.parametrize(
+    "term,error",
+    [
+        ({"exp": [0], "coeff": 2.9}, TypeError),
+        ({"exp": [0.5], "coeff": "1"}, TypeError),
+        ({"exp": [0], "coeff": "2.9"}, ValueError),
+    ],
+)
+def test_json_non_integral_entries_rejected(term, error):
+    with pytest.raises(error):
+        poly_from_json({"num_vars": 1, "terms": [term]})
 
 
 @given(polys(2))

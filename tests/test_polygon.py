@@ -241,7 +241,13 @@ def test_diagonal_of_triangulation_expands_to_itself():
     tri = zigzag(3)
     paths = enumerate_t_paths(tri, 1, 4)
     assert [(p.vertices, p.edge_labels) for p in paths] == [((1, 4), (2,))]
-    assert expand_variable(tri, 1, 4) == LaurentPoly.variable(3, 1)
+    # main1 expands the diagonals like every other chord: each is its own variable
+    for n in range(1, 13):
+        tri = zigzag(n)
+        for k in range(1, n + 1):
+            a, b = tri.pair_of(k)
+            assert expand_variable(tri, a, b) == LaurentPoly.variable(n, k - 1)
+            assert expand_variable(tri, b, a) == LaurentPoly.variable(n, k - 1)
 
 
 def test_path_validation_rejects_bad_paths():

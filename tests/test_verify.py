@@ -531,6 +531,16 @@ def test_planted_log_concavity_failure_is_a_conj_an_witness(capsys, monkeypatch)
     assert report["stats"]["num_witnesses"] == 21
 
 
+def test_planted_log_concavity_failure_is_a_conj1_a2_table_witness(capsys, monkeypatch):
+    _fail_log_concavity_from_three_terms(monkeypatch)
+    code, report = _verify_report(capsys, "conj1-a2", "--deg", "3")
+    assert code == 1 and report["status"] == "exploratory"
+    # the five tables with at least 3 constants, one in each chart
+    assert [(w["kind"], w["chart"]) for w in report["witnesses"]] == [
+        ("table-not-log-concave", chart) for chart in (3, 1, 4, 5, 2)
+    ]
+
+
 def _planted_chord_0_3(monkeypatch, defect):
     """The expansion of chord (0, 3) goes through defect(p, coefficient_free)."""
     import cluster_logcc.verify as verify
@@ -595,3 +605,73 @@ def test_planted_zero_expansion_falsifies_main1(capsys, monkeypatch):
         ("route-mismatch", "mutation-only"),
     ]
     assert report["witnesses"][0]["poly"]["terms"] == []
+
+
+# ---- planted defects for the witness kinds the honest code never produces ----
+
+
+def test_planted_repeated_variable_gives_main1_a_count_witness(capsys, monkeypatch):
+    from cluster_logcc.polygon import expand_variable, zigzag
+
+    # chord (0, 3) comes back as chord (0, 2)'s variable: one variable short
+    _planted_chord_0_3(monkeypatch, lambda p, free: expand_variable(zigzag(3), 0, 2, free))
+    report = _falsified_report(capsys, "main1")
+    assert [(w["kind"], w["route"]) for w in report["witnesses"]] == [
+        ("count", "paths"),
+        ("route-mismatch", "mutation-only"),
+    ]
+    assert (report["witnesses"][0]["expected"], report["witnesses"][0]["got"]) == (9, 8)
+    assert report["stats"]["num_variables"] == 8
+
+
+def test_planted_c_matrix_defect_gives_gyo21_coefficient_columns(capsys, monkeypatch):
+    import cluster_logcc.pattern as pattern
+
+    honest = pattern.cg_step
+
+    def bumped_c_0k(C, G, B_t, B0, k):
+        C2, G2 = honest(C, G, B_t, B0, k)
+        out = [list(row) for row in C2]
+        out[0][k - 1] += 1
+        return tuple(tuple(row) for row in out), G2
+
+    monkeypatch.setattr(pattern, "cg_step", bumped_c_0k)
+    report = _falsified_report(capsys, "gyo21")
+    kinds = [w["kind"] for w in report["witnesses"]]
+    assert (kinds.count("coefficient-column"), kinds.count("companion-duality")) == (12, 8)
+    assert report["stats"] == {"num_seeds": 14, "num_witnesses": 40}
+
+
+def test_planted_binomial_defect_gives_a2_monomials_an_inequality_witness(capsys, monkeypatch):
+    import types
+
+    import cluster_logcc.verify as verify
+
+    def comb(n, k):  # C(20, 1) one short: 19^2 < C(19, 1) * C(21, 1)
+        return math.comb(n, k) - ((n, k) == (20, 1))
+
+    monkeypatch.setattr(verify, "math", types.SimpleNamespace(comb=comb))
+    report = _falsified_report(capsys, "a2-monomials", "--deg", "4")
+    assert report["witnesses"] == [{"kind": "binomial-inequality", "n": 20, "k": 1}]
+
+
+def test_planted_negated_constant_is_a_conj1_a2_witness(capsys, monkeypatch):
+    import cluster_logcc.verify as verify
+
+    honest = verify._eliminate
+    products = []
+
+    def negate_first_constant_once(prod, basis, lead_index):
+        coeffs, residual = honest(prod, basis, lead_index)
+        if not products:
+            first = min(coeffs)
+            coeffs = {**coeffs, first: -coeffs[first]}
+        products.append(prod)
+        return coeffs, residual
+
+    monkeypatch.setattr(verify, "_eliminate", negate_first_constant_once)
+    code, report = _verify_report(capsys, "conj1-a2", "--deg", "4")
+    assert code == 1 and report["status"] == "exploratory"
+    assert [w["kind"] for w in report["witnesses"]] == ["negative-constant"]
+    assert [c for _, c in report["witnesses"][0]["constants"]] == [-1]
+    assert report["stats"]["num_pairs"] == len(products) == 195
