@@ -22,7 +22,6 @@ from .poly import (
 )
 from .pattern import (
     DEFAULT_BUDGET,
-    ExchangeGraph,
     Seed,
     TropicalElement,
     a_n_matrix,

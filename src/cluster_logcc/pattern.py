@@ -18,10 +18,10 @@ are exercised against frozen expected values in the test suite.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from fractions import Fraction
 from operator import index
@@ -214,8 +214,8 @@ def boundary_seed(tri) -> Seed:
     return Seed(n, r, Bm, y, _initial_cluster(n, r))
 
 
-# The exchange memo of the sweep in progress, or None outside a sweep.
-# enumerate_exchange_graph sets it for exactly the length of one sweep.
+# The exchange memo of the sweep whose step is running, or None outside one.
+# enumerate_exchange_graph sets it around each of its steps.
 _exchange_memo: ContextVar[Optional[dict]] = ContextVar("exchange_memo", default=None)
 
 
@@ -457,34 +457,29 @@ def canonical_seed_key(seed: Seed) -> tuple:
     )
 
 
-@dataclass
-class ExchangeGraph:
-    seeds: List  # whatever the search stepped through: seeds, states, triangulations
-    closed: bool
-
-
 def enumerate_exchange_graph(
     seed,
     budget: Optional[int] = None,
     step: Optional[Callable] = None,
     key: Optional[Callable] = None,
-) -> ExchangeGraph:
-    """Breadth-first search of seeds up to relabeling.
+) -> Iterator:
+    """Breadth-first search of seeds up to relabeling, yielding classes as found.
 
     step(s, k) is the neighbour of s in direction k (1..s.n) and key(s) names
-    its class; they default to mutate and canonical_seed_key, looked up at
-    call time.  The same search walks principal states and triangulation
-    flips.  Seeds are identified when they differ only by a simultaneous
-    permutation of cluster entries, coefficients, and matrix rows/columns.
-    Each class is kept as the first seed that reached it, in the order
-    reached; besides those, only the class keys and the frontier are held.
-    The search stops at the first step that reaches a new class once
-    `budget` classes are known; the graph then comes back with closed=False,
-    holding those classes.
+    its class; they default to mutate and canonical_seed_key, looked up when
+    the search starts.  The same search walks principal states and
+    triangulation flips.  Seeds are identified when they differ only by a
+    simultaneous permutation of cluster entries, coefficients, and matrix
+    rows/columns.  Each class is yielded once, as the first seed that reached
+    it, in the order reached, starting with seed itself; the search holds
+    only the class keys and the queue of classes still to expand.  The first
+    step that reaches a new class once `budget` classes are known raises
+    RuntimeError: an exceeded budget is an error, never a truncation.
 
-    Each call gets its own exchange memo, so every distinct exchange relation
-    met in the sweep is multiplied out and divided once; the memo is
-    dropped when the sweep returns or raises.
+    Each sweep has its own exchange memo, so every distinct exchange relation
+    met in the sweep is multiplied out and divided once.  The memo is
+    installed only while one of the sweep's steps runs, so neither the
+    consumer between yields nor an interleaved sweep ever sees it.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -492,46 +487,31 @@ def enumerate_exchange_graph(
         step = mutate
     if key is None:
         key = canonical_seed_key
-    token = _exchange_memo.set({})
-    try:
-        seen = {key(seed)}
-        seeds = [seed]
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for k in range(1, s.n + 1):
-                    t = step(s, k)
-                    t_key = key(t)
-                    if t_key not in seen:
-                        if len(seeds) >= budget:
-                            return ExchangeGraph(seeds, False)
-                        seen.add(t_key)
-                        seeds.append(t)
-                        nxt.append(t)
-            frontier = nxt
-        return ExchangeGraph(seeds, True)
-    finally:
-        _exchange_memo.reset(token)
-
-
-def sweep(seed, budget: Optional[int] = None, step=None, key=None) -> list:
-    """Every class enumerate_exchange_graph reaches from seed, in its order.
-
-    A graph that is not closed within the budget is an error, raised here
-    and nowhere else, so the free, principal and flip searches all report a
-    budget overrun with one message.
-    """
-    graph = enumerate_exchange_graph(seed, budget, step, key)
-    if not graph.closed:
-        raise RuntimeError("exchange graph not closed within budget")
-    return graph.seeds
+    memo: dict = {}
+    seen = {key(seed)}
+    queue = deque([seed])
+    yield seed
+    while queue:
+        s = queue.popleft()
+        for k in range(1, s.n + 1):
+            token = _exchange_memo.set(memo)
+            try:
+                t = step(s, k)
+            finally:
+                _exchange_memo.reset(token)
+            t_key = key(t)
+            if t_key not in seen:
+                if len(seen) >= budget:
+                    raise RuntimeError("exchange graph not closed within budget")
+                seen.add(t_key)
+                queue.append(t)
+                yield t
 
 
 def cluster_variables(seed: Seed, budget: Optional[int] = None) -> List[LaurentPoly]:
     """All cluster variables reachable from the seed, canonically sorted."""
     seen: Dict[tuple, LaurentPoly] = {}
-    for s in sweep(seed, budget):
+    for s in enumerate_exchange_graph(seed, budget):
         for x in s.cluster:
             seen.setdefault(x.key(), x)
     return [seen[key] for key in sorted(seen)]
@@ -552,11 +532,19 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(obj: Mapping) -> Seed:
-    return Seed(
-        index(obj["n"]),
-        index(obj["frozen"]),
-        _as_matrix(obj["B"]),
-        tuple(TropicalElement(tuple(map(index, exps))) for exps in obj["y"]),
-        tuple(poly_from_json(p) for p in obj["cluster"]),
-        tuple(map(index, obj["history"])),
-    )
+    """Read seed_to_json's form; entries are integers and the shapes agree."""
+    n = index(obj["n"])
+    num_frozen = index(obj["frozen"])
+    B = _as_matrix(obj["B"])
+    y = tuple(TropicalElement(tuple(map(index, exps))) for exps in obj["y"])
+    cluster = tuple(poly_from_json(p) for p in obj["cluster"])
+    history = tuple(map(index, obj["history"]))
+    if len(B) != n or any(len(row) != n for row in B):
+        raise ValueError(f"B must be {n} by {n}")
+    if len(y) != n or any(len(t.exponents) != num_frozen for t in y):
+        raise ValueError(f"y must hold {n} vectors of length {num_frozen}")
+    if len(cluster) != n or any(x.num_vars != n + num_frozen for x in cluster):
+        raise ValueError(f"cluster must hold {n} polynomials in {n + num_frozen} variables")
+    if not all(1 <= k <= n for k in history):
+        raise ValueError(f"history directions must lie in 1..{n}")
+    return Seed(n, num_frozen, B, y, cluster, history)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .pattern import sweep
+from .pattern import enumerate_exchange_graph
 from .poly import LaurentPoly
 
 Pair = Tuple[int, int]
@@ -237,8 +237,10 @@ def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None)
     Listed in breadth-first order by the exchange-graph search; more than
     `budget` (default DEFAULT_BUDGET) triangulations is an error.
     """
-    return sweep(
-        start, budget, lambda tri, k: flip(tri, k)[0], lambda tri: frozenset(tri.diagonal_pairs())
+    return list(
+        enumerate_exchange_graph(
+            start, budget, lambda tri, k: flip(tri, k)[0], lambda tri: frozenset(tri.diagonal_pairs())
+        )
     )
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
     LaurentPoly,
@@ -49,11 +49,11 @@ from .pattern import (
     canonical_seed_key,
     check_separation,
     coefficient_free_seed,
+    enumerate_exchange_graph,
     f_data,
     principal_seed,
     principal_state,
     state_step,
-    sweep,
 )
 from .polygon import expand_variable, zigzag
 
@@ -148,14 +148,14 @@ def _chords(size: int):
 # ---- seed sweeps ----
 
 
-def _principal_states(n: int, budget: Optional[int]) -> List[PatternState]:
+def _principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
     """Every principal seed of the rank-n pattern, with its companion matrices.
 
-    Breadth-first over seeds up to relabeling; the companion matrices stored
-    for a seed follow the labeling of the first path that reached it, which
-    keeps columns aligned with cluster positions.
+    Breadth-first over seeds up to relabeling, yielded as found; the
+    companion matrices stored for a seed follow the labeling of the first
+    path that reached it, which keeps columns aligned with cluster positions.
     """
-    return sweep(
+    return enumerate_exchange_graph(
         principal_state(a_n_matrix(n)), budget, state_step, lambda st: canonical_seed_key(st.seed)
     )
 
@@ -178,9 +178,10 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         p = expand_variable(tri, a, b, coefficient_free=True)
         by_key[p.key()] = p
 
-    seeds = sweep(coefficient_free_seed(a_n_matrix(n)), budget)
+    num_seeds = 0
     mutated: Dict[tuple, LaurentPoly] = {}
-    for s in seeds:
+    for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget):
+        num_seeds += 1
         for x in s.cluster:
             mutated.setdefault(x.key(), x)
 
@@ -212,7 +213,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 
     report.stats = {
         "num_variables": len(by_key),
-        "num_seeds": len(seeds),
+        "num_seeds": num_seeds,
         "max_numerator_coefficient": max_coeff,
     }
     return _settle(report)
@@ -271,23 +272,22 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     denominators of the actual variables; coefficient exponent vectors match
     the columns of the coefficient companion matrix.
 
-    A sweep shares one object among all the seeds that hold the same
-    variable, so the facts that read only the variable, its x->1 degree
-    vector and its normalized denominator vector, are computed once per
-    object (keyed on id; the states list keeps every object alive).  The
-    comparisons with seed data run per seed, in the order above.
+    The facts that read only the variable, its x->1 degree vector and its
+    normalized denominator vector, are computed once per distinct variable
+    (keyed on the polynomial).  The comparisons with seed data run per seed,
+    in the order above.
     """
     report = Report("gyo21", {"rank": n}, "pending")
-    states = _principal_states(n, budget)
-    B0 = states[0].seed.B
-    facts: Dict[int, Tuple[tuple, tuple]] = {}  # id(x) -> (f-vector, d-vector)
-    for idx, st in enumerate(states):
+    num_seeds = 0
+    facts: Dict[LaurentPoly, Tuple[tuple, tuple]] = {}  # x -> (f-vector, d-vector)
+    for idx, st in enumerate(_principal_states(n, budget)):
+        num_seeds += 1
         seed = st.seed
         cols = []
         for x in seed.cluster:
-            fd = facts.get(id(x))
+            fd = facts.get(x)
             if fd is None:
-                fd = facts[id(x)] = (
+                fd = facts[x] = (
                     x.substitute_ones(range(n)).max_degrees(),
                     normalize_denominator(x, n).d_vector,
                 )
@@ -303,7 +303,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                     "d_matrix": [list(r) for r in st.D],
                 }
             )
-        if _mat_mul(B0, st.C) != _mat_mul(st.G, seed.B):
+        if _mat_mul(st.B0, st.C) != _mat_mul(st.G, seed.B):
             report.add(
                 {
                     "kind": "companion-duality",
@@ -336,7 +336,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                         "c": list(c_col),
                     }
                 )
-    report.stats = {"num_seeds": len(states)}
+    report.stats = {"num_seeds": num_seeds}
     return _settle(report)
 
 
@@ -347,9 +347,10 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     principal seeds without the companion matrices of _principal_states.
     """
     report = Report("fpoly", {"rank": n}, "pending")
-    seeds = sweep(principal_seed(a_n_matrix(n)), budget)
+    num_seeds = 0
     fpolys: Dict[tuple, LaurentPoly] = {}
-    for seed in seeds:
+    for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n)), budget):
+        num_seeds += 1
         for fp in f_data(seed).f_polynomials:
             fpolys.setdefault(fp.key(), fp)
     for key in sorted(fpolys):
@@ -362,17 +363,17 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
             report.add(
                 {"kind": "degree-out-of-range", "degrees": list(fvec), "poly": poly_to_json(fp)}
             )
-    report.stats = {"num_seeds": len(seeds), "num_f_polynomials": len(fpolys)}
+    report.stats = {"num_seeds": num_seeds, "num_f_polynomials": len(fpolys)}
     return _settle(report)
 
 
 def verify_separation(n: int, budget: Optional[int] = None) -> Report:
     """Monomial-times-specialization factorization at every principal seed."""
     report = Report("separation", {"rank": n}, "pending")
-    states = _principal_states(n, budget)
-    B0 = states[0].seed.B
-    for idx, st in enumerate(states):
-        for i, lhs, rhs in check_separation(st.seed, st.G, B0):
+    num_seeds = 0
+    for idx, st in enumerate(_principal_states(n, budget)):
+        num_seeds += 1
+        for i, lhs, rhs in check_separation(st.seed, st.G, st.B0):
             report.add(
                 {
                     "kind": "separation-mismatch",
@@ -383,7 +384,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
                     "reconstructed": poly_to_json(rhs),
                 }
             )
-    report.stats = {"num_seeds": len(states), "num_variables_checked": n * len(states)}
+    report.stats = {"num_seeds": num_seeds, "num_variables_checked": n * num_seeds}
     return _settle(report)
 
 
@@ -431,7 +432,7 @@ def _powers(z: LaurentPoly, deg: int) -> List[LaurentPoly]:
 
 
 def _cluster_monomials(
-    clusters: Sequence[Sequence[LaurentPoly]], deg: int
+    clusters: Iterable[Sequence[LaurentPoly]], deg: int
 ) -> Iterator[Tuple[int, Tuple[int, ...], LaurentPoly]]:
     """Every monomial of total degree at most deg in each cluster's variables.
 
@@ -670,10 +671,12 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
     if deg < 0:
         raise ValueError("degree bound must be nonnegative")
     report = Report("conj-an", {"rank": n, "deg": deg}, "exploratory")
-    seeds = sweep(coefficient_free_seed(a_n_matrix(n)), budget)
+    seeds = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget)
+    num_clusters = 0
     seen = set()
     max_coeff = 0
-    for idx, m, value in _cluster_monomials([s.cluster for s in seeds], deg):
+    for idx, m, value in _cluster_monomials((s.cluster for s in seeds), deg):
+        num_clusters = idx + 1  # every cluster yields its constant monomial first
         key = value.key()
         if not any(m) or key in seen:
             continue
@@ -684,7 +687,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
         if w is not None:
             report.add(w)
     report.stats = {
-        "num_clusters": len(seeds),
+        "num_clusters": num_clusters,
         "num_monomials": len(seen),
         "max_numerator_coefficient": max_coeff,
     }

@@ -8,7 +8,7 @@ representation.
 from itertools import product
 from typing import Dict, Tuple
 
-from cluster_logcc import ExchangeGraph, LaurentPoly, Seed, TropicalElement, canonical_seed_key
+from cluster_logcc import LaurentPoly, Seed, TropicalElement, canonical_seed_key
 from cluster_logcc.pattern import DEFAULT_BUDGET
 
 
@@ -264,16 +264,17 @@ def plain_exchange_graph(seed, budget=None, step=None):
     """Breadth-first search over plain_mutate, with no exchange memo.
 
     Same visiting order and budget rule as the package's search: classes are
-    kept in the order first reached, and the search stops at the first step
+    yielded in the order first reached, level by level, and the first step
     that reaches a new class once `budget` classes (default DEFAULT_BUDGET)
-    are known.  step(s, k) replaces plain_mutate when given.
+    are known raises RuntimeError.  step(s, k) replaces plain_mutate when
+    given.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     if step is None:
         step = plain_mutate
     known = {canonical_seed_key(seed)}
-    seeds = [seed]
+    yield seed
     frontier = [seed]
     while frontier:
         nxt = []
@@ -282,10 +283,9 @@ def plain_exchange_graph(seed, budget=None, step=None):
                 t = step(s, k)
                 t_key = canonical_seed_key(t)
                 if t_key not in known:
-                    if len(seeds) >= budget:
-                        return ExchangeGraph(seeds, False)
+                    if len(known) >= budget:
+                        raise RuntimeError("exchange graph not closed within budget")
                     known.add(t_key)
-                    seeds.append(t)
                     nxt.append(t)
+                    yield t
         frontier = nxt
-    return ExchangeGraph(seeds, True)

@@ -231,7 +231,7 @@ def test_criterion_07_companion_matrix_duality():
         walk.append(state_step(walk[-1], k))
     check(walk)
     for n in range(2, 6):
-        check(_principal_states(n, None))
+        check(list(_principal_states(n, None)))
     _passed(7, "B0 C = G B at every visited vertex")
 
 
@@ -274,10 +274,9 @@ def test_criterion_10_specialization_log_concavity():
 def test_criterion_11_exchange_graph_counts():
     expected = [2, 5, 14, 42, 132]
     for n, count in zip(range(1, 6), expected):
-        graph = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)))
-        assert graph.closed
+        graph = list(enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))))
         flips = enumerate_triangulations(zigzag(n))
-        assert len(graph.seeds) == count
+        assert len(graph) == count
         assert len(flips) == count
     _passed(11, "seed BFS and flip BFS both count 2, 5, 14, 42, 132")
 

@@ -27,7 +27,6 @@ PUBLIC = {
     "poly_to_json",
     # pattern
     "DEFAULT_BUDGET",
-    "ExchangeGraph",
     "Seed",
     "TropicalElement",
     "a_n_matrix",

@@ -1,4 +1,6 @@
+import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +42,7 @@ from cluster_logcc import (
     is_skew_symmetrizable,
     mutate,
     mutate_matrix,
+    poly_to_json,
     principal_seed,
     principal_state,
     seed_from_json,
@@ -420,22 +423,24 @@ def test_laurent_phenomenon_blocks_on_inexact_division():
 
 @pytest.mark.parametrize("n,seeds,variables", [(1, 2, 2), (2, 5, 5), (3, 14, 9), (4, 42, 14)])
 def test_exchange_graph_counts(n, seeds, variables):
-    g = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)))
-    assert g.closed
-    assert len(g.seeds) == seeds
+    g = list(enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))))
+    assert len(g) == seeds
     assert len(cluster_variables(coefficient_free_seed(a_n_matrix(n)))) == variables
 
 
 def test_exchange_graph_budget():
-    g = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(3)), budget=5)
-    assert not g.closed
-    assert len(g.seeds) == 5
+    got = []
+    with pytest.raises(RuntimeError, match="^exchange graph not closed within budget$"):
+        for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(3)), budget=5):
+            got.append(s)
+    assert len(got) == 5
     with pytest.raises(RuntimeError, match="not closed within budget"):
         cluster_variables(coefficient_free_seed(a_n_matrix(3)), budget=5)
 
 
-# Every search goes through pattern.sweep, so each one closes with a budget of
-# exactly its class count (14 at rank 3) and fails one below with one message.
+# Every search goes through enumerate_exchange_graph, so each one closes with
+# a budget of exactly its class count (14 at rank 3) and fails one below with
+# one message.
 _SEARCHES = {
     "cluster_variables": lambda b: cluster_variables(coefficient_free_seed(a_n_matrix(3)), b),
     "enumerate_triangulations": lambda b: enumerate_triangulations(zigzag(3), b),
@@ -467,7 +472,7 @@ def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):
 
     monkeypatch.setattr(verify, "state_step", counted)
     with pytest.raises(RuntimeError, match="not closed within budget"):
-        _principal_states(6, 200)
+        list(_principal_states(6, 200))
     # 114 seeds expanded in all 6 directions, then 4 steps into the 115th:
     # the 4th reaches a 201st class
     assert len(calls) == 688
@@ -497,14 +502,30 @@ def _recording(step, log):
     return recorded
 
 
+def _drain(sweep):
+    """The classes a sweep yields, and its error message or None."""
+    classes = []
+    try:
+        for s in sweep:
+            classes.append(s)
+    except RuntimeError as exc:
+        return classes, str(exc)
+    return classes, None
+
+
 @pytest.mark.parametrize("seed,budget", _sweep_cases())
 def test_memoised_sweep_matches_plain_sweep(seed, budget):
     got_steps, want_steps = [], []
-    got = enumerate_exchange_graph(seed, budget, step=_recording(mutate, got_steps))
-    want = plain_exchange_graph(seed, budget, step=_recording(plain_mutate, want_steps))
-    assert got.closed == want.closed == (budget is None)
-    assert len(got.seeds) == len(want.seeds)
-    for s, t in zip(got.seeds, want.seeds):
+    got, got_error = _drain(
+        enumerate_exchange_graph(seed, budget, step=_recording(mutate, got_steps))
+    )
+    want, want_error = _drain(
+        plain_exchange_graph(seed, budget, step=_recording(plain_mutate, want_steps))
+    )
+    overrun = None if budget is None else "exchange graph not closed within budget"
+    assert got_error == want_error == overrun
+    assert len(got) == len(want)
+    for s, t in zip(got, want):
         assert (s.history, s.B, s.y, s.cluster) == (t.history, t.B, t.y, t.cluster)
     # every step, not only those that find a class, reaches the same class
     assert got_steps == want_steps
@@ -519,16 +540,70 @@ def test_exchange_memo_lives_for_one_sweep():
 
     start = coefficient_free_seed(a_n_matrix(3))
     assert pattern._exchange_memo.get() is None
-    g = enumerate_exchange_graph(start, step=step)
+    g = list(enumerate_exchange_graph(start, step=step))
     assert pattern._exchange_memo.get() is None
     memo = seen[0]
     assert all(m is memo for m in seen)
     assert len(memo) == 2 * 15  # two flip directions of each of the hexagon's 15 quadrilaterals
     # every variable in the sweep is an initial one or a memo entry, shared
-    objects = {id(x) for t in g.seeds for x in t.cluster}
+    objects = {id(x) for t in g for x in t.cluster}
     assert objects <= {id(x) for x in start.cluster} | {id(x) for x in memo.values()}
     # outside a sweep nothing is remembered: each call builds a new variable
     assert mutate(start, 2).cluster[1] is not mutate(start, 2).cluster[1]
+
+
+def _memo_logging(log):
+    """mutate, logging the exchange memo installed while it runs."""
+
+    def step(s, k):
+        log.append(pattern._exchange_memo.get())
+        return mutate(s, k)
+
+    return step
+
+
+def test_interleaved_sweeps_keep_their_own_memos():
+    free, principal = coefficient_free_seed(a_n_matrix(4)), principal_seed(a_n_matrix(3))
+    alone = [list(enumerate_exchange_graph(free)), list(enumerate_exchange_graph(principal))]
+    logs = [[], []]
+    a = enumerate_exchange_graph(free, step=_memo_logging(logs[0]))
+    b = enumerate_exchange_graph(principal, step=_memo_logging(logs[1]))
+    together = [[], []]
+    for s, t in itertools.zip_longest(a, b):
+        assert pattern._exchange_memo.get() is None  # no memo between yields
+        for got, u in zip(together, (s, t)):
+            if u is not None:
+                got.append(u)
+    assert [len(g) for g in together] == [42, 14]
+    for got, want in zip(together, alone):
+        assert [(s.history, s.B, s.y, s.cluster) for s in got] == [
+            (t.history, t.B, t.y, t.cluster) for t in want
+        ]
+    # each sweep ran every step under one memo of its own
+    memos = [log[0] for log in logs]
+    assert all(m is not None for m in memos) and memos[0] is not memos[1]
+    assert all(all(m is memo for m in log) for memo, log in zip(memos, logs))
+
+
+def test_abandoned_sweep_leaves_no_memo():
+    sweep = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(3)))
+    next(sweep)
+    assert pattern._exchange_memo.get() is None
+    next(sweep)  # the first class a step reached
+    assert pattern._exchange_memo.get() is None
+    del sweep
+    assert pattern._exchange_memo.get() is None
+
+
+def test_sweep_holds_only_its_queue():
+    refs = []
+    peak = 0
+    for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(6))):
+        refs.append(weakref.ref(s))
+        del s
+        peak = max(peak, sum(r() is not None for r in refs))
+    assert len(refs) == 429
+    assert 0 < peak < len(refs) / 2
 
 
 def test_exchange_memo_keeps_apart_exchanges_with_different_binomials():
@@ -579,7 +654,7 @@ def test_inexact_division_inside_a_sweep_propagates_and_is_not_cached():
         return mutate(s, k)
 
     with pytest.raises(InexactDivisionError):
-        enumerate_exchange_graph(bad, step=step)
+        list(enumerate_exchange_graph(bad, step=step))
     assert failures == [1, 1]  # only direction 1's exchange is in the memo
     assert pattern._exchange_memo.get() is None
 
@@ -630,9 +705,9 @@ def test_boundary_seed_hexagon():
 
 def test_boundary_seed_mutation_matches_kept_expansion():
     tri = zigzag(3)
-    g = enumerate_exchange_graph(boundary_seed(tri))
-    assert g.closed and len(g.seeds) == 14
-    mutated = {x.key() for s in g.seeds for x in s.cluster}
+    g = list(enumerate_exchange_graph(boundary_seed(tri)))
+    assert len(g) == 14
+    mutated = {x.key() for s in g for x in s.cluster}
     expected = {LaurentPoly.variable(9, k).key() for k in range(3)}
     size, diag = tri.size, set(tri.diagonal_pairs())
     for a in range(size):
@@ -672,4 +747,30 @@ def test_seed_json_non_integral_entries_rejected(field, value):
     obj = seed_to_json(principal_seed(B2))
     obj[field] = value
     with pytest.raises(TypeError):
+        seed_from_json(obj)
+
+
+# Each value is all integers but breaks one shape of a rank-2 principal
+# seed; reading it must fail then, not at a later mutation.
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n", 3),
+        ("B", [[0, 1]]),
+        ("B", [[0, 1], [-1, 0, 0]]),
+        ("y", [[1, 0]]),
+        ("y", [[1, 0, 0], [0, 1]]),
+        ("cluster", [poly_to_json(LaurentPoly.variable(4, 0))]),
+        (
+            "cluster",
+            [poly_to_json(LaurentPoly.variable(4, 0)), poly_to_json(LaurentPoly.variable(3, 1))],
+        ),
+        ("history", [1, 3]),
+        ("history", [0]),
+    ],
+)
+def test_seed_json_shape_mismatch_rejected(field, value):
+    obj = seed_to_json(principal_seed(B2))
+    obj[field] = value
+    with pytest.raises(ValueError):
         seed_from_json(obj)

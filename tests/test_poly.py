@@ -351,6 +351,13 @@ def test_json_non_integral_entries_rejected(term, error):
         poly_from_json({"num_vars": 1, "terms": [term]})
 
 
+def test_json_repeated_exponent_rejected():
+    # a dict keyed on the exponent would keep only the last coefficient
+    obj = {"num_vars": 1, "terms": [{"exp": [0], "coeff": "1"}, {"exp": [0], "coeff": "2"}]}
+    with pytest.raises(ValueError, match="listed twice"):
+        poly_from_json(obj)
+
+
 @given(polys(2))
 def test_json_roundtrip_property(p):
     assert poly_from_json(poly_to_json(p)) == p

@@ -75,7 +75,7 @@ def test_conj_an_power_tables_match_repeated_squaring():
 
     n, deg = 3, 4
     values = {}
-    for seed in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))).seeds:
+    for seed in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))):
         for m in product(range(deg + 1), repeat=n):
             if 0 < sum(m) <= deg:
                 value = LaurentPoly.const(n, 1)
