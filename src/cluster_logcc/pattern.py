@@ -19,8 +19,8 @@ are exercised against frozen expected values in the test suite.
 from __future__ import annotations
 
 from collections import Counter, deque
-from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from fractions import Fraction
@@ -114,9 +114,9 @@ def mutate_matrix(B: Matrix, k: int) -> Matrix:
 def is_skew_symmetrizable(B: Sequence[Sequence[int]]) -> bool:
     """Whether some positive diagonal D makes D*B skew-symmetric."""
     n = len(B)
+    if any(len(row) != n or row[i] != 0 for i, row in enumerate(B)):
+        return False
     for i in range(n):
-        if len(B[i]) != n or B[i][i] != 0:
-            return False
         for j in range(n):
             if (B[i][j] == 0) != (B[j][i] == 0):
                 return False
@@ -214,23 +214,21 @@ def boundary_seed(tri) -> Seed:
     return Seed(n, r, Bm, y, _initial_cluster(n, r))
 
 
-# The exchange memo of the sweep whose step is running, or None outside one.
-# enumerate_exchange_graph sets it around each of its steps.
-_exchange_memo: ContextVar[Optional[dict]] = ContextVar("exchange_memo", default=None)
-
-
-def mutate(seed: Seed, k: int) -> Seed:
+def mutate(seed: Seed, k: int, memo: Optional[dict] = None) -> Seed:
     """Seed mutation in direction k (1-based).
 
     The new variable is the exchange binomial divided by the old one; that
     division must be exact (InexactDivisionError here means the ambient
     arithmetic or the seed data is corrupt, and aborts the computation).
-    Inside a sweep the new variable is looked up in the sweep's exchange
-    memo, keyed on everything the binomial and the division read: the
-    outgoing variable, y_k and the multiset of (b_jk, x_j) with b_jk != 0.
+    A sweep passes each of its steps one exchange memo, a dict keyed on
+    everything the binomial and the division read: the outgoing variable,
+    y_k and the multiset of (b_jk, x_j) with b_jk != 0.  The new variable is
+    looked up there and stored once computed; a failed division stores
+    nothing.  Without a memo it is always computed.
     The coefficients change as the frozen rows of the extended exchange
     matrix: y_k is negated, and for b_ki != 0 entry t of y_i becomes
-    c_ti + [c_tk]_+ b_ki + c_tk [-b_ki]_+.
+    c_ti + [c_tk]_+ b_ki + c_tk [-b_ki]_+.  When y_k is 1 (every exponent
+    0, as on coefficient-free seeds) the new seed reuses seed.y's entries.
     """
     n = seed.n
     if not 1 <= k <= n:
@@ -238,7 +236,6 @@ def mutate(seed: Seed, k: int) -> Seed:
     kk = k - 1
     ck = seed.y[kk].exponents
     ck_plus = tuple(max(c, 0) for c in ck)
-    memo = _exchange_memo.get()
     new_x = None
     if memo is not None:
         neighbours = Counter(
@@ -262,17 +259,18 @@ def mutate(seed: Seed, k: int) -> Seed:
             memo[exchange] = new_x
 
     new_y = list(seed.y)
-    new_y[kk] = TropicalElement(tuple(-c for c in ck))
-    for i, bki in enumerate(seed.B[kk]):
-        if bki == 0 or i == kk:
-            continue  # b_ki = 0 leaves y_i as it is
-        bki_minus = max(-bki, 0)
-        new_y[i] = TropicalElement(
-            tuple(
-                c + p * bki + q * bki_minus
-                for c, p, q in zip(seed.y[i].exponents, ck_plus, ck)
+    if any(ck):  # y_k = 1 leaves every coefficient as it is
+        new_y[kk] = TropicalElement(tuple(-c for c in ck))
+        for i, bki in enumerate(seed.B[kk]):
+            if bki == 0 or i == kk:
+                continue  # b_ki = 0 leaves y_i as it is
+            bki_minus = max(-bki, 0)
+            new_y[i] = TropicalElement(
+                tuple(
+                    c + p * bki + q * bki_minus
+                    for c, p, q in zip(seed.y[i].exponents, ck_plus, ck)
+                )
             )
-        )
 
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_x
@@ -375,10 +373,11 @@ def principal_state(B: Sequence[Sequence[int]]) -> PatternState:
     return PatternState(seed, _identity(n), _identity(n), initial_d_matrix(n), seed.B)
 
 
-def state_step(state: PatternState, k: int) -> PatternState:
+def state_step(state: PatternState, k: int, memo: Optional[dict] = None) -> PatternState:
+    """Mutate the seed in direction k (memo as for mutate) and its companions."""
     C2, G2 = cg_step(state.C, state.G, state.seed.B, state.B0, k)
     D2 = d_vector_step(state.D, state.seed.B, k)
-    return PatternState(mutate(state.seed, k), C2, G2, D2, state.B0)
+    return PatternState(mutate(state.seed, k, memo=memo), C2, G2, D2, state.B0)
 
 
 class FData(NamedTuple):
@@ -466,39 +465,31 @@ def enumerate_exchange_graph(
     """Breadth-first search of seeds up to relabeling, yielding classes as found.
 
     step(s, k) is the neighbour of s in direction k (1..s.n) and key(s) names
-    its class; they default to mutate and canonical_seed_key, looked up when
-    the search starts.  The same search walks principal states and
-    triangulation flips.  Seeds are identified when they differ only by a
-    simultaneous permutation of cluster entries, coefficients, and matrix
-    rows/columns.  Each class is yielded once, as the first seed that reached
-    it, in the order reached, starting with seed itself; the search holds
-    only the class keys and the queue of classes still to expand.  The first
-    step that reaches a new class once `budget` classes are known raises
-    RuntimeError: an exceeded budget is an error, never a truncation.
-
-    Each sweep has its own exchange memo, so every distinct exchange relation
-    met in the sweep is multiplied out and divided once.  The memo is
-    installed only while one of the sweep's steps runs, so neither the
-    consumer between yields nor an interleaved sweep ever sees it.
+    its class.  They are looked up when the search starts: key defaults to
+    canonical_seed_key, and step to mutate with an exchange memo of this
+    search's own, so each distinct exchange relation is multiplied out and
+    divided once.  The same search walks principal states and triangulation
+    flips.  Seeds are identified when they differ only by a simultaneous
+    permutation of cluster entries, coefficients, and matrix rows/columns.
+    Each class is yielded once, as the first seed that reached it, in the
+    order reached, starting with seed itself; the search holds only the class
+    keys and the queue of classes still to expand.  The first step that
+    reaches a new class once `budget` classes are known raises RuntimeError:
+    an exceeded budget is an error, never a truncation.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     if step is None:
-        step = mutate
+        step = partial(mutate, memo={})
     if key is None:
         key = canonical_seed_key
-    memo: dict = {}
     seen = {key(seed)}
     queue = deque([seed])
     yield seed
     while queue:
         s = queue.popleft()
         for k in range(1, s.n + 1):
-            token = _exchange_memo.set(memo)
-            try:
-                t = step(s, k)
-            finally:
-                _exchange_memo.reset(token)
+            t = step(s, k)
             t_key = key(t)
             if t_key not in seen:
                 if len(seen) >= budget:
@@ -532,7 +523,7 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(obj: Mapping) -> Seed:
-    """Read seed_to_json's form; entries are integers and the shapes agree."""
+    """Read seed_to_json's form: integer entries, agreeing shapes, a valid B."""
     n = index(obj["n"])
     num_frozen = index(obj["frozen"])
     B = _as_matrix(obj["B"])
@@ -541,6 +532,8 @@ def seed_from_json(obj: Mapping) -> Seed:
     history = tuple(map(index, obj["history"]))
     if len(B) != n or any(len(row) != n for row in B):
         raise ValueError(f"B must be {n} by {n}")
+    if not is_skew_symmetrizable(B):
+        raise ValueError("exchange matrix is not skew-symmetrizable")
     if len(y) != n or any(len(t.exponents) != num_frozen for t in y):
         raise ValueError(f"y must hold {n} vectors of length {num_frozen}")
     if len(cluster) != n or any(x.num_vars != n + num_frozen for x in cluster):

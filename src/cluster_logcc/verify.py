@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iter_product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -155,8 +156,9 @@ def _principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
     companion matrices stored for a seed follow the labeling of the first
     path that reached it, which keeps columns aligned with cluster positions.
     """
+    step = partial(state_step, memo={})  # one exchange memo for the sweep
     return enumerate_exchange_graph(
-        principal_state(a_n_matrix(n)), budget, state_step, lambda st: canonical_seed_key(st.seed)
+        principal_state(a_n_matrix(n)), budget, step, lambda st: canonical_seed_key(st.seed)
     )
 
 

@@ -8,6 +8,10 @@ prints elapsed seconds and turns errors into exit codes.
 They also make no id() call.  Seed sweeps stream their classes and free
 each one once it is expanded, so a new object can take a dead one's id;
 a cache keyed on id() would then hand out another object's facts.
+
+Nor do they pass state between calls by a side channel: no ContextVar
+and no global statement.  A sweep hands its exchange memo to each step as
+an argument.
 """
 
 import ast
@@ -41,6 +45,12 @@ def _breaches(tree: ast.AST):
             and node.func.id in ("float", "id")
         ):
             yield node.lineno, f"{node.func.id}() call"
+        elif isinstance(node, ast.Global):
+            yield node.lineno, "global statement"
+        elif (isinstance(node, ast.Name) and node.id == "ContextVar") or (
+            isinstance(node, ast.Attribute) and node.attr == "ContextVar"
+        ):
+            yield node.lineno, "ContextVar"
         elif isinstance(node, ast.ExceptHandler):
             if node.type is None:
                 yield node.lineno, "bare except"
@@ -66,6 +76,9 @@ def test_module_stays_exact(module):
         "try:\n    f()\nexcept:\n    pass",
         "try:\n    f()\nexcept (ValueError, Exception):\n    pass",
         "try:\n    f()\nexcept poly.InexactDivisionError:\n    pass",
+        "memo = ContextVar('memo', default=None)",
+        "memo = cv.ContextVar('memo')",
+        "def f():\n    global memo\n    memo = {}",
     ],
 )
 def test_guard_sees_each_breach(source):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import weakref
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,6 @@ from oracles import (
     trop_split_pm,
 )
 
-import cluster_logcc.pattern as pattern
 import cluster_logcc.verify as verify
 from cluster_logcc import (
     InexactDivisionError,
@@ -119,6 +119,12 @@ def test_is_skew_symmetrizable():
     # an inconsistent 3-cycle of scaling constraints
     assert not is_skew_symmetrizable(((0, 1, -2), (-1, 0, 1), (1, -1, 0)))
     assert is_skew_symmetrizable(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
+    # a ragged matrix is refused, not read past the end of a short row
+    assert not is_skew_symmetrizable(((0, 1), ()))
+    assert not is_skew_symmetrizable(((0,), (1, 0)))
+    for make in (coefficient_free_seed, principal_seed):
+        with pytest.raises(ValueError, match="not skew-symmetrizable"):
+            make([[0, 1], []])
 
 
 # ---- seed mutation ----
@@ -156,6 +162,14 @@ def test_mutation_is_involutive():
     p = principal_seed(a_n_matrix(3))
     for k in (1, 2, 3):
         assert mutate(mutate(p, k), k) == p
+
+
+def test_coefficient_free_mutation_keeps_the_coefficients():
+    # y_k = 1 leaves every y_i as it is, so mutation reuses the same objects
+    for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(4))):
+        for k in range(1, s.n + 1):
+            t = mutate(s, k)
+            assert all(t.y[i] is s.y[i] for i in range(s.n))
 
 
 def test_mutation_direction_out_of_range():
@@ -466,9 +480,9 @@ def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):
     calls = []
     honest = verify.state_step
 
-    def counted(state, k):
+    def counted(state, k, memo=None):
         calls.append(k)
-        return honest(state, k)
+        return honest(state, k, memo=memo)
 
     monkeypatch.setattr(verify, "state_step", counted)
     with pytest.raises(RuntimeError, match="not closed within budget"):
@@ -517,7 +531,9 @@ def _drain(sweep):
 def test_memoised_sweep_matches_plain_sweep(seed, budget):
     got_steps, want_steps = [], []
     got, got_error = _drain(
-        enumerate_exchange_graph(seed, budget, step=_recording(mutate, got_steps))
+        enumerate_exchange_graph(
+            seed, budget, step=_recording(partial(mutate, memo={}), got_steps)
+        )
     )
     want, want_error = _drain(
         plain_exchange_graph(seed, budget, step=_recording(plain_mutate, want_steps))
@@ -532,45 +548,31 @@ def test_memoised_sweep_matches_plain_sweep(seed, budget):
 
 
 def test_exchange_memo_lives_for_one_sweep():
-    seen = []
-
-    def step(s, k):
-        seen.append(pattern._exchange_memo.get())
-        return mutate(s, k)
-
     start = coefficient_free_seed(a_n_matrix(3))
-    assert pattern._exchange_memo.get() is None
-    g = list(enumerate_exchange_graph(start, step=step))
-    assert pattern._exchange_memo.get() is None
-    memo = seen[0]
-    assert all(m is memo for m in seen)
+    memo = {}
+    g = list(enumerate_exchange_graph(start, step=partial(mutate, memo=memo)))
     assert len(memo) == 2 * 15  # two flip directions of each of the hexagon's 15 quadrilaterals
     # every variable in the sweep is an initial one or a memo entry, shared
     objects = {id(x) for t in g for x in t.cluster}
     assert objects <= {id(x) for x in start.cluster} | {id(x) for x in memo.values()}
-    # outside a sweep nothing is remembered: each call builds a new variable
+    # a default sweep shares its variables through a memo of its own: no
+    # variable object carries over from the sweep above
+    again = {id(x) for t in list(enumerate_exchange_graph(start)) for x in t.cluster}
+    assert len(again) == len(objects)
+    assert objects & again == {id(x) for x in start.cluster}
+    # without a memo nothing is remembered: each call builds a new variable
     assert mutate(start, 2).cluster[1] is not mutate(start, 2).cluster[1]
 
 
-def _memo_logging(log):
-    """mutate, logging the exchange memo installed while it runs."""
-
-    def step(s, k):
-        log.append(pattern._exchange_memo.get())
-        return mutate(s, k)
-
-    return step
-
-
 def test_interleaved_sweeps_keep_their_own_memos():
-    free, principal = coefficient_free_seed(a_n_matrix(4)), principal_seed(a_n_matrix(3))
-    alone = [list(enumerate_exchange_graph(free)), list(enumerate_exchange_graph(principal))]
-    logs = [[], []]
-    a = enumerate_exchange_graph(free, step=_memo_logging(logs[0]))
-    b = enumerate_exchange_graph(principal, step=_memo_logging(logs[1]))
+    starts = coefficient_free_seed(a_n_matrix(4)), principal_seed(a_n_matrix(3))
+    alone = [list(enumerate_exchange_graph(s)) for s in starts]
+    memos = [{}, {}]
+    a, b = (
+        enumerate_exchange_graph(s, step=partial(mutate, memo=m)) for s, m in zip(starts, memos)
+    )
     together = [[], []]
     for s, t in itertools.zip_longest(a, b):
-        assert pattern._exchange_memo.get() is None  # no memo between yields
         for got, u in zip(together, (s, t)):
             if u is not None:
                 got.append(u)
@@ -579,20 +581,8 @@ def test_interleaved_sweeps_keep_their_own_memos():
         assert [(s.history, s.B, s.y, s.cluster) for s in got] == [
             (t.history, t.B, t.y, t.cluster) for t in want
         ]
-    # each sweep ran every step under one memo of its own
-    memos = [log[0] for log in logs]
-    assert all(m is not None for m in memos) and memos[0] is not memos[1]
-    assert all(all(m is memo for m in log) for memo, log in zip(memos, logs))
-
-
-def test_abandoned_sweep_leaves_no_memo():
-    sweep = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(3)))
-    next(sweep)
-    assert pattern._exchange_memo.get() is None
-    next(sweep)  # the first class a step reached
-    assert pattern._exchange_memo.get() is None
-    del sweep
-    assert pattern._exchange_memo.get() is None
+    # 2 C(n+3, 4) exchanges each, one per flip direction of each quadrilateral
+    assert [len(m) for m in memos] == [70, 30]
 
 
 def test_sweep_holds_only_its_queue():
@@ -627,12 +617,9 @@ def test_exchange_memo_keeps_apart_exchanges_with_different_binomials():
         seed((2, 0), (1, 0)),  # (y1 x2^2 + 1) / x1 again, under another key
         seed((1, 1), (1, 0)),  # the first exchange again: a memo hit
     ]
-    token = pattern._exchange_memo.set({})
-    try:
-        got = [mutate(c, 1).cluster[0] for c in cases]
-        assert len(pattern._exchange_memo.get()) == 7
-    finally:
-        pattern._exchange_memo.reset(token)
+    memo = {}
+    got = [mutate(c, 1, memo=memo).cluster[0] for c in cases]
+    assert len(memo) == 7
     assert got == [plain_mutate(c, 1).cluster[0] for c in cases]
     assert got[-1] is got[0]
     assert len({g.key() for g in got}) == 6
@@ -644,19 +631,19 @@ def test_inexact_division_inside_a_sweep_propagates_and_is_not_cached():
     # by the corrupt entry x2 + 1 (inexact)
     bad = Seed(2, 0, B2, coefficient_free_seed(B2).y, (x1, x2 + LaurentPoly.const(2, 1)))
     failures = []
+    memo = {}
 
     def step(s, k):
         for _ in range(2):  # a failed exchange is not remembered, so it fails again
             try:
-                return mutate(s, k)
+                return mutate(s, k, memo=memo)
             except InexactDivisionError:
-                failures.append(len(pattern._exchange_memo.get()))
-        return mutate(s, k)
+                failures.append(len(memo))
+        return mutate(s, k, memo=memo)
 
     with pytest.raises(InexactDivisionError):
         list(enumerate_exchange_graph(bad, step=step))
     assert failures == [1, 1]  # only direction 1's exchange is in the memo
-    assert pattern._exchange_memo.get() is None
 
 
 def test_no_memo_outlives_its_sweep(monkeypatch):
@@ -751,7 +738,8 @@ def test_seed_json_non_integral_entries_rejected(field, value):
 
 
 # Each value is all integers but breaks one shape of a rank-2 principal
-# seed; reading it must fail then, not at a later mutation.
+# seed, or (the last) gives b_12 and b_21 one sign, so B is not
+# skew-symmetrizable; reading it must fail then, not at a later mutation.
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -767,6 +755,7 @@ def test_seed_json_non_integral_entries_rejected(field, value):
         ),
         ("history", [1, 3]),
         ("history", [0]),
+        ("B", [[0, 1], [1, 0]]),
     ],
 )
 def test_seed_json_shape_mismatch_rejected(field, value):
