@@ -25,7 +25,6 @@ from .pattern import (
     Seed,
     TropicalElement,
     a_n_matrix,
-    boundary_seed,
     canonical_seed_key,
     cg_step,
     check_separation,
@@ -49,6 +48,7 @@ from .polygon import (
     Triangulation,
     assert_valid_t_path,
     b_matrix_of,
+    boundary_seed,
     crosses,
     crossing_d_vector,
     diagonals_crossing,

@@ -32,6 +32,7 @@ from .pattern import (
     state_step,
 )
 from .polygon import (
+    boundary_to_one,
     enumerate_t_paths,
     expand_variable,
     fan,
@@ -139,15 +140,14 @@ def cmd_tpaths(args: argparse.Namespace) -> int:
     tri = _load_triangulation(args.triangulation, args.ngon)
     a, b = args.vertex_from, args.vertex_to
     paths = enumerate_t_paths(tri, a, b)
+    kept = expand_variable(tri, a, b)
     _emit(
         {
             "triangulation": triangulation_to_json(tri),
             "chord": [min(a, b), max(a, b)],
             "paths": [tpath_to_json(tri, p) for p in paths],
-            "variable": poly_to_json(expand_variable(tri, a, b, coefficient_free=True)),
-            "variable_with_boundary": poly_to_json(
-                expand_variable(tri, a, b, coefficient_free=False)
-            ),
+            "variable": poly_to_json(boundary_to_one(tri, kept)),
+            "variable_with_boundary": poly_to_json(kept),
         },
         args.out,
     )

@@ -197,23 +197,6 @@ def principal_seed(B: Sequence[Sequence[int]]) -> Seed:
     return Seed(n, n, Bm, y, _initial_cluster(n, n))
 
 
-def boundary_seed(tri) -> Seed:
-    """Seed of a triangulation with its boundary edges as frozen variables.
-
-    The ambient ring has 2n+3 variables indexed by edge label minus one, so
-    cluster variables computed by mutation are directly comparable with
-    coefficient-kept path expansions.
-    """
-    from .polygon import b_matrix_of
-
-    ext = b_matrix_of(tri)
-    n = tri.n
-    Bm = _as_matrix(ext[:n])
-    r = n + 3
-    y = tuple(TropicalElement(tuple(ext[n + j][i] for j in range(r))) for i in range(n))
-    return Seed(n, r, Bm, y, _initial_cluster(n, r))
-
-
 def mutate(seed: Seed, k: int, memo: Optional[dict] = None) -> Seed:
     """Seed mutation in direction k (1-based).
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .pattern import enumerate_exchange_graph
-from .poly import LaurentPoly
+from .pattern import Seed, TropicalElement, enumerate_exchange_graph
+from .poly import LaurentPoly, poly_to_json
 
 Pair = Tuple[int, int]
 
@@ -195,6 +195,20 @@ def principal_b_matrix(tri: Triangulation) -> Tuple[Tuple[int, ...], ...]:
     """The n-by-n top block of the extended exchange matrix."""
     B = b_matrix_of(tri)
     return tuple(tuple(row) for row in B[: tri.n])
+
+
+def boundary_seed(tri: Triangulation) -> Seed:
+    """Seed of a triangulation with its boundary edges as frozen variables.
+
+    The ambient ring has 2n+3 variables indexed by edge label minus one, so
+    cluster variables computed by mutation are directly comparable with
+    path expansions.
+    """
+    ext = b_matrix_of(tri)
+    n, m = tri.n, tri.num_edges
+    B = tuple(tuple(row) for row in ext[:n])
+    y = tuple(TropicalElement(tuple(row[i] for row in ext[n:])) for i in range(n))
+    return Seed(n, m - n, B, y, tuple(LaurentPoly.variable(m, i) for i in range(n)))
 
 
 def flip(tri: Triangulation, k: int) -> Tuple[Triangulation, Tuple[int, int, int, int]]:
@@ -375,30 +389,33 @@ def assert_valid_t_path(tri: Triangulation, a: int, b: int, path: TPath) -> None
         raise ValueError("crossing edges out of proximity order")
 
 
-def tpath_monomial(tri: Triangulation, path: TPath, coefficient_free: bool = True) -> LaurentPoly:
+def tpath_monomial(tri: Triangulation, path: TPath) -> LaurentPoly:
     """The Laurent monomial of a path: odd steps multiply, even steps divide.
 
-    Coefficient-free means boundary edges evaluate to 1 and the monomial
-    lives in the n diagonal variables; otherwise all 2n+3 edge variables
-    participate (variable index = label - 1).
+    All 2n+3 edge variables participate (variable index = label - 1), so the
+    boundary edges walked stay visible as frozen variables.
     """
-    num_vars = tri.n if coefficient_free else tri.num_edges
-    exps = [0] * num_vars
+    exps = [0] * tri.num_edges
     for i, lab in enumerate(path.edge_labels):
-        if coefficient_free and lab > tri.n:
-            continue
         exps[lab - 1] += -1 if (i + 1) % 2 == 0 else 1
-    return LaurentPoly._trusted(num_vars, {tuple(exps): 1})  # clean as built
+    return LaurentPoly._trusted(tri.num_edges, {tuple(exps): 1})  # clean as built
 
 
-def expand_variable(tri: Triangulation, a: int, b: int, coefficient_free: bool = True) -> LaurentPoly:
-    """The cluster variable of the chord {a, b} as a sum over admissible paths."""
-    paths = enumerate_t_paths(tri, a, b)
-    num_vars = tri.n if coefficient_free else tri.num_edges
-    total = LaurentPoly.zero(num_vars)
-    for path in paths:
-        total = total + tpath_monomial(tri, path, coefficient_free)
+def expand_variable(tri: Triangulation, a: int, b: int) -> LaurentPoly:
+    """The cluster variable of the chord {a, b} as a sum over admissible paths.
+
+    The sum lives in all 2n+3 edge variables, boundary edges kept as frozen
+    variables; boundary_to_one turns it into the coefficient-free variable.
+    """
+    total = LaurentPoly.zero(tri.num_edges)
+    for path in enumerate_t_paths(tri, a, b):
+        total = total + tpath_monomial(tri, path)
     return total
+
+
+def boundary_to_one(tri: Triangulation, p: LaurentPoly) -> LaurentPoly:
+    """p with the boundary edge variables set to 1: a polynomial in the n diagonals."""
+    return p.substitute_ones(range(tri.n, tri.num_edges))
 
 
 def crossing_d_vector(tri: Triangulation, gamma: Sequence[int]) -> Tuple[int, ...]:
@@ -441,10 +458,8 @@ def triangulation_from_json(obj: Mapping) -> Triangulation:
 
 def tpath_to_json(tri: Triangulation, path: TPath) -> dict:
     """A path's vertices, edge labels and coefficient-free monomial."""
-    from .poly import poly_to_json
-
     return {
         "vertices": list(path.vertices),
         "edges": list(path.edge_labels),
-        "monomial": poly_to_json(tpath_monomial(tri, path, coefficient_free=True)),
+        "monomial": poly_to_json(boundary_to_one(tri, tpath_monomial(tri, path))),
     }

@@ -56,7 +56,7 @@ from .pattern import (
     principal_state,
     state_step,
 )
-from .polygon import expand_variable, zigzag
+from .polygon import boundary_to_one, expand_variable, zigzag
 
 WITNESS_CAP = 20
 
@@ -177,7 +177,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
     tri = zigzag(n)
     by_key: Dict[tuple, LaurentPoly] = {}
     for a, b in _chords(tri.size):
-        p = expand_variable(tri, a, b, coefficient_free=True)
+        p = boundary_to_one(tri, expand_variable(tri, a, b))
         by_key[p.key()] = p
 
     num_seeds = 0
@@ -224,9 +224,9 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 def verify_coeff_bounds(n: int) -> Report:
     """Numerator coefficient bounds over the snake triangulation.
 
-    Coefficient-free expansions may only repeat a monomial twice; keeping
-    boundary edges as frozen variables must separate all paths, so every
-    coefficient is 1 there.
+    Each chord is expanded once with the boundary edges kept as frozen
+    variables, which must separate all paths (every coefficient 1); with
+    the boundary set to 1 a monomial may only repeat twice.
     """
     report = Report("coeff012", {"rank": n}, "pending")
     tri = zigzag(n)
@@ -237,8 +237,8 @@ def verify_coeff_bounds(n: int) -> Report:
         if (a, b) in diag_pairs:
             continue  # plain variables, coefficient 1 trivially
         num_chords += 1
-        free = expand_variable(tri, a, b, coefficient_free=True)
-        kept = expand_variable(tri, a, b, coefficient_free=False)
+        kept = expand_variable(tri, a, b)
+        free = boundary_to_one(tri, kept)
         free_coeffs = set(free.coefficients())
         if not free_coeffs or not free_coeffs <= {1, 2}:
             report.add(

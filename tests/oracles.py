@@ -8,7 +8,13 @@ representation.
 from itertools import product
 from typing import Dict, Tuple
 
-from cluster_logcc import LaurentPoly, Seed, TropicalElement, canonical_seed_key
+from cluster_logcc import (
+    LaurentPoly,
+    Seed,
+    TropicalElement,
+    canonical_seed_key,
+    enumerate_t_paths,
+)
 from cluster_logcc.pattern import DEFAULT_BUDGET
 
 
@@ -289,3 +295,22 @@ def plain_exchange_graph(seed, budget=None, step=None):
                     nxt.append(t)
                     yield t
         frontier = nxt
+
+
+def free_path_sum(tri, a, b):
+    """The coefficient-free variable of chord {a, b}, summed path by path.
+
+    Each admissible path contributes a monomial in the n diagonal variables:
+    odd steps multiply, even steps divide, and boundary edges are skipped
+    (they evaluate to 1).  The paths come from enumerate_t_paths; the
+    monomial rule and the sum are this function's own.
+    """
+    terms: Dict[Tuple[int, ...], int] = {}
+    for path in enumerate_t_paths(tri, a, b):
+        exps = [0] * tri.n
+        for step, lab in enumerate(path.edge_labels, start=1):
+            if lab <= tri.n:
+                exps[lab - 1] += 1 if step % 2 == 1 else -1
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + 1
+    return LaurentPoly(tri.n, terms)

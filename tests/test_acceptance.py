@@ -43,6 +43,7 @@ from cluster_logcc import (
     zigzag,
 )
 from cluster_logcc.cli import main
+from cluster_logcc.polygon import boundary_to_one
 from cluster_logcc.verify import _principal_states
 
 from oracles import dense_log_concave
@@ -64,7 +65,9 @@ def test_criterion_01_hexagon_path_table(capsys):
 
     tri = zigzag(3)
     paths = enumerate_t_paths(tri, 0, 3)
-    monomials = sorted(dict(tpath_monomial(tri, p).terms).popitem() for p in paths)
+    monomials = sorted(
+        dict(boundary_to_one(tri, tpath_monomial(tri, p)).terms).popitem() for p in paths
+    )
     assert monomials == sorted(
         [
             ((0, -1, 0), 1),
@@ -74,7 +77,7 @@ def test_criterion_01_hexagon_path_table(capsys):
             ((-1, -1, -1), 1),
         ]
     )
-    total = expand_variable(tri, 0, 3)
+    total = boundary_to_one(tri, expand_variable(tri, 0, 3))
     assert total.terms == {(0, -1, 0): 1, (-1, 1, -1): 1, (-1, 0, -1): 2, (-1, -1, -1): 1}
     nd = normalize_denominator(total, 3)
     assert nd.d_vector == (1, 1, 1)

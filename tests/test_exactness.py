@@ -12,6 +12,10 @@ a cache keyed on id() would then hand out another object's facts.
 Nor do they pass state between calls by a side channel: no ContextVar
 and no global statement.  A sweep hands its exchange memo to each step as
 an argument.
+
+Every import sits at module level.  The module graph runs one way, poly ->
+pattern -> polygon -> verify; an import inside a function is how a cycle
+against that order would hide.
 """
 
 import ast
@@ -34,6 +38,13 @@ def _caught_names(handler: ast.ExceptHandler):
 
 
 def _breaches(tree: ast.AST):
+    local_imports = {
+        inner
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             yield node.lineno, f"float literal {node.value!r}"
@@ -47,6 +58,8 @@ def _breaches(tree: ast.AST):
             yield node.lineno, f"{node.func.id}() call"
         elif isinstance(node, ast.Global):
             yield node.lineno, "global statement"
+        elif node in local_imports:
+            yield node.lineno, "import inside a function"
         elif (isinstance(node, ast.Name) and node.id == "ContextVar") or (
             isinstance(node, ast.Attribute) and node.attr == "ContextVar"
         ):
@@ -79,6 +92,7 @@ def test_module_stays_exact(module):
         "memo = ContextVar('memo', default=None)",
         "memo = cv.ContextVar('memo')",
         "def f():\n    global memo\n    memo = {}",
+        "def f():\n    def g():\n        from .polygon import b_matrix_of",
     ],
 )
 def test_guard_sees_each_breach(source):

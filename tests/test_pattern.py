@@ -147,7 +147,7 @@ def test_coefficient_free_initial_seed():
         coefficient_free_seed(((0, 1), (1, 0)))
 
 
-def test_first_mutation_coefficient_free():
+def test_first_mutation_of_a_coefficient_free_seed():
     s = mutate(coefficient_free_seed(B2), 1)
     assert s.cluster[0].terms == {(-1, 1): 1, (-1, 0): 1}  # (x2 + 1) / x1
     assert s.cluster[1].terms == {(0, 1): 1}
@@ -701,7 +701,7 @@ def test_boundary_seed_mutation_matches_kept_expansion():
         for b in range(a + 2, size):
             if a == 0 and b == size - 1 or (a, b) in diag:
                 continue
-            expected.add(expand_variable(tri, a, b, coefficient_free=False).key())
+            expected.add(expand_variable(tri, a, b).key())
     assert mutated == expected
 
 

@@ -28,6 +28,8 @@ from cluster_logcc import (
     triangulation_to_json,
     zigzag,
 )
+from cluster_logcc.polygon import boundary_to_one
+from oracles import free_path_sum
 
 
 # ---- construction and crossing ----
@@ -196,7 +198,7 @@ def test_square_paths():
         ((0, 3, 1, 2), (2, 1, 4)),
         ((0, 1, 3, 2), (3, 1, 5)),
     ]
-    assert expand_variable(tri, 0, 2).terms == {(-1,): 2}
+    assert boundary_to_one(tri, expand_variable(tri, 0, 2)).terms == {(-1,): 2}
 
 
 HEXAGON_TABLE = [
@@ -211,13 +213,16 @@ HEXAGON_TABLE = [
 def test_hexagon_long_chord_paths():
     tri = zigzag(3)
     paths = enumerate_t_paths(tri, 0, 3)
-    got = [(p.vertices, p.edge_labels, dict(tpath_monomial(tri, p).terms)) for p in paths]
+    got = [
+        (p.vertices, p.edge_labels, dict(boundary_to_one(tri, tpath_monomial(tri, p)).terms))
+        for p in paths
+    ]
     assert got == HEXAGON_TABLE
 
 
 def test_hexagon_long_chord_variable():
     tri = zigzag(3)
-    var = expand_variable(tri, 0, 3)
+    var = boundary_to_one(tri, expand_variable(tri, 0, 3))
     assert var.terms == {(0, -1, 0): 1, (-1, 1, -1): 1, (-1, 0, -1): 2, (-1, -1, -1): 1}
     nd = normalize_denominator(var, 3)
     assert nd.d_vector == (1, 1, 1)
@@ -226,15 +231,29 @@ def test_hexagon_long_chord_variable():
 
 def test_hexagon_boundary_kept_expansion():
     tri = zigzag(3)
-    kept = expand_variable(tri, 0, 3, coefficient_free=False)
+    kept = expand_variable(tri, 0, 3)
     assert set(kept.coefficients()) == {1}  # boundary variables separate the paths
     assert len(kept.terms) == 5
     # boundary exponents are 0/1, diagonal exponents -1/0/1
     for exp in kept.terms:
         assert all(e in (0, 1) for e in exp[3:])
         assert all(e in (-1, 0, 1) for e in exp[:3])
-    # dropping the boundary variables recovers the coefficient-free expansion
-    assert kept.substitute_ones(range(3, 9)) == expand_variable(tri, 0, 3)
+    # the boundary edges are labels 4..9, variables 3..8
+    assert boundary_to_one(tri, kept) == kept.substitute_ones(range(3, 9))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_boundary_to_one_matches_the_free_path_sum(n):
+    # the coefficient-free variable is read off the boundary-kept sum; the
+    # oracle sums the paths directly, skipping boundary edges
+    for tri in enumerate_triangulations(zigzag(n)):
+        for a in range(tri.size):
+            for b in range(a + 2, tri.size):
+                if a == 0 and b == tri.size - 1:
+                    continue
+                for u, v in ((a, b), (b, a)):
+                    free = free_path_sum(tri, u, v)
+                    assert free and boundary_to_one(tri, expand_variable(tri, u, v)) == free
 
 
 def test_diagonal_of_triangulation_expands_to_itself():
@@ -246,8 +265,8 @@ def test_diagonal_of_triangulation_expands_to_itself():
         tri = zigzag(n)
         for k in range(1, n + 1):
             a, b = tri.pair_of(k)
-            assert expand_variable(tri, a, b) == LaurentPoly.variable(n, k - 1)
-            assert expand_variable(tri, b, a) == LaurentPoly.variable(n, k - 1)
+            assert expand_variable(tri, a, b) == LaurentPoly.variable(2 * n + 3, k - 1)
+            assert expand_variable(tri, b, a) == LaurentPoly.variable(2 * n + 3, k - 1)
 
 
 def test_path_validation_rejects_bad_paths():
@@ -286,7 +305,7 @@ def test_emitted_paths_pass_independent_validation(n):
 
 def test_pentagon_fan_variables_match_mutation():
     tri = fan(2)
-    expanded = {expand_variable(tri, a, b).key()
+    expanded = {boundary_to_one(tri, expand_variable(tri, a, b)).key()
                 for a, b in [(1, 3), (1, 4), (2, 4)]}
     expanded |= {LaurentPoly.variable(2, 0).key(), LaurentPoly.variable(2, 1).key()}
     mutated = {x.key() for x in cluster_variables(coefficient_free_seed(principal_b_matrix(tri)))}
@@ -302,6 +321,6 @@ def test_denominators_count_crossings(n):
             for b in range(a + 2, size):
                 if a == 0 and b == size - 1 or (a, b) in diag:
                     continue
-                var = expand_variable(tri, a, b)
+                var = boundary_to_one(tri, expand_variable(tri, a, b))
                 nd = normalize_denominator(var, n)
                 assert nd.d_vector == crossing_d_vector(tri, (a, b))

@@ -266,6 +266,33 @@ def test_coeff_bounds():
     assert verify_coeff_bounds(2).stats["has_coefficient_two"] is False
 
 
+def test_each_chord_is_enumerated_once(capsys, monkeypatch):
+    import cluster_logcc.cli as cli
+    import cluster_logcc.polygon as polygon
+
+    calls = 0
+    honest = polygon.enumerate_t_paths
+
+    def counting(tri, a, b):
+        nonlocal calls
+        calls += 1
+        return honest(tri, a, b)
+
+    monkeypatch.setattr(polygon, "enumerate_t_paths", counting)
+    monkeypatch.setattr(cli, "enumerate_t_paths", counting)
+    # coeff012 reads both bounds off one expansion of each of the 78 chords
+    # of the 15-gon that are not diagonals of the snake
+    assert run_claim("coeff012", rank=12).ok
+    assert calls == 78
+    calls = 0
+    assert run_claim("main1", rank=6).ok
+    assert calls == 27  # every chord of the 9-gon, diagonals included
+    calls = 0
+    assert cli.main(["tpaths", "--ngon", "6", "--from", "0", "--to", "3"]) == 0
+    capsys.readouterr()
+    assert calls == 2  # the listed paths, then the boundary-kept sum
+
+
 def test_fd_and_friends():
     r = verify_fd(3)
     assert r.ok and r.witnesses == []
@@ -542,23 +569,21 @@ def test_planted_log_concavity_failure_is_a_conj1_a2_table_witness(capsys, monke
 
 
 def _planted_chord_0_3(monkeypatch, defect):
-    """The expansion of chord (0, 3) goes through defect(p, coefficient_free)."""
+    """The expansion of chord (0, 3), boundary edges kept, goes through defect(p)."""
     import cluster_logcc.verify as verify
 
     honest = verify.expand_variable
 
-    def planted(tri, a, b, coefficient_free=True):
-        p = honest(tri, a, b, coefficient_free)
-        return defect(p, coefficient_free) if (a, b) == (0, 3) else p
+    def planted(tri, a, b):
+        p = honest(tri, a, b)
+        return defect(p) if (a, b) == (0, 3) else p
 
     monkeypatch.setattr(verify, "expand_variable", planted)
 
 
 def _extra_lowest_term_on_chord_0_3(monkeypatch):
     """One more copy of the lowest-exponent term in the expansion of chord (0, 3)."""
-    _planted_chord_0_3(
-        monkeypatch, lambda p, free: p + LaurentPoly.monomial(p.num_vars, min(p.terms))
-    )
+    _planted_chord_0_3(monkeypatch, lambda p: p + LaurentPoly.monomial(p.num_vars, min(p.terms)))
 
 
 def test_planted_doubled_path_falsifies_coeff012(capsys, monkeypatch):
@@ -579,7 +604,7 @@ def test_planted_doubled_path_falsifies_main1(capsys, monkeypatch):
 
 
 def test_planted_negative_chord_coefficient_falsifies_main1(capsys, monkeypatch):
-    _planted_chord_0_3(monkeypatch, lambda p, free: _negated_at(p, min(p.terms)))
+    _planted_chord_0_3(monkeypatch, lambda p: _negated_at(p, min(p.terms)))
     report = _falsified_report(capsys, "main1")
     assert [(w["kind"], w.get("route")) for w in report["witnesses"]] == [
         ("route-mismatch", "paths-only"),
@@ -590,7 +615,17 @@ def test_planted_negative_chord_coefficient_falsifies_main1(capsys, monkeypatch)
 
 
 def test_planted_zero_free_expansion_falsifies_coeff012(capsys, monkeypatch):
-    _planted_chord_0_3(monkeypatch, lambda p, free: LaurentPoly.zero(p.num_vars) if free else p)
+    import cluster_logcc.verify as verify
+    from cluster_logcc.polygon import expand_variable, zigzag
+
+    # chord (0, 3) keeps its expansion but loses every term when the boundary is set to 1
+    honest = verify.boundary_to_one
+    kept_0_3 = expand_variable(zigzag(3), 0, 3)
+
+    def planted(tri, p):
+        return LaurentPoly.zero(tri.n) if p == kept_0_3 else honest(tri, p)
+
+    monkeypatch.setattr(verify, "boundary_to_one", planted)
     report = _falsified_report(capsys, "coeff012")
     assert [(w["kind"], w["chord"], w["coefficients"]) for w in report["witnesses"]] == [
         ("coefficient-free-out-of-range", [0, 3], [])
@@ -598,7 +633,7 @@ def test_planted_zero_free_expansion_falsifies_coeff012(capsys, monkeypatch):
 
 
 def test_planted_zero_expansion_falsifies_main1(capsys, monkeypatch):
-    _planted_chord_0_3(monkeypatch, lambda p, free: LaurentPoly.zero(p.num_vars))
+    _planted_chord_0_3(monkeypatch, lambda p: LaurentPoly.zero(p.num_vars))
     report = _falsified_report(capsys, "main1")
     assert [(w["kind"], w["route"]) for w in report["witnesses"]] == [
         ("route-mismatch", "paths-only"),
@@ -614,7 +649,7 @@ def test_planted_repeated_variable_gives_main1_a_count_witness(capsys, monkeypat
     from cluster_logcc.polygon import expand_variable, zigzag
 
     # chord (0, 3) comes back as chord (0, 2)'s variable: one variable short
-    _planted_chord_0_3(monkeypatch, lambda p, free: expand_variable(zigzag(3), 0, 2, free))
+    _planted_chord_0_3(monkeypatch, lambda p: expand_variable(zigzag(3), 0, 2))
     report = _falsified_report(capsys, "main1")
     assert [(w["kind"], w["route"]) for w in report["witnesses"]] == [
         ("count", "paths"),
