@@ -172,29 +172,28 @@ class Seed:
         return self.n + self.num_frozen
 
 
-def _initial_cluster(n: int, num_frozen: int) -> Tuple[LaurentPoly, ...]:
-    m = n + num_frozen
-    return tuple(LaurentPoly.variable(m, i) for i in range(n))
+def geometric_seed(B: Sequence[Sequence[int]], frozen_rows: Sequence[Sequence[int]] = ()) -> Seed:
+    """Seed with exchange matrix B and one frozen variable per frozen row.
+
+    y_i is column i of the frozen rows, and the cluster is the first n of
+    the n + r ambient variables.
+    """
+    Bm = _as_matrix(B)
+    if not is_skew_symmetrizable(Bm):
+        raise ValueError("exchange matrix is not skew-symmetrizable")
+    n, r = len(Bm), len(frozen_rows)
+    y = tuple(TropicalElement(tuple(row[i] for row in frozen_rows)) for i in range(n))
+    return Seed(n, r, Bm, y, tuple(LaurentPoly.variable(n + r, i) for i in range(n)))
 
 
 def coefficient_free_seed(B: Sequence[Sequence[int]]) -> Seed:
     """Seed over the trivial semifield (no frozen variables)."""
-    Bm = _as_matrix(B)
-    if not is_skew_symmetrizable(Bm):
-        raise ValueError("exchange matrix is not skew-symmetrizable")
-    n = len(Bm)
-    y = tuple(TropicalElement(()) for _ in range(n))
-    return Seed(n, 0, Bm, y, _initial_cluster(n, 0))
+    return geometric_seed(B)
 
 
 def principal_seed(B: Sequence[Sequence[int]]) -> Seed:
     """Seed with one frozen variable per direction; y_i starts as generator i."""
-    Bm = _as_matrix(B)
-    if not is_skew_symmetrizable(Bm):
-        raise ValueError("exchange matrix is not skew-symmetrizable")
-    n = len(Bm)
-    y = tuple(TropicalElement(row) for row in _identity(n))
-    return Seed(n, n, Bm, y, _initial_cluster(n, n))
+    return geometric_seed(B, _identity(len(B)))
 
 
 def mutate(seed: Seed, k: int, memo: Optional[dict] = None) -> Seed:

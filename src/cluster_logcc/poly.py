@@ -304,7 +304,8 @@ class LogConcavityResult(NamedTuple):
     axis: Optional[int]  # 0-based axis of the first violated inequality
     point: Optional[tuple]  # lattice point where it fails
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience only
+    def __bool__(self) -> bool:
+        # a three-field tuple is always truthy; `assert is_log_concave(p)` relies on this
         return self.ok
 
 

@@ -9,11 +9,11 @@ Conventions used throughout (and by the CLI file formats):
 * Flipping diagonal k keeps the label k on the new diagonal, so mutation
   directions and diagonal labels stay aligned.
 
-Exchange-matrix signs follow the rotation rule: two edges sharing a vertex v
-inside a common triangle get +1 when sweeping the first edge onto the second
-about v through the triangle interior turns counterclockwise.  On a convex
-polygon with counterclockwise vertex numbering this reduces to comparing the
-cyclic positions of the far endpoints after v, which is how it is computed.
+Exchange-matrix signs are read off the faces: in a triangle p < q < r the
+sides {p, q}, {p, r}, {q, r} follow one another clockwise, and b_ij = +1 when
+side j follows side i, -1 when side i follows side j, and 0 for edges that
+share no face.  The flip of diagonal k exchanges along column k of that
+matrix, so flip itself only moves the diagonal.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .pattern import Seed, TropicalElement, enumerate_exchange_graph
+from .pattern import Seed, enumerate_exchange_graph, geometric_seed
 from .poly import LaurentPoly, poly_to_json
 
 Pair = Tuple[int, int]
@@ -153,41 +153,22 @@ def _faces(tri: Triangulation) -> List[Tuple[int, int, int]]:
     return out
 
 
-def _rot_sign(size: int, v: int, far_i: int, far_j: int) -> int:
-    """Sign of the sweep from edge {v, far_i} to {v, far_j} about v.
-
-    +1 when the far endpoints occur in counterclockwise order as seen from v,
-    which on a counterclockwise-numbered convex polygon is position order in
-    the cyclic sequence starting right after v.
-    """
-    pi = (far_i - v - 1) % size
-    pj = (far_j - v - 1) % size
-    return 1 if pi < pj else -1
-
-
-def _face_pair_sign(tri: Triangulation, e_i: Pair, e_j: Pair) -> int:
-    common = set(e_i) & set(e_j)
-    (v,) = common
-    far_i = e_i[0] if e_i[1] == v else e_i[1]
-    far_j = e_j[0] if e_j[1] == v else e_j[1]
-    return _rot_sign(tri.size, v, far_i, far_j)
-
-
 def b_matrix_of(tri: Triangulation) -> List[List[int]]:
-    """Extended exchange matrix: 2n+3 rows (all edges) by n columns (diagonals)."""
+    """Extended exchange matrix: 2n+3 rows (all edges) by n columns (diagonals).
+
+    Each face p < q < r gives b[{p,q}][{p,r}] = b[{p,r}][{q,r}] =
+    b[{q,r}][{p,q}] = +1 and the transposed entries -1 (the clockwise rule);
+    only the columns of diagonals are kept.
+    """
     n = tri.n
-    rows = tri.num_edges
-    B = [[0] * n for _ in range(rows)]
-    for face in _faces(tri):
-        labels = [tri.label_of((face[0], face[1])),
-                  tri.label_of((face[0], face[2])),
-                  tri.label_of((face[1], face[2]))]
-        sides = [tri.pair_of(lab) for lab in labels]
-        for i in range(3):
-            for j in range(3):
-                if i == j or labels[j] > n:
-                    continue
-                B[labels[i] - 1][labels[j] - 1] = _face_pair_sign(tri, sides[i], sides[j])
+    B = [[0] * n for _ in range(tri.num_edges)]
+    for p, q, r in _faces(tri):
+        pq, pr, qr = (tri.label_of(side) - 1 for side in ((p, q), (p, r), (q, r)))
+        for i, j in ((pq, pr), (pr, qr), (qr, pq)):
+            if j < n:
+                B[i][j] = 1
+            if i < n:
+                B[j][i] = -1
     return B
 
 
@@ -205,44 +186,28 @@ def boundary_seed(tri: Triangulation) -> Seed:
     path expansions.
     """
     ext = b_matrix_of(tri)
-    n, m = tri.n, tri.num_edges
-    B = tuple(tuple(row) for row in ext[:n])
-    y = tuple(TropicalElement(tuple(row[i] for row in ext[n:])) for i in range(n))
-    return Seed(n, m - n, B, y, tuple(LaurentPoly.variable(m, i) for i in range(n)))
+    return geometric_seed(ext[: tri.n], ext[tri.n :])
 
 
-def flip(tri: Triangulation, k: int) -> Tuple[Triangulation, Tuple[int, int, int, int]]:
+def flip(tri: Triangulation, k: int) -> Triangulation:
     """Replace diagonal k by the other diagonal of its quadrilateral.
 
-    Returns the new triangulation (the new diagonal keeps label k) and the
-    exchange quadruple (a, c, b, d) of edge labels: the flip relation reads
-    x_k * x_k' = x_a * x_c + x_b * x_d, where a, c are the quadrilateral
-    sides entering the positive product and b, d the negative one.
+    The new diagonal keeps label k.  The flip's exchange relation is column k
+    of b_matrix_of(tri): x_k x_k' is the product of the sides with a +1
+    entry plus the product of the sides with a -1 entry.
     """
     if not 1 <= k <= tri.n:
         raise IndexError(f"can only flip diagonals 1..{tri.n}, got {k}")
     u, w = tri.pair_of(k)
     edge_set = set(tri.edges)
-    thirds = [
+    p, q = (
         t
         for t in range(tri.size)
         if t not in (u, w) and _norm_pair(u, t) in edge_set and _norm_pair(w, t) in edge_set
-    ]
-    if len(thirds) != 2:  # cannot happen on a valid triangulation
-        raise ValueError(f"diagonal {k} is not inside exactly two faces")
-    p, q = thirds
-    plus: List[int] = []
-    minus: List[int] = []
-    diag = tri.pair_of(k)
-    for side in (_norm_pair(u, p), _norm_pair(p, w), _norm_pair(w, q), _norm_pair(q, u)):
-        sign = _face_pair_sign(tri, side, diag)
-        (plus if sign > 0 else minus).append(tri.label_of(side))
-    if len(plus) != 2 or len(minus) != 2:  # pragma: no cover - geometry guarantee
-        raise AssertionError("quadrilateral sides did not split into opposite pairs")
+    )
     new_edges = list(tri.edges)
     new_edges[k - 1] = _norm_pair(p, q)
-    quad = (min(plus), max(plus), min(minus), max(minus))
-    return Triangulation(tri.n, tuple(new_edges)), quad
+    return Triangulation(tri.n, tuple(new_edges))
 
 
 def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None) -> List[Triangulation]:
@@ -251,11 +216,7 @@ def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None)
     Listed in breadth-first order by the exchange-graph search; more than
     `budget` (default DEFAULT_BUDGET) triangulations is an error.
     """
-    return list(
-        enumerate_exchange_graph(
-            start, budget, lambda tri, k: flip(tri, k)[0], lambda tri: frozenset(tri.diagonal_pairs())
-        )
-    )
+    return list(enumerate_exchange_graph(start, budget, flip, lambda tri: frozenset(tri.diagonal_pairs())))
 
 
 # ---- path expansion ----

@@ -63,9 +63,11 @@ WITNESS_CAP = 20
 
 @dataclass
 class Report:
+    """A checker's findings; status and ok are read off the witness list."""
+
     claim: str
     scope: Dict[str, int]
-    status: str  # "verified" | "falsified" | "exploratory"
+    exploratory: bool = False
     witnesses: List[dict] = field(default_factory=list)
     stats: Dict[str, object] = field(default_factory=dict)
     found: int = 0  # witnesses passed to add(), kept or not
@@ -77,32 +79,29 @@ class Report:
             self.witnesses.append(witness)
 
     @property
+    def status(self) -> str:
+        """Exploratory for open searches; otherwise falsified iff a witness was found."""
+        if self.exploratory:
+            return "exploratory"
+        return "falsified" if self.witnesses else "verified"
+
+    @property
     def ok(self) -> bool:
-        if self.status == "verified":
-            return True
-        return self.status == "exploratory" and not self.witnesses
+        return not self.witnesses
 
     def to_json_dict(self) -> dict:
+        """The report's JSON; a scan cut at WITNESS_CAP adds the uncut total
+        as stats["num_witnesses"] after the claim's own stats."""
+        stats = dict(self.stats)
+        if self.found > WITNESS_CAP:
+            stats["num_witnesses"] = self.found
         return {
             "claim": self.claim,
             "scope": dict(self.scope),
             "status": self.status,
             "witnesses": list(self.witnesses),
-            "stats": dict(self.stats),
+            "stats": stats,
         }
-
-
-def _settle(report: Report) -> Report:
-    """Fill in verified/falsified from the witness list; exploratory stays.
-
-    A scan cut at WITNESS_CAP records the uncut witness total in
-    stats["num_witnesses"]; uncut reports carry no such key.
-    """
-    if report.status != "exploratory":
-        report.status = "falsified" if report.witnesses else "verified"
-    if report.found > WITNESS_CAP:
-        report.stats["num_witnesses"] = report.found
-    return report
 
 
 def _logcc_witness(p: LaurentPoly, **extra) -> Optional[dict]:
@@ -173,7 +172,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
     coefficient-free seed.  The two sets must agree, the count must be
     n(n+3)/2, and every numerator must pass the log-concavity check.
     """
-    report = Report("main1", {"rank": n}, "pending")
+    report = Report("main1", {"rank": n})
     tri = zigzag(n)
     by_key: Dict[tuple, LaurentPoly] = {}
     for a, b in _chords(tri.size):
@@ -218,7 +217,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         "num_seeds": num_seeds,
         "max_numerator_coefficient": max_coeff,
     }
-    return _settle(report)
+    return report
 
 
 def verify_coeff_bounds(n: int) -> Report:
@@ -228,7 +227,7 @@ def verify_coeff_bounds(n: int) -> Report:
     variables, which must separate all paths (every coefficient 1); with
     the boundary set to 1 a monomial may only repeat twice.
     """
-    report = Report("coeff012", {"rank": n}, "pending")
+    report = Report("coeff012", {"rank": n})
     tri = zigzag(n)
     diag_pairs = set(tri.diagonal_pairs())
     num_chords = 0
@@ -262,7 +261,7 @@ def verify_coeff_bounds(n: int) -> Report:
                 }
             )
     report.stats = {"num_chords": num_chords, "has_coefficient_two": has_two}
-    return _settle(report)
+    return report
 
 
 def verify_fd(n: int, budget: Optional[int] = None) -> Report:
@@ -279,7 +278,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     (keyed on the polynomial).  The comparisons with seed data run per seed,
     in the order above.
     """
-    report = Report("gyo21", {"rank": n}, "pending")
+    report = Report("gyo21", {"rank": n})
     num_seeds = 0
     facts: Dict[LaurentPoly, Tuple[tuple, tuple]] = {}  # x -> (f-vector, d-vector)
     for idx, st in enumerate(_principal_states(n, budget)):
@@ -339,7 +338,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                     }
                 )
     report.stats = {"num_seeds": num_seeds}
-    return _settle(report)
+    return report
 
 
 def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
@@ -348,7 +347,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     The F-polynomials read only the cluster variables, so the sweep walks
     principal seeds without the companion matrices of _principal_states.
     """
-    report = Report("fpoly", {"rank": n}, "pending")
+    report = Report("fpoly", {"rank": n})
     num_seeds = 0
     fpolys: Dict[tuple, LaurentPoly] = {}
     for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n)), budget):
@@ -366,12 +365,12 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
                 {"kind": "degree-out-of-range", "degrees": list(fvec), "poly": poly_to_json(fp)}
             )
     report.stats = {"num_seeds": num_seeds, "num_f_polynomials": len(fpolys)}
-    return _settle(report)
+    return report
 
 
 def verify_separation(n: int, budget: Optional[int] = None) -> Report:
     """Monomial-times-specialization factorization at every principal seed."""
-    report = Report("separation", {"rank": n}, "pending")
+    report = Report("separation", {"rank": n})
     num_seeds = 0
     for idx, st in enumerate(_principal_states(n, budget)):
         num_seeds += 1
@@ -387,7 +386,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
                 }
             )
     report.stats = {"num_seeds": num_seeds, "num_variables_checked": n * num_seeds}
-    return _settle(report)
+    return report
 
 
 # ---- rank-2 cluster monomials and their expansion constants ----
@@ -619,7 +618,7 @@ def verify_a2_monomials(deg: int) -> Report:
     holds (checked for n up to 30), which is the slice-wise engine behind
     the closed form's log-concavity.
     """
-    report = Report("a2-monomials", {"deg": deg}, "pending")
+    report = Report("a2-monomials", {"deg": deg})
     num_monomials = 0
     for cm in _a2_monomials(deg):
         chart, (m1, m2) = cm.chart, cm.exponents
@@ -659,7 +658,7 @@ def verify_a2_monomials(deg: int) -> Report:
             if _c(nn, kk) ** 2 < _c(nn - 1, kk) * _c(nn + 1, kk):
                 report.add({"kind": "binomial-inequality", "n": nn, "k": kk})
     report.stats = {"num_monomials": num_monomials, "binomial_rows": binom_rows}
-    return _settle(report)
+    return report
 
 
 def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Report:
@@ -672,7 +671,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
     """
     if deg < 0:
         raise ValueError("degree bound must be nonnegative")
-    report = Report("conj-an", {"rank": n, "deg": deg}, "exploratory")
+    report = Report("conj-an", {"rank": n, "deg": deg}, exploratory=True)
     seeds = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget)
     num_clusters = 0
     seen = set()
@@ -693,7 +692,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
         "num_monomials": len(seen),
         "max_numerator_coefficient": max_coeff,
     }
-    return _settle(report)
+    return report
 
 
 def explore_a2_structure_constants(deg: int) -> Report:
@@ -705,7 +704,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
     residual, every constant is nonnegative, and each chart's table of
     constants is log-concave.
     """
-    report = Report("conj1-a2", {"deg": deg}, "exploratory")
+    report = Report("conj1-a2", {"deg": deg}, exploratory=True)
     basis = a2_basis(deg)
     lead_index = {e.leading: i for i, e in enumerate(basis)}
     nonconstant = [i for i, e in enumerate(basis) if e.degree > 0]
@@ -763,7 +762,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
         "max_constant": max_constant,
         "num_unresolved": num_unresolved,
     }
-    return _settle(report)
+    return report
 
 
 # Claim identifier -> checker of (rank, deg, budget), in the order the CLI lists them.

@@ -5,7 +5,7 @@ loops, no shared code with the package internals beyond the public term
 representation.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Dict, Tuple
 
 from cluster_logcc import (
@@ -314,3 +314,29 @@ def free_path_sum(tri, a, b):
         e = tuple(exps)
         terms[e] = terms.get(e, 0) + 1
     return LaurentPoly(tri.n, terms)
+
+
+def rotation_b_matrix(tri):
+    """The extended exchange matrix by the rotation rule, face by face.
+
+    Two sides sharing a vertex v in a common triangle get +1 when sweeping
+    the first onto the second about v through the triangle turns
+    counterclockwise; with vertices numbered counterclockwise that compares
+    the cyclic positions of the far endpoints after v.
+    """
+    n, size = tri.n, tri.size
+    edges = set(tri.edges)
+    B = [[0] * n for _ in range(tri.num_edges)]
+    for face in combinations(range(size), 3):
+        sides = list(combinations(face, 2))
+        if not edges.issuperset(sides):
+            continue
+        for e_i, e_j in permutations(sides, 2):
+            j = tri.label_of(e_j)
+            if j > n:
+                continue
+            (v,) = set(e_i) & set(e_j)
+            far_i, far_j = (e[0] if e[1] == v else e[1] for e in (e_i, e_j))
+            before = (far_i - v - 1) % size < (far_j - v - 1) % size
+            B[tri.label_of(e_i) - 1][j - 1] = 1 if before else -1
+    return B

@@ -16,6 +16,9 @@ an argument.
 Every import sits at module level.  The module graph runs one way, poly ->
 pattern -> polygon -> verify; an import inside a function is how a cycle
 against that order would hide.
+
+Every module-level import in the package (bar the re-exporting __init__.py)
+and in the tests is used, as a name or as the root of an attribute chain.
 """
 
 import ast
@@ -23,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cluster_logcc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cluster_logcc"
 MODULES = ["poly.py", "pattern.py", "polygon.py", "verify.py"]
 BROAD = {"BaseException", "Exception", "ArithmeticError", "InexactDivisionError"}
 
@@ -97,3 +101,39 @@ def test_module_stays_exact(module):
 )
 def test_guard_sees_each_breach(source):
     assert len(list(_breaches(ast.parse(source)))) == 1
+
+
+def _unused_imports(tree: ast.Module):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    yield node.lineno, bound
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_every_import_is_used(path):
+    assert list(_unused_imports(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+@pytest.mark.parametrize(
+    "source,unused",
+    [
+        ("import os", ["os"]),
+        ("import os.path\nos.sep", []),
+        ("from a import b as c\nb()", ["c"]),
+        ("from a import b, c\nx = b.d", ["c"]),
+        ("from __future__ import annotations", []),
+        ("from a import T\ndef f(x: T): pass", []),
+    ],
+)
+def test_import_guard_sees_unused_names(source, unused):
+    assert [name for _, name in _unused_imports(ast.parse(source))] == unused

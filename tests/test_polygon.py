@@ -4,10 +4,10 @@ from fractions import Fraction
 from cluster_logcc import (
     LaurentPoly,
     TPath,
-    Triangulation,
     a_n_matrix,
     assert_valid_t_path,
     b_matrix_of,
+    boundary_seed,
     cluster_variables,
     coefficient_free_seed,
     crosses,
@@ -20,6 +20,7 @@ from cluster_logcc import (
     flip,
     from_diagonals,
     intersection_parameter,
+    mutate,
     mutate_matrix,
     normalize_denominator,
     principal_b_matrix,
@@ -29,7 +30,7 @@ from cluster_logcc import (
     zigzag,
 )
 from cluster_logcc.polygon import boundary_to_one
-from oracles import free_path_sum
+from oracles import free_path_sum, rotation_b_matrix
 
 
 # ---- construction and crossing ----
@@ -128,32 +129,35 @@ def test_fan_matrix():
     assert principal_b_matrix(fan(3)) == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_face_rule_matches_rotation_rule(n):
+    for tri in enumerate_triangulations(zigzag(n)):
+        assert b_matrix_of(tri) == rotation_b_matrix(tri)
+
+
 # ---- flips ----
 
 
-def test_flip_keeps_label_and_returns_quad():
+def test_flip_keeps_label_and_column_gives_exchange():
     tri = zigzag(3)
-    out, quad = flip(tri, 2)
-    assert out.pair_of(2) == (2, 5)
-    assert quad == (6, 9, 1, 3)  # x2 x2' = x6 x9 + x1 x3
+    assert flip(tri, 2).pair_of(2) == (2, 5)
+    # x2 x2' = x6 x9 + x1 x3: column 2 is +1 on rows 6, 9 and -1 on rows 1, 3
+    column = {lab: row[1] for lab, row in enumerate(b_matrix_of(tri), 1) if row[1]}
+    assert column == {6: 1, 9: 1, 1: -1, 3: -1}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_flip_is_involutive_and_tracks_matrix_mutation(n):
     for tri in enumerate_triangulations(zigzag(n)):
         B = principal_b_matrix(tri)
+        seed = boundary_seed(tri)
         for k in range(1, n + 1):
-            out, quad = flip(tri, k)
-            back, _ = flip(out, k)
-            assert back == tri
+            out = flip(tri, k)
+            assert flip(out, k) == tri
             assert principal_b_matrix(out) == mutate_matrix(B, k)
-            # the exchange quadruple matches the matrix column of k
-            ext = b_matrix_of(tri)
-            plus = sorted(lab for lab in range(1, 2 * n + 4)
-                          if lab != k and ext[lab - 1][k - 1] > 0)
-            minus = sorted(lab for lab in range(1, 2 * n + 4)
-                           if lab != k and ext[lab - 1][k - 1] < 0)
-            assert sorted(quad[:2]) == plus and sorted(quad[2:]) == minus
+            # the boundary rows move with the flip too
+            flipped, mutated = boundary_seed(out), mutate(seed, k)
+            assert (flipped.B, flipped.y) == (mutated.B, mutated.y)
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 14), (4, 42), (5, 132)])
