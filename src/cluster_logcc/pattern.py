@@ -18,13 +18,13 @@ are exercised against frozen expected values in the test suite.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from fractions import Fraction
-from operator import index
+from operator import index, itemgetter
 
 from .poly import LaurentPoly, poly_from_json, poly_to_json
 
@@ -157,7 +157,9 @@ class Seed:
     """A labeled seed: cluster, coefficients, exchange matrix.
 
     history records the mutation directions that produced the seed and is
-    excluded from equality and hashing.
+    excluded from equality and hashing.  labels, set only inside a sweep,
+    holds one small int per cluster variable from that sweep's intern
+    table; it is excluded from equality, hashing, repr and seed_to_json.
     """
 
     n: int
@@ -166,6 +168,7 @@ class Seed:
     y: Tuple[TropicalElement, ...]
     cluster: Tuple[LaurentPoly, ...]
     history: Tuple[int, ...] = field(default=(), compare=False)
+    labels: Optional[Tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def num_vars(self) -> int:
@@ -196,17 +199,48 @@ def principal_seed(B: Sequence[Sequence[int]]) -> Seed:
     return geometric_seed(B, _identity(len(B)))
 
 
-def mutate(seed: Seed, k: int, memo: Optional[dict] = None) -> Seed:
+def _labelled(seed: Seed, table: dict) -> Seed:
+    """seed with its cluster labelled from table, whatever labels it carried.
+
+    table maps a variable's key() to its label; a variable met for the
+    first time gets the next free int.
+    """
+    return replace(seed, labels=tuple(table.setdefault(x.key(), len(table)) for x in seed.cluster))
+
+
+def _exchange_quotient(
+    seed: Seed, kk: int, ck: Tuple[int, ...], ck_plus: Tuple[int, ...]
+) -> LaurentPoly:
+    """The exchange binomial at 0-based kk divided by the outgoing variable."""
+    n, m = seed.n, seed.num_vars
+    zero_x = (0,) * n
+    pos = LaurentPoly.monomial(m, zero_x + ck_plus)
+    neg = LaurentPoly.monomial(m, zero_x + tuple(max(-c, 0) for c in ck))
+    for j in range(n):
+        bjk = seed.B[j][kk]
+        if bjk > 0:
+            pos = pos * seed.cluster[j] ** bjk
+        elif bjk < 0:
+            neg = neg * seed.cluster[j] ** (-bjk)
+    return (pos + neg).div_exact(seed.cluster[kk])
+
+
+def mutate(
+    seed: Seed, k: int, *, memo: Optional[dict] = None, table: Optional[dict] = None
+) -> Seed:
     """Seed mutation in direction k (1-based).
 
     The new variable is the exchange binomial divided by the old one; that
     division must be exact (InexactDivisionError here means the ambient
     arithmetic or the seed data is corrupt, and aborts the computation).
-    A sweep passes each of its steps one exchange memo, a dict keyed on
-    everything the binomial and the division read: the outgoing variable,
-    y_k and the multiset of (b_jk, x_j) with b_jk != 0.  The new variable is
-    looked up there and stored once computed; a failed division stores
-    nothing.  Without a memo it is always computed.
+    Without a memo it is always computed, and the new seed has no labels.
+    A sweep passes each of its steps one exchange memo and one intern
+    table, and its seeds carry labels from that table.  The memo is keyed
+    on everything the binomial and the division read, by label: the
+    outgoing variable, y_k and the sorted (b_jk, x_j) with b_jk != 0.  On a
+    miss the new variable is computed, interned in the table once and
+    stored with its label; a failed division stores nothing.  Either way
+    the new seed's labels are the old ones with position k replaced.
     The coefficients change as the frozen rows of the extended exchange
     matrix: y_k is negated, and for b_ki != 0 entry t of y_i becomes
     c_ti + [c_tk]_+ b_ki + c_tk [-b_ki]_+.  When y_k is 1 (every exponent
@@ -218,27 +252,23 @@ def mutate(seed: Seed, k: int, memo: Optional[dict] = None) -> Seed:
     kk = k - 1
     ck = seed.y[kk].exponents
     ck_plus = tuple(max(c, 0) for c in ck)
-    new_x = None
-    if memo is not None:
-        neighbours = Counter(
-            (seed.B[j][kk], seed.cluster[j]) for j in range(n) if seed.B[j][kk]
+    if memo is None:
+        new_x, labels = _exchange_quotient(seed, kk, ck, ck_plus), None
+    else:
+        labels = seed.labels
+        if labels is None or table is None:
+            raise ValueError("a memoised mutation needs a seed labelled from its table")
+        exchange = (
+            labels[kk],
+            ck,
+            tuple(sorted([(b, label) for row, label in zip(seed.B, labels) if (b := row[kk])])),
         )
-        exchange = (seed.cluster[kk], ck, frozenset(neighbours.items()))
-        new_x = memo.get(exchange)
-    if new_x is None:
-        m = seed.num_vars
-        zero_x = (0,) * n
-        pos = LaurentPoly.monomial(m, zero_x + ck_plus)
-        neg = LaurentPoly.monomial(m, zero_x + tuple(max(-c, 0) for c in ck))
-        for j in range(n):
-            bjk = seed.B[j][kk]
-            if bjk > 0:
-                pos = pos * seed.cluster[j] ** bjk
-            elif bjk < 0:
-                neg = neg * seed.cluster[j] ** (-bjk)
-        new_x = (pos + neg).div_exact(seed.cluster[kk])
-        if memo is not None:
-            memo[exchange] = new_x
+        found = memo.get(exchange)
+        if found is None:
+            new_x = _exchange_quotient(seed, kk, ck, ck_plus)
+            found = memo[exchange] = (table.setdefault(new_x.key(), len(table)), new_x)
+        label, new_x = found
+        labels = labels[:kk] + (label,) + labels[k:]
 
     new_y = list(seed.y)
     if any(ck):  # y_k = 1 leaves every coefficient as it is
@@ -263,6 +293,7 @@ def mutate(seed: Seed, k: int, memo: Optional[dict] = None) -> Seed:
         tuple(new_y),
         tuple(new_cluster),
         seed.history + (k,),
+        labels,
     )
 
 
@@ -355,11 +386,13 @@ def principal_state(B: Sequence[Sequence[int]]) -> PatternState:
     return PatternState(seed, _identity(n), _identity(n), initial_d_matrix(n), seed.B)
 
 
-def state_step(state: PatternState, k: int, memo: Optional[dict] = None) -> PatternState:
-    """Mutate the seed in direction k (memo as for mutate) and its companions."""
+def state_step(
+    state: PatternState, k: int, *, memo: Optional[dict] = None, table: Optional[dict] = None
+) -> PatternState:
+    """Mutate the seed in direction k (memo and table as for mutate) and its companions."""
     C2, G2 = cg_step(state.C, state.G, state.seed.B, state.B0, k)
     D2 = d_vector_step(state.D, state.seed.B, k)
-    return PatternState(mutate(state.seed, k, memo=memo), C2, G2, D2, state.B0)
+    return PatternState(mutate(state.seed, k, memo=memo, table=table), C2, G2, D2, state.B0)
 
 
 class FData(NamedTuple):
@@ -427,7 +460,23 @@ def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, Laure
 
 
 def canonical_seed_key(seed: Seed) -> tuple:
-    """Canonical form under simultaneous permutation of cluster positions."""
+    """Canonical form under simultaneous permutation of cluster positions.
+
+    A labelled seed is named by its sorted labels, with y and B permuted by
+    the same order; labels mean something only within their sweep, so such
+    keys are compared only with keys from the same sweep.  An unlabelled
+    seed is named by its variables' key()s and is comparable everywhere.
+    """
+    labels = seed.labels
+    if labels is not None:
+        if seed.n == 1:  # itemgetter of one index returns the item, not a tuple
+            return (labels, (seed.y[0].exponents,), seed.B)
+        pick = itemgetter(*sorted(range(seed.n), key=labels.__getitem__))
+        return (
+            pick(labels),
+            tuple([t.exponents for t in pick(seed.y)]),
+            tuple(map(pick, pick(seed.B))),
+        )
     perm = sorted(range(seed.n), key=lambda i: seed.cluster[i].key())
     return (
         seed.n,
@@ -448,11 +497,15 @@ def enumerate_exchange_graph(
 
     step(s, k) is the neighbour of s in direction k (1..s.n) and key(s) names
     its class.  They are looked up when the search starts: key defaults to
-    canonical_seed_key, and step to mutate with an exchange memo of this
-    search's own, so each distinct exchange relation is multiplied out and
-    divided once.  The same search walks principal states and triangulation
-    flips.  Seeds are identified when they differ only by a simultaneous
-    permutation of cluster entries, coefficients, and matrix rows/columns.
+    canonical_seed_key, and step to mutate with an exchange memo and an
+    intern table of this search's own, so each distinct exchange relation is
+    multiplied out and divided once.  The default step labels the start from
+    that fresh table, whatever labels it carried from another sweep; a
+    given step gets a seed start without labels, since they belong to the
+    table of the sweep that made them.  The same search walks principal
+    states and triangulation flips.  Seeds are identified when they differ
+    only by a simultaneous permutation of cluster entries, coefficients, and
+    matrix rows/columns.
     Each class is yielded once, as the first seed that reached it, in the
     order reached, starting with seed itself; the search holds only the class
     keys and the queue of classes still to expand.  The first step that
@@ -462,7 +515,11 @@ def enumerate_exchange_graph(
     if budget is None:
         budget = DEFAULT_BUDGET
     if step is None:
-        step = partial(mutate, memo={})
+        table: dict = {}
+        seed = _labelled(seed, table)
+        step = partial(mutate, memo={}, table=table)
+    elif isinstance(seed, Seed) and seed.labels is not None:
+        seed = replace(seed, labels=None)
     if key is None:
         key = canonical_seed_key
     seen = {key(seed)}

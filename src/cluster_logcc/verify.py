@@ -32,7 +32,7 @@ Claim identifiers accepted by run_claim:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product as iter_product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -46,6 +46,7 @@ from .poly import (
 from .pattern import (
     Matrix,
     PatternState,
+    _labelled,
     a_n_matrix,
     canonical_seed_key,
     check_separation,
@@ -154,11 +155,14 @@ def _principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
     Breadth-first over seeds up to relabeling, yielded as found; the
     companion matrices stored for a seed follow the labeling of the first
     path that reached it, which keeps columns aligned with cluster positions.
+    One exchange memo and one intern table serve the sweep; its start is
+    labelled from the fresh table.
     """
-    step = partial(state_step, memo={})  # one exchange memo for the sweep
-    return enumerate_exchange_graph(
-        principal_state(a_n_matrix(n)), budget, step, lambda st: canonical_seed_key(st.seed)
-    )
+    table: dict = {}
+    start = principal_state(a_n_matrix(n))
+    start = replace(start, seed=_labelled(start.seed, table))
+    step = partial(state_step, memo={}, table=table)
+    return enumerate_exchange_graph(start, budget, step, lambda st: canonical_seed_key(st.seed))
 
 
 # ---- claim checkers ----

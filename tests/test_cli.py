@@ -100,8 +100,8 @@ def test_inexact_division_is_an_error_not_a_finding(capsys, monkeypatch):
 
     honest = pattern.mutate
 
-    def corrupt_y(seed, k, memo=None):
-        s = honest(seed, k, memo=memo)
+    def corrupt_y(seed, k, *, memo=None, table=None):
+        s = honest(seed, k, memo=memo, table=table)
         y = list(s.y)
         exps = list(y[k - 1].exponents)
         exps[0] += 1

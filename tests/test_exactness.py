@@ -10,8 +10,8 @@ each one once it is expanded, so a new object can take a dead one's id;
 a cache keyed on id() would then hand out another object's facts.
 
 Nor do they pass state between calls by a side channel: no ContextVar
-and no global statement.  A sweep hands its exchange memo to each step as
-an argument.
+and no global statement.  A sweep hands its exchange memo and intern table
+to each step as arguments.
 
 Every import sits at module level.  The module graph runs one way, poly ->
 pattern -> polygon -> verify; an import inside a function is how a cycle
@@ -19,6 +19,10 @@ against that order would hide.
 
 Every module-level import in the package (bar the re-exporting __init__.py)
 and in the tests is used, as a name or as the root of an attribute chain.
+
+Only pattern.py reads or writes a seed's labels.  Labels are ints from one
+sweep's intern table and mean nothing outside it; code elsewhere that kept
+or compared them would carry one sweep's names into another.
 """
 
 import ast
@@ -137,3 +141,33 @@ def test_every_import_is_used(path):
 )
 def test_import_guard_sees_unused_names(source, unused):
     assert [name for _, name in _unused_imports(ast.parse(source))] == unused
+
+
+def _label_uses(tree: ast.AST):
+    """Lines naming a seed's labels: the attribute, a keyword or a string."""
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Attribute) and node.attr == "labels")
+            or (isinstance(node, ast.keyword) and node.arg == "labels")
+            or (isinstance(node, ast.Constant) and node.value == "labels")
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_pattern_touches_seed_labels(path):
+    uses = list(_label_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    assert bool(uses) == (path.name == "pattern.py"), uses
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = seed.labels",
+        "seed.labels[0]",
+        "s = replace(seed, labels=None)",
+        "getattr(seed, 'labels')",
+    ],
+)
+def test_label_guard_sees_each_use(source):
+    assert len(list(_label_uses(ast.parse(source)))) == 1

@@ -1,7 +1,8 @@
 import itertools
+import json
 import random
 import weakref
-from functools import partial
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from oracles import (
     trop_split_pm,
 )
 
+import cluster_logcc.pattern as pattern
 import cluster_logcc.verify as verify
 from cluster_logcc import (
     InexactDivisionError,
@@ -50,6 +52,7 @@ from cluster_logcc import (
     state_step,
     zigzag,
 )
+from cluster_logcc.pattern import _labelled
 from cluster_logcc.verify import _principal_states
 
 B2 = ((0, 1), (-1, 0))
@@ -480,9 +483,9 @@ def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):
     calls = []
     honest = verify.state_step
 
-    def counted(state, k, memo=None):
+    def counted(state, k, *, memo=None, table=None):
         calls.append(k)
-        return honest(state, k, memo=memo)
+        return honest(state, k, memo=memo, table=table)
 
     monkeypatch.setattr(verify, "state_step", counted)
     with pytest.raises(RuntimeError, match="not closed within budget"):
@@ -503,6 +506,33 @@ def _sweep_cases():
         yield pytest.param(principal_seed(B), None, id=f"principal-{name}")
     yield pytest.param(coefficient_free_seed(a_n_matrix(4)), 20, id="free-A4-budget-20")
     yield pytest.param(principal_seed(a_n_matrix(5)), 50, id="principal-A5-budget-50")
+
+
+def _unlabelled(s):
+    """s without sweep labels: the twin a caller outside any sweep sees."""
+    return replace(s, labels=None)
+
+
+def _spy_on_mutate(monkeypatch, log=None):
+    """Wrap the mutate that sweeps' default steps call.
+
+    Returns the (memo, table) pairs handed to it, in order of first use.
+    With a log, each step's direction and the class it reaches, named by
+    the table-free key, are appended to it.
+    """
+    sweeps = []
+    honest = pattern.mutate
+
+    def spied(seed, k, *, memo=None, table=None):
+        if not any(m is memo for m, _ in sweeps):
+            sweeps.append((memo, table))
+        t = honest(seed, k, memo=memo, table=table)
+        if log is not None:
+            log.append((k, canonical_seed_key(_unlabelled(t))))
+        return t
+
+    monkeypatch.setattr(pattern, "mutate", spied)
+    return sweeps
 
 
 def _recording(step, log):
@@ -528,13 +558,10 @@ def _drain(sweep):
 
 
 @pytest.mark.parametrize("seed,budget", _sweep_cases())
-def test_memoised_sweep_matches_plain_sweep(seed, budget):
+def test_memoised_sweep_matches_plain_sweep(monkeypatch, seed, budget):
     got_steps, want_steps = [], []
-    got, got_error = _drain(
-        enumerate_exchange_graph(
-            seed, budget, step=_recording(partial(mutate, memo={}), got_steps)
-        )
-    )
+    _spy_on_mutate(monkeypatch, got_steps)
+    got, got_error = _drain(enumerate_exchange_graph(seed, budget))
     want, want_error = _drain(
         plain_exchange_graph(seed, budget, step=_recording(plain_mutate, want_steps))
     )
@@ -547,14 +574,125 @@ def test_memoised_sweep_matches_plain_sweep(seed, budget):
     assert got_steps == want_steps
 
 
-def test_exchange_memo_lives_for_one_sweep():
+def _split_alike(pairs):
+    """Whether two keys, paired seed by seed, split the seeds into the same classes.
+
+    Equal first keys must mean equal second keys and the other way round:
+    every distinct pair then has a first and a second key of its own.
+    """
+    return len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(set(pairs))
+
+
+def _pairing_key(pairs):
+    """canonical_seed_key, pairing each labelled key with the table-free one."""
+
+    def key(s):
+        assert s.labels is not None
+        pairs.append((canonical_seed_key(s), canonical_seed_key(_unlabelled(s))))
+        return pairs[-1][0]
+
+    return key
+
+
+@pytest.mark.parametrize("seed,budget", _sweep_cases())
+def test_labelled_key_splits_classes_like_the_table_free_key(seed, budget):
+    pairs = []
+    got, _ = _drain(enumerate_exchange_graph(seed, budget, key=_pairing_key(pairs)))
+    # every step's key is compared: the start's, then n per expanded seed
+    # (a budget cut stops inside an expansion)
+    assert len(pairs) > len(got)
+    if budget is None:
+        assert len(pairs) == 1 + seed.n * len(got)
+    assert _split_alike(pairs)
+    assert len({b for _, b in pairs}) >= len(got)
+    # a key that splits nothing apart, or everything, fails the check
+    assert not _split_alike([(0, b) for _, b in pairs]) or len(got) == 1
+    assert not _split_alike([(i, b) for i, (_, b) in enumerate(pairs)])
+
+
+def _permuted(s, perm):
+    """s with its positions reordered by perm, labels included."""
+    return replace(
+        s,
+        B=tuple(tuple(s.B[i][j] for j in perm) for i in perm),
+        y=tuple(s.y[i] for i in perm),
+        cluster=tuple(s.cluster[i] for i in perm),
+        labels=tuple(s.labels[i] for i in perm),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_labelled_key_keeps_b_and_y(n):
+    # In a sweep the cluster fixes the seed, so sweeps cannot show a key that
+    # drops B or y; these hand-made seeds share a cluster and labels.
+    s = _labelled(principal_seed(a_n_matrix(n)), {})
+    seeds = [
+        s,
+        replace(s, y=tuple(TropicalElement(tuple(-c for c in t.exponents)) for t in s.y)),
+        replace(s, B=tuple(tuple(-b for b in row) for row in s.B)),
+        _permuted(s, list(reversed(range(n)))),  # the same class as s
+    ]
+    if n > 1:
+        seeds.append(replace(s, y=s.y[1:] + s.y[:1]))
+    pairs = [(canonical_seed_key(t), canonical_seed_key(_unlabelled(t))) for t in seeds]
+    assert _split_alike(pairs)
+    # at rank 1, negating B = ((0,),) changes nothing
+    assert pairs[3][0] == pairs[0][0] and len(set(pairs)) == (2 if n == 1 else 4)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_principal_state_keys_split_classes_like_the_table_free_key(monkeypatch, n):
+    pairs = []
+    monkeypatch.setattr(verify, "canonical_seed_key", _pairing_key(pairs))
+    states = list(_principal_states(n, None))
+    assert len(pairs) == 1 + n * len(states)
+    assert _split_alike(pairs)
+    assert len({b for _, b in pairs}) == len(states)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [coefficient_free_seed(a_n_matrix(4)), principal_seed(a_n_matrix(4))],
+    ids=["free-A4", "principal-A4"],
+)
+def test_a_yielded_seed_restarts_like_a_fresh_one(start):
+    *_, late = enumerate_exchange_graph(start)
+    # labels from the first sweep, which a fresh table would hand to other variables
+    assert sorted(late.labels) != list(range(late.n))
+    want = [(t.history, t.B, t.y, t.cluster) for t in enumerate_exchange_graph(_unlabelled(late))]
+    assert len(want) == 42
+    # the default step labels the start afresh; a given step gets it unlabelled
+    for step in (None, mutate, plain_mutate):
+        again = list(enumerate_exchange_graph(late, step=step))
+        assert [(s.history, s.B, s.y, s.cluster) for s in again] == want
+        assert again[0].labels == (tuple(range(late.n)) if step is None else None)
+
+
+def test_labels_stay_out_of_equality_hash_repr_and_json():
+    *_, late = enumerate_exchange_graph(principal_seed(a_n_matrix(3)))
+    twin = _unlabelled(late)
+    assert late.labels is not None
+    assert json.dumps(seed_to_json(late)) == json.dumps(seed_to_json(twin))
+    assert late == twin and hash(late) == hash(twin) and repr(late) == repr(twin)
+    # a mutation without a memo computes, and leaves the sweep's labels behind
+    assert mutate(late, 1).labels is None
+    # a memo needs labels from its own table
+    with pytest.raises(ValueError, match="labelled"):
+        mutate(twin, 1, memo={}, table={})
+    with pytest.raises(ValueError, match="labelled"):
+        mutate(late, 1, memo={})
+
+
+def test_exchange_memo_lives_for_one_sweep(monkeypatch):
+    sweeps = _spy_on_mutate(monkeypatch)
     start = coefficient_free_seed(a_n_matrix(3))
-    memo = {}
-    g = list(enumerate_exchange_graph(start, step=partial(mutate, memo=memo)))
+    g = list(enumerate_exchange_graph(start))
+    [(memo, table)] = sweeps
     assert len(memo) == 2 * 15  # two flip directions of each of the hexagon's 15 quadrilaterals
+    assert len(table) == 9  # each of the 9 variables interned once
     # every variable in the sweep is an initial one or a memo entry, shared
     objects = {id(x) for t in g for x in t.cluster}
-    assert objects <= {id(x) for x in start.cluster} | {id(x) for x in memo.values()}
+    assert objects <= {id(x) for x in start.cluster} | {id(x) for _, x in memo.values()}
     # a default sweep shares its variables through a memo of its own: no
     # variable object carries over from the sweep above
     again = {id(x) for t in list(enumerate_exchange_graph(start)) for x in t.cluster}
@@ -564,13 +702,11 @@ def test_exchange_memo_lives_for_one_sweep():
     assert mutate(start, 2).cluster[1] is not mutate(start, 2).cluster[1]
 
 
-def test_interleaved_sweeps_keep_their_own_memos():
+def test_interleaved_sweeps_keep_their_own_memos(monkeypatch):
     starts = coefficient_free_seed(a_n_matrix(4)), principal_seed(a_n_matrix(3))
     alone = [list(enumerate_exchange_graph(s)) for s in starts]
-    memos = [{}, {}]
-    a, b = (
-        enumerate_exchange_graph(s, step=partial(mutate, memo=m)) for s, m in zip(starts, memos)
-    )
+    sweeps = _spy_on_mutate(monkeypatch)
+    a, b = (enumerate_exchange_graph(s) for s in starts)
     together = [[], []]
     for s, t in itertools.zip_longest(a, b):
         for got, u in zip(together, (s, t)):
@@ -582,7 +718,9 @@ def test_interleaved_sweeps_keep_their_own_memos():
             (t.history, t.B, t.y, t.cluster) for t in want
         ]
     # 2 C(n+3, 4) exchanges each, one per flip direction of each quadrilateral
-    assert [len(m) for m in memos] == [70, 30]
+    assert [len(memo) for memo, _ in sweeps] == [70, 30]
+    # and n(n+3)/2 variables each, interned once
+    assert [len(table) for _, table in sweeps] == [14, 9]
 
 
 def test_sweep_holds_only_its_queue():
@@ -617,32 +755,33 @@ def test_exchange_memo_keeps_apart_exchanges_with_different_binomials():
         seed((2, 0), (1, 0)),  # (y1 x2^2 + 1) / x1 again, under another key
         seed((1, 1), (1, 0)),  # the first exchange again: a memo hit
     ]
-    memo = {}
-    got = [mutate(c, 1, memo=memo).cluster[0] for c in cases]
+    memo, table = {}, {}
+    got = [mutate(_labelled(c, table), 1, memo=memo, table=table).cluster[0] for c in cases]
     assert len(memo) == 7
     assert got == [plain_mutate(c, 1).cluster[0] for c in cases]
     assert got[-1] is got[0]
     assert len({g.key() for g in got}) == 6
 
 
-def test_inexact_division_inside_a_sweep_propagates_and_is_not_cached():
+def test_inexact_division_inside_a_sweep_propagates_and_is_not_cached(monkeypatch):
     x1, x2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
     # direction 1 divides x2 + 2 by x1 (exact); direction 2 divides x1 + 1
     # by the corrupt entry x2 + 1 (inexact)
     bad = Seed(2, 0, B2, coefficient_free_seed(B2).y, (x1, x2 + LaurentPoly.const(2, 1)))
     failures = []
-    memo = {}
+    honest = pattern.mutate
 
-    def step(s, k):
+    def retrying(s, k, *, memo, table):
         for _ in range(2):  # a failed exchange is not remembered, so it fails again
             try:
-                return mutate(s, k, memo=memo)
+                return honest(s, k, memo=memo, table=table)
             except InexactDivisionError:
                 failures.append(len(memo))
-        return mutate(s, k, memo=memo)
+        return honest(s, k, memo=memo, table=table)
 
+    monkeypatch.setattr(pattern, "mutate", retrying)
     with pytest.raises(InexactDivisionError):
-        list(enumerate_exchange_graph(bad, step=step))
+        list(enumerate_exchange_graph(bad))
     assert failures == [1, 1]  # only direction 1's exchange is in the memo
 
 
