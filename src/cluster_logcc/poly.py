@@ -340,28 +340,36 @@ def is_log_concave(p: LaurentPoly) -> LogConcavityResult:
     Returns the first violated (axis, point) in a deterministic scan order:
     axes ascending, then lines sorted by their remaining coordinates, then
     positions ascending.
+
+    With positive coefficients the right side is nonzero only when both
+    neighbours are terms, so a point can fail only one step above a term
+    that has another term two steps above it on the same axis.  One pass
+    over the terms per axis checks exactly those points, reading the middle
+    coefficient as 0 when it is absent, and keeps the least failing
+    (remaining coordinates, position): the scan order above is unchanged.
     """
     if not p:
         raise ValueError("log-concavity is undefined for the zero polynomial")
-    for e, c in p.terms.items():
+    terms = p.terms
+    for e, c in terms.items():
         if c < 0:
             raise ValueError(f"negative coefficient {c} at {e}")
-    m = p.num_vars
-    for axis in range(m):
-        lines: dict = {}
-        for e, c in p.terms.items():
-            rest = e[:axis] + e[axis + 1 :]
-            lines.setdefault(rest, {})[e[axis]] = c
-        for rest in sorted(lines):
-            vals = lines[rest]
-            lo, hi = min(vals), max(vals)
-            for i in range(lo, hi + 1):
-                mid = vals.get(i, 0)
-                left = vals.get(i - 1, 0)
-                right = vals.get(i + 1, 0)
-                if mid * mid < left * right:
-                    point = rest[:axis] + (i,) + rest[axis:]
-                    return LogConcavityResult(False, axis, point)
+    get = terms.get
+    for axis in range(p.num_vars):
+        first = None  # least failing (remaining coordinates, position)
+        for e, right in terms.items():
+            head, i, tail = e[:axis], e[axis], e[axis + 1 :]
+            left = get(head + (i - 2,) + tail)
+            if left is None:
+                continue
+            mid = get(head + (i - 1,) + tail, 0)
+            if mid * mid < left * right:
+                fail = (head + tail, i - 1)
+                if first is None or fail < first:
+                    first = fail
+        if first is not None:
+            rest, i = first
+            return LogConcavityResult(False, axis, rest[:axis] + (i,) + rest[axis:])
     return LogConcavityResult(True, None, None)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .pattern import Seed, enumerate_exchange_graph, geometric_seed
 from .poly import LaurentPoly, poly_to_json
@@ -368,8 +368,13 @@ def expand_variable(tri: Triangulation, a: int, b: int) -> LaurentPoly:
     The sum lives in all 2n+3 edge variables, boundary edges kept as frozen
     variables; boundary_to_one turns it into the coefficient-free variable.
     """
+    return _path_sum(tri, enumerate_t_paths(tri, a, b))
+
+
+def _path_sum(tri: Triangulation, paths: Iterable[TPath]) -> LaurentPoly:
+    """The sum of the paths' monomials in all 2n+3 edge variables, one add per path."""
     total = LaurentPoly.zero(tri.num_edges)
-    for path in enumerate_t_paths(tri, a, b):
+    for path in paths:
         total = total + tpath_monomial(tri, path)
     return total
 

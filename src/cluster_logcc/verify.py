@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import product as iter_product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
@@ -436,33 +435,57 @@ def _powers(z: LaurentPoly, deg: int) -> List[LaurentPoly]:
     return table
 
 
+def _exponent_vectors(n: int, deg: int) -> List[Tuple[int, ...]]:
+    """The exponent vectors of length n with sum at most deg, in ascending
+    lexicographic order: one extension step per coordinate, none discarded."""
+    vectors: List[Tuple[int, ...]] = [()]
+    for _ in range(n):
+        vectors = [v + (e,) for v in vectors for e in range(deg + 1 - sum(v))]
+    return vectors
+
+
 def _cluster_monomials(
     clusters: Iterable[Sequence[LaurentPoly]], deg: int
 ) -> Iterator[Tuple[int, Tuple[int, ...], LaurentPoly]]:
-    """Every monomial of total degree at most deg in each cluster's variables.
+    """The monomials of total degree at most deg in each cluster's variables,
+    each product of two or more variables formed in one cluster only.
 
     Yields (cluster index, exponents, value): clusters in sequence, then
     exponent vectors in ascending lexicographic order.  Each distinct
     variable's powers come from one _powers table per call, keyed on its
     key(), so clusters that share a variable share its table; only nonzero
-    factors are multiplied.
+    factors are multiplied.  Each distinct variable also gets one bit, and a
+    product of two or more variables whose variable set an earlier cluster
+    also held is skipped before any multiplication: that cluster already
+    yielded the same polynomial.  The constant and the powers of a single
+    variable are yielded in every cluster, so rank-2 aliases stay whole.
     """
-    powers: Dict[tuple, List[LaurentPoly]] = {}
+    powers: Dict[tuple, Tuple[int, List[LaurentPoly]]] = {}
+    held = set()  # variable sets of two or more that earlier clusters held
     for idx, cluster in enumerate(clusters):
-        tables = []
+        bits, tables = [], []
         for x in cluster:
-            table = powers.get(x.key())
-            if table is None:
-                table = powers[x.key()] = _powers(x, deg)
-            tables.append(table)
-        for m in iter_product(range(deg + 1), repeat=len(tables)):
-            if sum(m) > deg:
-                continue
+            entry = powers.get(x.key())
+            if entry is None:
+                entry = powers[x.key()] = (1 << len(powers), _powers(x, deg))
+            bits.append(entry[0])
+            tables.append(entry[1])
+        met = []
+        for m in _exponent_vectors(len(tables), deg):
+            mask = 0
+            for bit, e in zip(bits, m):
+                if e:
+                    mask |= bit
+            if mask & (mask - 1):  # two or more variables
+                if mask in held:
+                    continue
+                met.append(mask)
             value = None
             for table, e in zip(tables, m):
                 if e:
                     value = table[e] if value is None else value * table[e]
             yield idx, m, tables[0][0] if value is None else value
+        held.update(met)
 
 
 def _a2_monomials(deg: int) -> Iterator[ClusterMonomial]:

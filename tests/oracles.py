@@ -16,6 +16,7 @@ from cluster_logcc import (
     enumerate_t_paths,
 )
 from cluster_logcc.pattern import DEFAULT_BUDGET
+from cluster_logcc.poly import LogConcavityResult
 
 
 def dense_log_concave(p: LaurentPoly) -> bool:
@@ -48,6 +49,64 @@ def dense_log_concave(p: LaurentPoly) -> bool:
             if c * c < lv * rv:
                 return False
     return True
+
+
+def scan_log_concave(p: LaurentPoly) -> LogConcavityResult:
+    """Axis-aligned log-concavity, line by line over each line's whole range.
+
+    For each axis the terms are grouped into lines by their remaining
+    coordinates; lines are visited in sorted order, and every position from
+    the line's least to its greatest is checked, absent coefficients read as
+    0.  The first failing (axis, point) is returned.  Same input errors as
+    is_log_concave.
+    """
+    if not p:
+        raise ValueError("log-concavity is undefined for the zero polynomial")
+    for e, c in p.terms.items():
+        if c < 0:
+            raise ValueError(f"negative coefficient {c} at {e}")
+    for axis in range(p.num_vars):
+        lines: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        for e, c in p.terms.items():
+            rest = e[:axis] + e[axis + 1 :]
+            lines.setdefault(rest, {})[e[axis]] = c
+        for rest in sorted(lines):
+            vals = lines[rest]
+            for i in range(min(vals), max(vals) + 1):
+                mid = vals.get(i, 0)
+                if mid * mid < vals.get(i - 1, 0) * vals.get(i + 1, 0):
+                    return LogConcavityResult(False, axis, rest[:axis] + (i,) + rest[axis:])
+    return LogConcavityResult(True, None, None)
+
+
+def plain_cluster_monomials(clusters, deg):
+    """Every monomial of total degree at most deg in each cluster's variables.
+
+    Yields (cluster index, exponents, value): clusters in sequence, then all
+    (deg+1)^n exponent vectors in ascending lexicographic order, those of
+    sum above deg dropped.  Every product is multiplied out in every
+    cluster, shared variable sets included; only each distinct variable's
+    power table is built once.
+    """
+    powers: Dict[tuple, list] = {}
+    for idx, cluster in enumerate(clusters):
+        tables = []
+        for x in cluster:
+            table = powers.get(x.key())
+            if table is None:
+                table = [LaurentPoly.const(x.num_vars, 1)]
+                for _ in range(deg):
+                    table.append(table[-1] * x)
+                powers[x.key()] = table
+            tables.append(table)
+        for m in product(range(deg + 1), repeat=len(tables)):
+            if sum(m) > deg:
+                continue
+            value = tables[0][0]
+            for table, e in zip(tables, m):
+                if e:
+                    value = value * table[e]
+            yield idx, m, value
 
 
 def slow_poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from cluster_logcc import (
     poly_to_json,
 )
 
-from oracles import dense_log_concave, slow_poly_mul
+from oracles import dense_log_concave, scan_log_concave, slow_poly_mul
 
 
 def P(num_vars, terms):
@@ -288,6 +289,65 @@ def test_log_concavity_matches_dense_oracle(p):
 @given(polys(3, max_terms=5, coeff=st.integers(min_value=1, max_value=9)).filter(bool))
 def test_log_concavity_matches_dense_oracle_3d(p):
     assert bool(is_log_concave(p)) == dense_log_concave(p)
+
+
+positive = st.integers(min_value=1, max_value=9)
+
+
+@st.composite
+def gapped_boxes(draw):
+    """A full box of terms in 1-4 variables, possibly at negative exponents,
+    with zero, one or two points taken out.  The coefficients are either
+    random or a product of binomial rows, which is log-concave before the
+    gaps are planted."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    side = st.integers(min_value=1, max_value=4 if m <= 2 else 3)
+    lo = draw(st.tuples(*([st.integers(min_value=-3, max_value=1)] * m)))
+    sides = draw(st.tuples(*([side] * m)))
+    box = list(product(*(range(l, l + s) for l, s in zip(lo, sides))))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(positive, min_size=len(box), max_size=len(box)))
+    else:
+        coeffs = []
+        for e in box:
+            c = 1
+            for x, l, s in zip(e, lo, sides):
+                c *= comb(s - 1, x - l)
+            coeffs.append(c)
+    gaps = draw(st.lists(st.sampled_from(box), max_size=2, unique=True))
+    terms = {e: c for e, c in zip(box, coeffs) if e not in gaps}
+    return LaurentPoly(m, terms)
+
+
+sparse_positive = st.integers(min_value=1, max_value=4).flatmap(
+    lambda m: polys(m, max_terms=8, coeff=positive)
+)
+
+
+@given(st.one_of(sparse_positive, gapped_boxes()).filter(bool))
+@settings(max_examples=400)
+def test_log_concavity_matches_line_scan(p):
+    # the line-by-line scan pins the witness as well as the verdict
+    got, want = is_log_concave(p), scan_log_concave(p)
+    assert (got.ok, got.axis, got.point) == (want.ok, want.axis, want.point)
+
+
+def test_log_concavity_witness_is_least_in_scan_order():
+    # two failing lines on axis 0; the scan meets (3, 1)'s line (rest (1,)) first
+    p = P(2, {(0, 5): 1, (2, 5): 1, (2, 1): 1, (4, 1): 1, (0, 0): 1, (1, 0): 1})
+    assert tuple(is_log_concave(p)) == (False, 0, (3, 1)) == tuple(scan_log_concave(p))
+    # axis 0 passes, so axis 1's failure is the witness, lowest position first
+    q = P(2, {(0, -3): 1, (0, -1): 4, (0, 1): 9})
+    assert tuple(is_log_concave(q)) == (False, 1, (0, -2)) == tuple(scan_log_concave(q))
+
+
+@pytest.mark.parametrize("p", [LaurentPoly.zero(2), P(2, {(0, 0): 1, (1, 1): -2})])
+def test_log_concavity_input_errors_match_line_scan(p):
+    with pytest.raises(ValueError) as got:
+        is_log_concave(p)
+    with pytest.raises(ValueError) as want:
+        scan_log_concave(p)
+    assert str(got.value) == str(want.value)
 
 
 @given(polys(2, max_terms=6, coeff=st.integers(min_value=1, max_value=9)).filter(bool))

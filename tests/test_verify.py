@@ -23,6 +23,8 @@ from cluster_logcc import (
     verify_separation,
 )
 
+from oracles import plain_cluster_monomials
+
 
 # ---- rank-2 charts ----
 
@@ -104,6 +106,67 @@ def test_a2_monomials_builds_each_power_once(monkeypatch):
     # share one), then per chart one product per (m1, m2), m1, m2 >= 1,
     # m1 + m2 <= 8
     assert calls == 5 * 8 + 5 * math.comb(8, 2)
+
+
+def test_exponent_vectors_match_filtered_product():
+    from cluster_logcc.verify import _exponent_vectors
+
+    for n in range(6):
+        for deg in range(6):
+            want = [m for m in product(range(deg + 1), repeat=n) if sum(m) <= deg]
+            assert _exponent_vectors(n, deg) == want
+
+
+def _first_occurrences(triples):
+    seen = set()
+    out = []
+    for idx, m, value in triples:
+        if value.key() not in seen:
+            seen.add(value.key())
+            out.append((idx, m, value.key()))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cluster_monomials_match_plain_enumerator(n):
+    from cluster_logcc import a_n_matrix, coefficient_free_seed, enumerate_exchange_graph
+    from cluster_logcc.verify import _cluster_monomials
+
+    clusters = [
+        s.cluster for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)))
+    ]
+    for deg in range(4 if n == 5 else 5):
+        plain = list(plain_cluster_monomials(clusters, deg))
+        fast = list(_cluster_monomials(clusters, deg))
+        # the skipped products are copies of earlier ones: the same
+        # distinct monomials, met first at the same (index, exponents)
+        assert _first_occurrences(fast) == _first_occurrences(plain)
+        by_place = {(idx, m): value for idx, m, value in plain}
+        for idx, m, value in fast:
+            assert value == by_place[idx, m]
+
+
+def test_conj_an_multiplies_each_monomial_once(monkeypatch):
+    calls = 0
+    honest = LaurentPoly.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return honest(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    report = run_claim("conj-an", rank=5, deg=3)
+    assert report.stats == {
+        "num_clusters": 132,
+        "num_monomials": 720,
+        "max_numerator_coefficient": 60,
+    }
+    # 640 in the sweep's exchange relations, 3 power steps for each of the
+    # 20 variables, and 960 for the 660 distinct monomials of two or more
+    # variables, one per further factor: 1,660.  Multiplying every
+    # cluster's products afresh takes 7,300.
+    assert calls <= 1660
 
 
 # ---- basis ----
@@ -290,7 +353,7 @@ def test_each_chord_is_enumerated_once(capsys, monkeypatch):
     calls = 0
     assert cli.main(["tpaths", "--ngon", "6", "--from", "0", "--to", "3"]) == 0
     capsys.readouterr()
-    assert calls == 2  # the listed paths, then the boundary-kept sum
+    assert calls == 1  # the listed paths are summed for the boundary-kept variable
 
 
 def test_fd_and_friends():
