@@ -210,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--deg", type=int, default=6, help="total degree bound for monomial claims"
     )
-    p_ver.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for interface compatibility; execution is sequential",
-    )
     p_ver.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -1,11 +1,11 @@
 """Seeds, mutation, and exchange-graph search for geometric-type patterns.
 
 A seed holds n exchangeable cluster variables (exact Laurent polynomials in
-an ambient ring of n + r variables, the last r being frozen), n coefficients
-and an n-by-n skew-symmetrizable exchange matrix.  The seeds are of geometric
-type: coefficient y_i is column i of the r frozen rows of the extended
-exchange matrix, stored as its exponent vector over the frozen variables, and
-mutation changes those rows by the same entry rule as the exchange matrix.
+an ambient ring of n + r variables, the last r being frozen) and the
+extended exchange matrix: an n-by-n skew-symmetrizable exchange matrix B and
+r frozen rows below it.  The seeds are of geometric type: coefficient y_i is
+column i of the frozen rows, its exponent vector over the frozen variables,
+and one matrix mutation rule mutates B and the frozen rows alike.
 Mutation directions and matrix indices are 1-based in the public API,
 matching diagonal labels on the polygon side; ambient variable indices are
 0-based.
@@ -147,25 +147,31 @@ def is_skew_symmetrizable(B: Sequence[Sequence[int]]) -> bool:
 
 @dataclass(frozen=True)
 class TropicalElement:
-    """A coefficient: its exponent vector over the frozen variables."""
+    """A coefficient as Seed.y reads it.
+
+    exponents is column i of a seed's frozen rows, y_i's exponent vector
+    over the frozen variables.  Seeds store the rows, not these.
+    """
 
     exponents: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Seed:
-    """A labeled seed: cluster, coefficients, exchange matrix.
+    """A labeled seed: exchange matrix B, its frozen rows, cluster.
 
-    history records the mutation directions that produced the seed and is
-    excluded from equality and hashing.  labels, set only inside a sweep,
-    holds one small int per cluster variable from that sweep's intern
-    table; it is excluded from equality, hashing, repr and seed_to_json.
+    frozen holds the num_frozen rows of n ints below B in the extended
+    exchange matrix, and y reads its columns as the coefficients.  history
+    records the mutation directions that produced the seed and is excluded
+    from equality and hashing.  labels, set only inside a sweep, holds one
+    small int per cluster variable from that sweep's intern table; it is
+    excluded from equality, hashing, repr and seed_to_json.
     """
 
     n: int
     num_frozen: int
     B: Matrix
-    y: Tuple[TropicalElement, ...]
+    frozen: Matrix
     cluster: Tuple[LaurentPoly, ...]
     history: Tuple[int, ...] = field(default=(), compare=False)
     labels: Optional[Tuple[int, ...]] = field(default=None, compare=False, repr=False)
@@ -173,6 +179,12 @@ class Seed:
     @property
     def num_vars(self) -> int:
         return self.n + self.num_frozen
+
+    @property
+    def y(self) -> Tuple[TropicalElement, ...]:
+        """The coefficients, read-only: y_i is column i of the frozen rows."""
+        rows = self.frozen
+        return tuple(TropicalElement(tuple(row[i] for row in rows)) for i in range(self.n))
 
 
 def geometric_seed(B: Sequence[Sequence[int]], frozen_rows: Sequence[Sequence[int]] = ()) -> Seed:
@@ -185,8 +197,8 @@ def geometric_seed(B: Sequence[Sequence[int]], frozen_rows: Sequence[Sequence[in
     if not is_skew_symmetrizable(Bm):
         raise ValueError("exchange matrix is not skew-symmetrizable")
     n, r = len(Bm), len(frozen_rows)
-    y = tuple(TropicalElement(tuple(row[i] for row in frozen_rows)) for i in range(n))
-    return Seed(n, r, Bm, y, tuple(LaurentPoly.variable(n + r, i) for i in range(n)))
+    cluster = tuple(LaurentPoly.variable(n + r, i) for i in range(n))
+    return Seed(n, r, Bm, _as_matrix(frozen_rows), cluster)
 
 
 def coefficient_free_seed(B: Sequence[Sequence[int]]) -> Seed:
@@ -208,13 +220,11 @@ def _labelled(seed: Seed, table: dict) -> Seed:
     return replace(seed, labels=tuple(table.setdefault(x.key(), len(table)) for x in seed.cluster))
 
 
-def _exchange_quotient(
-    seed: Seed, kk: int, ck: Tuple[int, ...], ck_plus: Tuple[int, ...]
-) -> LaurentPoly:
+def _exchange_quotient(seed: Seed, kk: int, ck: Tuple[int, ...]) -> LaurentPoly:
     """The exchange binomial at 0-based kk divided by the outgoing variable."""
     n, m = seed.n, seed.num_vars
     zero_x = (0,) * n
-    pos = LaurentPoly.monomial(m, zero_x + ck_plus)
+    pos = LaurentPoly.monomial(m, zero_x + tuple(max(c, 0) for c in ck))
     neg = LaurentPoly.monomial(m, zero_x + tuple(max(-c, 0) for c in ck))
     for j in range(n):
         bjk = seed.B[j][kk]
@@ -241,19 +251,17 @@ def mutate(
     miss the new variable is computed, interned in the table once and
     stored with its label; a failed division stores nothing.  Either way
     the new seed's labels are the old ones with position k replaced.
-    The coefficients change as the frozen rows of the extended exchange
-    matrix: y_k is negated, and for b_ki != 0 entry t of y_i becomes
-    c_ti + [c_tk]_+ b_ki + c_tk [-b_ki]_+.  When y_k is 1 (every exponent
-    0, as on coefficient-free seeds) the new seed reuses seed.y's entries.
+    The frozen rows mutate with B by the same rule, _mutate_rows; when y_k
+    is 1 (column k of the frozen rows all 0, as on coefficient-free seeds)
+    the new seed reuses seed.frozen itself.
     """
     n = seed.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
-    ck = seed.y[kk].exponents
-    ck_plus = tuple(max(c, 0) for c in ck)
+    ck = tuple(row[kk] for row in seed.frozen)
     if memo is None:
-        new_x, labels = _exchange_quotient(seed, kk, ck, ck_plus), None
+        new_x, labels = _exchange_quotient(seed, kk, ck), None
     else:
         labels = seed.labels
         if labels is None or table is None:
@@ -265,24 +273,10 @@ def mutate(
         )
         found = memo.get(exchange)
         if found is None:
-            new_x = _exchange_quotient(seed, kk, ck, ck_plus)
+            new_x = _exchange_quotient(seed, kk, ck)
             found = memo[exchange] = (table.setdefault(new_x.key(), len(table)), new_x)
         label, new_x = found
         labels = labels[:kk] + (label,) + labels[k:]
-
-    new_y = list(seed.y)
-    if any(ck):  # y_k = 1 leaves every coefficient as it is
-        new_y[kk] = TropicalElement(tuple(-c for c in ck))
-        for i, bki in enumerate(seed.B[kk]):
-            if bki == 0 or i == kk:
-                continue  # b_ki = 0 leaves y_i as it is
-            bki_minus = max(-bki, 0)
-            new_y[i] = TropicalElement(
-                tuple(
-                    c + p * bki + q * bki_minus
-                    for c, p, q in zip(seed.y[i].exponents, ck_plus, ck)
-                )
-            )
 
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_x
@@ -290,7 +284,7 @@ def mutate(
         n,
         seed.num_frozen,
         mutate_matrix(seed.B, k),
-        tuple(new_y),
+        tuple(_mutate_rows(seed.frozen, seed.B[kk], kk)) if any(ck) else seed.frozen,
         tuple(new_cluster),
         seed.history + (k,),
         labels,
@@ -462,27 +456,25 @@ def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, Laure
 def canonical_seed_key(seed: Seed) -> tuple:
     """Canonical form under simultaneous permutation of cluster positions.
 
-    A labelled seed is named by its sorted labels, with y and B permuted by
-    the same order; labels mean something only within their sweep, so such
-    keys are compared only with keys from the same sweep.  An unlabelled
-    seed is named by its variables' key()s and is comparable everywhere.
+    A labelled seed is named by its sorted labels, with the columns of the
+    frozen rows and the rows and columns of B permuted by the same order;
+    labels mean something only within their sweep, so such keys are
+    compared only with keys from the same sweep.  An unlabelled seed is
+    named by its variables' key()s, with the same permutation of the frozen
+    rows and B, and is comparable everywhere.
     """
     labels = seed.labels
     if labels is not None:
         if seed.n == 1:  # itemgetter of one index returns the item, not a tuple
-            return (labels, (seed.y[0].exponents,), seed.B)
+            return (labels, seed.frozen, seed.B)
         pick = itemgetter(*sorted(range(seed.n), key=labels.__getitem__))
-        return (
-            pick(labels),
-            tuple([t.exponents for t in pick(seed.y)]),
-            tuple(map(pick, pick(seed.B))),
-        )
+        return (pick(labels), tuple(map(pick, seed.frozen)), tuple(map(pick, pick(seed.B))))
     perm = sorted(range(seed.n), key=lambda i: seed.cluster[i].key())
     return (
         seed.n,
         seed.num_frozen,
         tuple(seed.cluster[p].key() for p in perm),
-        tuple(seed.y[p].exponents for p in perm),
+        tuple(tuple(row[p] for p in perm) for row in seed.frozen),
         tuple(tuple(seed.B[pr][pc] for pc in perm) for pr in perm),
     )
 
@@ -566,17 +558,18 @@ def seed_from_json(obj: Mapping) -> Seed:
     n = index(obj["n"])
     num_frozen = index(obj["frozen"])
     B = _as_matrix(obj["B"])
-    y = tuple(TropicalElement(tuple(map(index, exps))) for exps in obj["y"])
+    y = _as_matrix(obj["y"])
     cluster = tuple(poly_from_json(p) for p in obj["cluster"])
     history = tuple(map(index, obj["history"]))
     if len(B) != n or any(len(row) != n for row in B):
         raise ValueError(f"B must be {n} by {n}")
     if not is_skew_symmetrizable(B):
         raise ValueError("exchange matrix is not skew-symmetrizable")
-    if len(y) != n or any(len(t.exponents) != num_frozen for t in y):
+    if len(y) != n or any(len(col) != num_frozen for col in y):
         raise ValueError(f"y must hold {n} vectors of length {num_frozen}")
     if len(cluster) != n or any(x.num_vars != n + num_frozen for x in cluster):
         raise ValueError(f"cluster must hold {n} polynomials in {n + num_frozen} variables")
     if not all(1 <= k <= n for k in history):
         raise ValueError(f"history directions must lie in 1..{n}")
-    return Seed(n, num_frozen, B, y, cluster, history)
+    frozen = tuple(tuple(col[t] for col in y) for t in range(num_frozen))
+    return Seed(n, num_frozen, B, frozen, cluster, history)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .pattern import Seed, enumerate_exchange_graph, geometric_seed
 from .poly import LaurentPoly, poly_to_json
@@ -49,6 +49,14 @@ def _adjacent(u: int, v: int, size: int) -> bool:
     return (u - v) % size in (1, size - 1)
 
 
+def chords(size: int) -> Iterator[Pair]:
+    """The chords {a, b}, a < b, of the size-gon in ascending (a, b) order."""
+    for a in range(size):
+        for b in range(a + 2, size):
+            if not _adjacent(a, b, size):
+                yield a, b
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """A labeled triangulation of the (n+3)-gon."""
@@ -75,9 +83,6 @@ class Triangulation:
             return self.edges.index(p) + 1
         except ValueError:
             raise KeyError(f"{p} is not an edge of this triangulation") from None
-
-    def is_boundary(self, label: int) -> bool:
-        return label > self.n
 
     def diagonal_pairs(self) -> Tuple[Pair, ...]:
         return self.edges[: self.n]

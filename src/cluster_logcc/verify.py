@@ -56,7 +56,7 @@ from .pattern import (
     principal_state,
     state_step,
 )
-from .polygon import boundary_to_one, expand_variable, zigzag
+from .polygon import boundary_to_one, chords, expand_variable, zigzag
 
 WITNESS_CAP = 20
 
@@ -137,14 +137,6 @@ def _pos_part(A: Matrix) -> Matrix:
     return tuple(tuple(max(e, 0) for e in row) for row in A)
 
 
-def _chords(size: int):
-    """The chords {a, b}, a < b, of the size-gon in ascending (a, b) order."""
-    for a in range(size):
-        for b in range(a + 2, size):
-            if not (a == 0 and b == size - 1):  # {0, size-1} is a boundary edge
-                yield a, b
-
-
 # ---- seed sweeps ----
 
 
@@ -178,7 +170,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
     report = Report("main1", {"rank": n})
     tri = zigzag(n)
     by_key: Dict[tuple, LaurentPoly] = {}
-    for a, b in _chords(tri.size):
+    for a, b in chords(tri.size):
         p = boundary_to_one(tri, expand_variable(tri, a, b))
         by_key[p.key()] = p
 
@@ -235,7 +227,7 @@ def verify_coeff_bounds(n: int) -> Report:
     diag_pairs = set(tri.diagonal_pairs())
     num_chords = 0
     has_two = False
-    for a, b in _chords(tri.size):
+    for a, b in chords(tri.size):
         if (a, b) in diag_pairs:
             continue  # plain variables, coefficient 1 trivially
         num_chords += 1
@@ -330,13 +322,14 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                     }
                 )
             c_col = tuple(st.C[j][i] for j in range(n))
-            if seed.y[i].exponents != c_col:
+            y_col = tuple(row[i] for row in seed.frozen)
+            if y_col != c_col:
                 report.add(
                     {
                         "kind": "coefficient-column",
                         "seed_index": idx,
                         "position": i,
-                        "y": list(seed.y[i].exponents),
+                        "y": list(y_col),
                         "c": list(c_col),
                     }
                 )

@@ -319,7 +319,7 @@ def plain_mutate(seed, k):
         n,
         seed.num_frozen,
         dense_mutate_matrix(seed.B, k),
-        tuple(new_y),
+        tuple(tuple(t.exponents[r] for t in new_y) for r in range(seed.num_frozen)),
         tuple(new_cluster),
         seed.history + (k,),
     )

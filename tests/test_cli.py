@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cluster_logcc.cli import main
+from cluster_logcc.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +80,21 @@ def test_budget_env_var(capsys, monkeypatch):
     assert "CLUSTER_LOGCC_BUDGET" in err
 
 
+def test_budget_env_var_zero_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "0")
+    code, out, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: CLUSTER_LOGCC_BUDGET must be positive, got 0\n"
+
+
+def test_jobs_is_not_an_option(capsys):
+    code, out, err = run_cli(capsys, "verify", "--claim", "main1", "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --jobs 2" in err
+
+
 def test_budget_env_var_one_below_the_class_count(capsys, monkeypatch):
     # rank 3 has 14 seed classes: a budget of 14 closes, 13 is a usage error
     monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "14")
@@ -96,17 +114,14 @@ def test_inexact_division_is_an_error_not_a_finding(capsys, monkeypatch):
     import dataclasses
 
     import cluster_logcc.pattern as pattern
-    from cluster_logcc import TropicalElement
 
     honest = pattern.mutate
 
     def corrupt_y(seed, k, *, memo=None, table=None):
         s = honest(seed, k, memo=memo, table=table)
-        y = list(s.y)
-        exps = list(y[k - 1].exponents)
-        exps[0] += 1
-        y[k - 1] = TropicalElement(tuple(exps))
-        return dataclasses.replace(s, y=tuple(y))
+        row = list(s.frozen[0])
+        row[k - 1] += 1
+        return dataclasses.replace(s, frozen=(tuple(row),) + s.frozen[1:])
 
     monkeypatch.setattr(pattern, "mutate", corrupt_y)
     code, out, err = run_cli(capsys, "verify", "--claim", "gyo21", "--rank", "3")
@@ -197,6 +212,18 @@ def test_tpaths_malformed_triangulation_file_is_a_usage_error(tmp_path, capsys, 
     assert err.startswith("error: ")
 
 
+def test_tpaths_ngon_must_match_the_file(tmp_path, capsys):
+    tri_file = tmp_path / "tri.json"
+    tri_file.write_text(json.dumps({"ngon": 6, "diagonals": [[0, 2], [0, 3], [0, 4]]}))
+    code, out, err = run_cli(
+        capsys, "tpaths", "--triangulation", str(tri_file), "--ngon", "7", "--from", "0",
+        "--to", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --ngon 7 does not match the file's 6-gon\n"
+
+
 def test_tpaths_usage_errors(capsys):
     code, _, err = run_cli(capsys, "tpaths", "--ngon", "6", "--from", "0", "--to", "1")
     assert code == 2 and "diagonal" in err
@@ -235,3 +262,19 @@ def test_module_runs_as_subprocess():
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "verify", "--help")[0] == 0
+
+
+def test_readme_names_exactly_the_parsed_flags():
+    # an option that is parsed but undocumented, or documented but gone, fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == parsed

@@ -27,7 +27,6 @@ from cluster_logcc import (
     InexactDivisionError,
     LaurentPoly,
     Seed,
-    TropicalElement,
     a_n_matrix,
     boundary_seed,
     canonical_seed_key,
@@ -172,7 +171,7 @@ def test_coefficient_free_mutation_keeps_the_coefficients():
     for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(4))):
         for k in range(1, s.n + 1):
             t = mutate(s, k)
-            assert all(t.y[i] is s.y[i] for i in range(s.n))
+            assert t.frozen is s.frozen
 
 
 def test_mutation_direction_out_of_range():
@@ -196,7 +195,7 @@ def test_mutation_matches_semifield_route_with_mixed_sign_coefficients(upper, ys
     a, b, c = upper
     B = ((0, a, b), (-a, 0, c), (-b, -c, 0))
     cluster = tuple(LaurentPoly.variable(6, i) for i in range(3))
-    seed = Seed(3, 3, B, tuple(TropicalElement(e) for e in ys), cluster)
+    seed = Seed(3, 3, B, tuple(zip(*ys)), cluster)
     got, want = mutate(seed, k), plain_mutate(seed, k)
     assert got.y == want.y
     assert got.B == want.B
@@ -418,6 +417,14 @@ def test_check_separation_matches_plain_check_at_every_principal_seed(n):
         assert mismatches and mismatches == plain_check_separation(seed, bad, B0)
 
 
+def test_principal_only_checks_reject_a_coefficient_free_seed():
+    s = coefficient_free_seed(a_n_matrix(3))
+    with pytest.raises(ValueError, match="principal"):
+        f_data(s)
+    with pytest.raises(ValueError, match="principal"):
+        check_separation(s, s.B, s.B)
+
+
 def test_laurent_phenomenon_blocks_on_inexact_division():
     # every mutation step divides exactly; a corrupted seed must fail loudly
     from cluster_logcc import InexactDivisionError
@@ -427,7 +434,7 @@ def test_laurent_phenomenon_blocks_on_inexact_division():
         s.n,
         s.num_frozen,
         s.B,
-        s.y,
+        s.frozen,
         (LaurentPoly(2, {(1, 0): 1, (0, 0): 1}), s.cluster[1]),  # x1 + 1 is not a variable
     )
     # direction 1 divides the binomial x2 + 1 by the corrupt entry x1 + 1
@@ -615,7 +622,7 @@ def _permuted(s, perm):
     return replace(
         s,
         B=tuple(tuple(s.B[i][j] for j in perm) for i in perm),
-        y=tuple(s.y[i] for i in perm),
+        frozen=tuple(tuple(row[i] for i in perm) for row in s.frozen),
         cluster=tuple(s.cluster[i] for i in perm),
         labels=tuple(s.labels[i] for i in perm),
     )
@@ -628,12 +635,12 @@ def test_labelled_key_keeps_b_and_y(n):
     s = _labelled(principal_seed(a_n_matrix(n)), {})
     seeds = [
         s,
-        replace(s, y=tuple(TropicalElement(tuple(-c for c in t.exponents)) for t in s.y)),
+        replace(s, frozen=tuple(tuple(-c for c in row) for row in s.frozen)),
         replace(s, B=tuple(tuple(-b for b in row) for row in s.B)),
         _permuted(s, list(reversed(range(n)))),  # the same class as s
     ]
     if n > 1:
-        seeds.append(replace(s, y=s.y[1:] + s.y[:1]))
+        seeds.append(replace(s, frozen=tuple(row[1:] + row[:1] for row in s.frozen)))
     pairs = [(canonical_seed_key(t), canonical_seed_key(_unlabelled(t))) for t in seeds]
     assert _split_alike(pairs)
     # at rank 1, negating B = ((0,),) changes nothing
@@ -742,8 +749,7 @@ def test_exchange_memo_keeps_apart_exchanges_with_different_binomials():
 
     def seed(col, y1, cluster=(x1, x2, x3)):
         B = ((0, -col[0], -col[1]), (col[0], 0, 0), (col[1], 0, 0))
-        y = (TropicalElement(y1), TropicalElement((0, 0)), TropicalElement((0, 0)))
-        return Seed(3, 2, B, y, cluster)
+        return Seed(3, 2, B, tuple((c, 0, 0) for c in y1), cluster)
 
     cases = [
         seed((1, 1), (1, 0)),  # (y1 x2 x3 + 1) / x1
@@ -767,7 +773,7 @@ def test_inexact_division_inside_a_sweep_propagates_and_is_not_cached(monkeypatc
     x1, x2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
     # direction 1 divides x2 + 2 by x1 (exact); direction 2 divides x1 + 1
     # by the corrupt entry x2 + 1 (inexact)
-    bad = Seed(2, 0, B2, coefficient_free_seed(B2).y, (x1, x2 + LaurentPoly.const(2, 1)))
+    bad = Seed(2, 0, B2, (), (x1, x2 + LaurentPoly.const(2, 1)))
     failures = []
     honest = pattern.mutate
 

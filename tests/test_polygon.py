@@ -29,7 +29,7 @@ from cluster_logcc import (
     triangulation_to_json,
     zigzag,
 )
-from cluster_logcc.polygon import boundary_to_one
+from cluster_logcc.polygon import boundary_to_one, chords
 from oracles import free_path_sum, rotation_b_matrix
 
 
@@ -54,11 +54,22 @@ def test_edge_labels():
     assert tri.pair_of(5) == (0, 1)
     assert tri.pair_of(9) == (4, 5)
     assert tri.label_of((4, 1)) == 2
-    assert tri.is_boundary(4) and not tri.is_boundary(3)
+    assert tri.pair_of(4) not in tri.diagonal_pairs() and tri.pair_of(3) in tri.diagonal_pairs()
     with pytest.raises(KeyError):
         tri.label_of((0, 3))
     with pytest.raises(IndexError):
         tri.pair_of(10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_chords_are_the_non_boundary_pairs_in_ascending_order(n):
+    size = n + 3
+    got = list(chords(size))
+    assert len(got) == n * (n + 3) // 2
+    assert got == [
+        (a, b) for a in range(size) for b in range(a + 1, size)
+        if (a, b) not in zigzag(n).edges[n:]
+    ]
 
 
 def test_crosses():

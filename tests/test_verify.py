@@ -722,6 +722,22 @@ def test_planted_repeated_variable_gives_main1_a_count_witness(capsys, monkeypat
     assert report["stats"]["num_variables"] == 8
 
 
+def test_sweep_that_stops_at_its_start_gives_main1_a_mutation_count_witness(
+    capsys, monkeypatch
+):
+    import cluster_logcc.verify as verify
+
+    # the sweep yields only its start, so mutation finds x1, x2, x3 of the 9
+    monkeypatch.setattr(verify, "enumerate_exchange_graph", lambda seed, budget=None: iter([seed]))
+    report = _falsified_report(capsys, "main1")
+    witnesses = report["witnesses"]
+    assert [(w["kind"], w["route"]) for w in witnesses] == [("count", "mutation")] + [
+        ("route-mismatch", "paths-only")
+    ] * 6
+    assert (witnesses[0]["expected"], witnesses[0]["got"]) == (9, 3)
+    assert report["stats"]["num_seeds"] == 1
+
+
 def test_planted_c_matrix_defect_gives_gyo21_coefficient_columns(capsys, monkeypatch):
     import cluster_logcc.pattern as pattern
 
