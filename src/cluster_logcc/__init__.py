@@ -23,7 +23,6 @@ from .poly import (
 from .pattern import (
     DEFAULT_BUDGET,
     Seed,
-    TropicalElement,
     a_n_matrix,
     canonical_seed_key,
     cg_step,

@@ -85,33 +85,23 @@ def cmd_mutate(args: argparse.Namespace) -> int:
     if rank < 1:
         raise ValueError("rank must be at least 1")
     path = _parse_path(args.path, rank)
+    principal = args.coeff == "principal"
     B = a_n_matrix(rank)
+    st = principal_state(B) if principal else coefficient_free_seed(B)
     states: List[dict] = []
-    if args.coeff == "principal":
-        st = principal_state(B)
-        for step, direction in enumerate([None] + path):
-            if direction is not None:
-                st = state_step(st, direction)
-            fd = f_data(st.seed)
-            states.append(
-                {
-                    "step": step,
-                    "direction": direction,
-                    "seed": seed_to_json(st.seed),
-                    "C": [list(r) for r in st.C],
-                    "G": [list(r) for r in st.G],
-                    "D": [list(r) for r in st.D],
-                    "f_polynomials": [poly_to_json(fp) for fp in fd.f_polynomials],
-                    "f_matrix": [list(r) for r in fd.f_matrix],
-                }
-            )
-    else:
-        seed = coefficient_free_seed(B)
-        for step, direction in enumerate([None] + path):
-            if direction is not None:
-                seed = mutate(seed, direction)
-            states.append(
-                {"step": step, "direction": direction, "seed": seed_to_json(seed)}
+    for step, direction in enumerate([None] + path):
+        if direction is not None:
+            st = state_step(st, direction) if principal else mutate(st, direction)
+        seed = st.seed if principal else st
+        states.append({"step": step, "direction": direction, "seed": seed_to_json(seed)})
+        if principal:
+            fd = f_data(seed)
+            states[-1].update(
+                C=[list(r) for r in st.C],
+                G=[list(r) for r in st.G],
+                D=[list(r) for r in st.D],
+                f_polynomials=[poly_to_json(fp) for fp in fd.f_polynomials],
+                f_matrix=[list(r) for r in fd.f_matrix],
             )
     _emit(
         {"rank": rank, "coefficients": args.coeff, "path": path, "states": states},
@@ -206,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run one claim checker and report witnesses")
     p_ver.add_argument("--claim", choices=CLAIM_IDS, required=True)
-    p_ver.add_argument("--rank", type=int, default=3, help="rank for rank-scoped claims")
+    p_ver.add_argument("--rank", type=int, help="rank for rank-scoped claims (default 3)")
     p_ver.add_argument(
-        "--deg", type=int, default=6, help="total degree bound for monomial claims"
+        "--deg", type=int, help="total degree bound for monomial claims (default 6)"
     )
     p_ver.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_ver.set_defaults(func=cmd_verify)

@@ -3,9 +3,10 @@
 A seed holds n exchangeable cluster variables (exact Laurent polynomials in
 an ambient ring of n + r variables, the last r being frozen) and the
 extended exchange matrix: an n-by-n skew-symmetrizable exchange matrix B and
-r frozen rows below it.  The seeds are of geometric type: coefficient y_i is
-column i of the frozen rows, its exponent vector over the frozen variables,
-and one matrix mutation rule mutates B and the frozen rows alike.
+r frozen rows below it.  n and r are read off those matrices, never stored
+beside them.  The seeds are of geometric type: coefficient y_i is column i
+of the frozen rows, its exponent vector over the frozen variables, and one
+matrix mutation rule mutates B and the frozen rows alike.
 Mutation directions and matrix indices are 1-based in the public API,
 matching diagonal labels on the polygon side; ambient variable indices are
 0-based.
@@ -14,6 +15,9 @@ Alongside plain mutation this module tracks the companion data attached to a
 mutation path: denominator vectors and the two integer matrices whose columns
 record how coefficients and leading monomials transform.  Their recursions
 are exercised against frozen expected values in the test suite.
+
+Only this module labels seeds: the generic sweep (enumerate_exchange_graph)
+and the principal one (principal_states) set up their tables here.
 """
 
 from __future__ import annotations
@@ -147,11 +151,7 @@ def is_skew_symmetrizable(B: Sequence[Sequence[int]]) -> bool:
 
 @dataclass(frozen=True)
 class TropicalElement:
-    """A coefficient as Seed.y reads it.
-
-    exponents is column i of a seed's frozen rows, y_i's exponent vector
-    over the frozen variables.  Seeds store the rows, not these.
-    """
+    """y_i as Seed.y reads it: column i of the frozen rows, not stored."""
 
     exponents: Tuple[int, ...]
 
@@ -161,15 +161,14 @@ class Seed:
     """A labeled seed: exchange matrix B, its frozen rows, cluster.
 
     frozen holds the num_frozen rows of n ints below B in the extended
-    exchange matrix, and y reads its columns as the coefficients.  history
-    records the mutation directions that produced the seed and is excluded
-    from equality and hashing.  labels, set only inside a sweep, holds one
-    small int per cluster variable from that sweep's intern table; it is
-    excluded from equality, hashing, repr and seed_to_json.
+    exchange matrix, and y reads its columns as the coefficients; n and
+    num_frozen are read off B and frozen.  history records the mutation
+    directions that produced the seed and is excluded from equality and
+    hashing.  labels, set only inside a sweep, holds one small int per
+    cluster variable from that sweep's intern table; it is excluded from
+    equality, hashing, repr and seed_to_json.
     """
 
-    n: int
-    num_frozen: int
     B: Matrix
     frozen: Matrix
     cluster: Tuple[LaurentPoly, ...]
@@ -177,28 +176,38 @@ class Seed:
     labels: Optional[Tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @property
+    def n(self) -> int:
+        return len(self.B)
+
+    @property
+    def num_frozen(self) -> int:
+        return len(self.frozen)
+
+    @property
     def num_vars(self) -> int:
         return self.n + self.num_frozen
 
     @property
     def y(self) -> Tuple[TropicalElement, ...]:
-        """The coefficients, read-only: y_i is column i of the frozen rows."""
-        rows = self.frozen
-        return tuple(TropicalElement(tuple(row[i] for row in rows)) for i in range(self.n))
+        """The coefficients, read-only: y_i is column i of the frozen rows.
+        The package never reads this view; it serves outside readers."""
+        return tuple(TropicalElement(tuple(row[i] for row in self.frozen)) for i in range(self.n))
 
 
 def geometric_seed(B: Sequence[Sequence[int]], frozen_rows: Sequence[Sequence[int]] = ()) -> Seed:
-    """Seed with exchange matrix B and one frozen variable per frozen row.
+    """Seed with exchange matrix B and one frozen variable per frozen row of n ints.
 
     y_i is column i of the frozen rows, and the cluster is the first n of
     the n + r ambient variables.
     """
-    Bm = _as_matrix(B)
+    Bm, frozen = _as_matrix(B), _as_matrix(frozen_rows)
     if not is_skew_symmetrizable(Bm):
         raise ValueError("exchange matrix is not skew-symmetrizable")
-    n, r = len(Bm), len(frozen_rows)
+    n, r = len(Bm), len(frozen)
+    if any(len(row) != n for row in frozen):
+        raise ValueError(f"each frozen row must hold {n} entries")
     cluster = tuple(LaurentPoly.variable(n + r, i) for i in range(n))
-    return Seed(n, r, Bm, _as_matrix(frozen_rows), cluster)
+    return Seed(Bm, frozen, cluster)
 
 
 def coefficient_free_seed(B: Sequence[Sequence[int]]) -> Seed:
@@ -212,11 +221,8 @@ def principal_seed(B: Sequence[Sequence[int]]) -> Seed:
 
 
 def _labelled(seed: Seed, table: dict) -> Seed:
-    """seed with its cluster labelled from table, whatever labels it carried.
-
-    table maps a variable's key() to its label; a variable met for the
-    first time gets the next free int.
-    """
+    """seed labelled from table, which maps key() to label and gives a new
+    variable the next free int; any labels seed carried are replaced."""
     return replace(seed, labels=tuple(table.setdefault(x.key(), len(table)) for x in seed.cluster))
 
 
@@ -245,7 +251,8 @@ def mutate(
     arithmetic or the seed data is corrupt, and aborts the computation).
     Without a memo it is always computed, and the new seed has no labels.
     A sweep passes each of its steps one exchange memo and one intern
-    table, and its seeds carry labels from that table.  The memo is keyed
+    table, and its seeds carry labels from that table; a memo without a
+    table, or a table without a memo, is a ValueError.  The memo is keyed
     on everything the binomial and the division read, by label: the
     outgoing variable, y_k and the sorted (b_jk, x_j) with b_jk != 0.  On a
     miss the new variable is computed, interned in the table once and
@@ -260,12 +267,12 @@ def mutate(
         raise IndexError(f"direction {k} out of range 1..{n}")
     kk = k - 1
     ck = tuple(row[kk] for row in seed.frozen)
-    if memo is None:
+    if memo is None and table is None:
         new_x, labels = _exchange_quotient(seed, kk, ck), None
     else:
         labels = seed.labels
-        if labels is None or table is None:
-            raise ValueError("a memoised mutation needs a seed labelled from its table")
+        if labels is None or memo is None or table is None:
+            raise ValueError("a memoised mutation needs a memo and a seed labelled from its table")
         exchange = (
             labels[kk],
             ck,
@@ -281,8 +288,6 @@ def mutate(
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_x
     return Seed(
-        n,
-        seed.num_frozen,
         mutate_matrix(seed.B, k),
         tuple(_mutate_rows(seed.frozen, seed.B[kk], kk)) if any(ck) else seed.frozen,
         tuple(new_cluster),
@@ -471,8 +476,6 @@ def canonical_seed_key(seed: Seed) -> tuple:
         return (pick(labels), tuple(map(pick, seed.frozen)), tuple(map(pick, pick(seed.B))))
     perm = sorted(range(seed.n), key=lambda i: seed.cluster[i].key())
     return (
-        seed.n,
-        seed.num_frozen,
         tuple(seed.cluster[p].key() for p in perm),
         tuple(tuple(row[p] for p in perm) for row in seed.frozen),
         tuple(tuple(seed.B[pr][pc] for pc in perm) for pr in perm),
@@ -530,6 +533,22 @@ def enumerate_exchange_graph(
                 yield t
 
 
+def principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
+    """Every principal seed of the rank-n pattern, with its companion matrices.
+
+    Breadth-first over seeds up to relabeling, yielded as found; the
+    companion matrices stored for a seed follow the labeling of the first
+    path that reached it, which keeps columns aligned with cluster positions.
+    One exchange memo and one intern table serve the sweep; its start is
+    labelled from the fresh table.
+    """
+    table: dict = {}
+    start = principal_state(a_n_matrix(n))
+    start = replace(start, seed=_labelled(start.seed, table))
+    step = partial(state_step, memo={}, table=table)
+    return enumerate_exchange_graph(start, budget, step, lambda st: canonical_seed_key(st.seed))
+
+
 def cluster_variables(seed: Seed, budget: Optional[int] = None) -> List[LaurentPoly]:
     """All cluster variables reachable from the seed, canonically sorted."""
     seen: Dict[tuple, LaurentPoly] = {}
@@ -547,7 +566,7 @@ def seed_to_json(seed: Seed) -> dict:
         "n": seed.n,
         "frozen": seed.num_frozen,
         "B": [list(row) for row in seed.B],
-        "y": [list(t.exponents) for t in seed.y],
+        "y": [[row[i] for row in seed.frozen] for i in range(seed.n)],
         "cluster": [poly_to_json(x) for x in seed.cluster],
         "history": list(seed.history),
     }
@@ -557,6 +576,8 @@ def seed_from_json(obj: Mapping) -> Seed:
     """Read seed_to_json's form: integer entries, agreeing shapes, a valid B."""
     n = index(obj["n"])
     num_frozen = index(obj["frozen"])
+    if num_frozen < 0:
+        raise ValueError(f"frozen must be nonnegative, got {num_frozen}")
     B = _as_matrix(obj["B"])
     y = _as_matrix(obj["y"])
     cluster = tuple(poly_from_json(p) for p in obj["cluster"])
@@ -572,4 +593,4 @@ def seed_from_json(obj: Mapping) -> Seed:
     if not all(1 <= k <= n for k in history):
         raise ValueError(f"history directions must lie in 1..{n}")
     frozen = tuple(tuple(col[t] for col in y) for t in range(num_frozen))
-    return Seed(n, num_frozen, B, frozen, cluster, history)
+    return Seed(B, frozen, cluster, history)

@@ -6,7 +6,8 @@ scope, and "exploratory" for open-ended searches, where any violation found
 is recorded as a witness instead of failing.  Reports carry no timing data
 so that serialized output is byte-stable across runs.
 
-Claim identifiers accepted by run_claim:
+Claim identifiers accepted by run_claim, each with the scope flags it reads
+(_CHECKERS names them; a flag a claim does not read is a usage error):
 
   main1        every cluster variable over the snake triangulation has a
                log-concave numerator; path expansion and seed mutation must
@@ -27,13 +28,15 @@ Claim identifiers accepted by run_claim:
   conj1-a2     exploratory: expansion constants of products of rank-2
                cluster monomials, arranged chart by chart, stay nonnegative
                and log-concave
+
+The seed sweeps, the principal one included, come from pattern.py; this
+module only reads the seeds and companion matrices they yield.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
@@ -44,17 +47,13 @@ from .poly import (
 )
 from .pattern import (
     Matrix,
-    PatternState,
-    _labelled,
     a_n_matrix,
-    canonical_seed_key,
     check_separation,
     coefficient_free_seed,
     enumerate_exchange_graph,
     f_data,
     principal_seed,
-    principal_state,
-    state_step,
+    principal_states,
 )
 from .polygon import boundary_to_one, chords, expand_variable, zigzag
 
@@ -131,29 +130,6 @@ def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
                 acc = [s + a * b for s, b in zip(acc, b_row)]
         out.append(tuple(acc))
     return tuple(out)
-
-
-def _pos_part(A: Matrix) -> Matrix:
-    return tuple(tuple(max(e, 0) for e in row) for row in A)
-
-
-# ---- seed sweeps ----
-
-
-def _principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
-    """Every principal seed of the rank-n pattern, with its companion matrices.
-
-    Breadth-first over seeds up to relabeling, yielded as found; the
-    companion matrices stored for a seed follow the labeling of the first
-    path that reached it, which keeps columns aligned with cluster positions.
-    One exchange memo and one intern table serve the sweep; its start is
-    labelled from the fresh table.
-    """
-    table: dict = {}
-    start = principal_state(a_n_matrix(n))
-    start = replace(start, seed=_labelled(start.seed, table))
-    step = partial(state_step, memo={}, table=table)
-    return enumerate_exchange_graph(start, budget, step, lambda st: canonical_seed_key(st.seed))
 
 
 # ---- claim checkers ----
@@ -276,7 +252,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     report = Report("gyo21", {"rank": n})
     num_seeds = 0
     facts: Dict[LaurentPoly, Tuple[tuple, tuple]] = {}  # x -> (f-vector, d-vector)
-    for idx, st in enumerate(_principal_states(n, budget)):
+    for idx, st in enumerate(principal_states(n, budget)):
         num_seeds += 1
         seed = st.seed
         cols = []
@@ -289,7 +265,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                 )
             cols.append(fd)
         fm = tuple(tuple(f[j] for f, _ in cols) for j in range(n))
-        if fm != _pos_part(st.D):
+        if fm != tuple(tuple(max(d, 0) for d in row) for row in st.D):
             report.add(
                 {
                     "kind": "degree-vs-denominator",
@@ -341,7 +317,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     """Log-concavity and 0/1 degrees of all x->1 specializations.
 
     The F-polynomials read only the cluster variables, so the sweep walks
-    principal seeds without the companion matrices of _principal_states.
+    principal seeds without the companion matrices of principal_states.
     """
     report = Report("fpoly", {"rank": n})
     num_seeds = 0
@@ -368,7 +344,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
     """Monomial-times-specialization factorization at every principal seed."""
     report = Report("separation", {"rank": n})
     num_seeds = 0
-    for idx, st in enumerate(_principal_states(n, budget)):
+    for idx, st in enumerate(principal_states(n, budget)):
         num_seeds += 1
         for i, lhs, rhs in check_separation(st.seed, st.G, st.B0):
             report.add(
@@ -785,23 +761,36 @@ def explore_a2_structure_constants(deg: int) -> Report:
     return report
 
 
-# Claim identifier -> checker of (rank, deg, budget), in the order the CLI lists them.
+# Claim identifier -> (the scope flags it reads, its checker), in the order
+# the CLI lists them.  A checker takes those flags' values in order, then
+# the budget.
 _CHECKERS = {
-    "main1": lambda rank, deg, budget: verify_main1(rank, budget),
-    "coeff012": lambda rank, deg, budget: verify_coeff_bounds(rank),
-    "gyo21": lambda rank, deg, budget: verify_fd(rank, budget),
-    "fpoly": lambda rank, deg, budget: verify_fpoly_logcc(rank, budget),
-    "separation": lambda rank, deg, budget: verify_separation(rank, budget),
-    "a2-monomials": lambda rank, deg, budget: verify_a2_monomials(deg),
-    "conj-an": lambda rank, deg, budget: explore_an_monomials(rank, deg, budget),
-    "conj1-a2": lambda rank, deg, budget: explore_a2_structure_constants(deg),
+    "main1": (("rank",), verify_main1),
+    "coeff012": (("rank",), lambda rank, budget: verify_coeff_bounds(rank)),
+    "gyo21": (("rank",), verify_fd),
+    "fpoly": (("rank",), verify_fpoly_logcc),
+    "separation": (("rank",), verify_separation),
+    "a2-monomials": (("deg",), lambda deg, budget: verify_a2_monomials(deg)),
+    "conj-an": (("rank", "deg"), explore_an_monomials),
+    "conj1-a2": (("deg",), lambda deg, budget: explore_a2_structure_constants(deg)),
 }
 CLAIM_IDS = tuple(_CHECKERS)
 
 
-def run_claim(claim: str, rank: int = 3, deg: int = 6, budget: Optional[int] = None) -> Report:
-    """Dispatch a claim identifier to its checker with the given scope."""
-    checker = _CHECKERS.get(claim)
-    if checker is None:
+def run_claim(
+    claim: str, rank: Optional[int] = None, deg: Optional[int] = None, budget: Optional[int] = None
+) -> Report:
+    """Dispatch a claim identifier to its checker with the given scope.
+
+    The scope flags the claim reads default to rank 3 and deg 6.  A flag it
+    does not read must stay None, or a ValueError names the claim and flag.
+    """
+    if claim not in _CHECKERS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIM_IDS)}")
-    return checker(rank, deg, budget)
+    reads, checker = _CHECKERS[claim]
+    scope = {"rank": rank, "deg": deg}
+    unread = [f"--{flag}" for flag, value in scope.items() if value is not None and flag not in reads]
+    if unread:
+        raise ValueError(f"claim {claim} does not read {', '.join(unread)}")
+    defaults = {"rank": 3, "deg": 6}
+    return checker(*(defaults[f] if scope[f] is None else scope[f] for f in reads), budget)

@@ -11,7 +11,6 @@ from typing import Dict, Tuple
 from cluster_logcc import (
     LaurentPoly,
     Seed,
-    TropicalElement,
     canonical_seed_key,
     enumerate_t_paths,
 )
@@ -304,22 +303,19 @@ def plain_mutate(seed, k):
         elif bjk < 0:
             neg = neg * seed.cluster[j] ** (-bjk)
     new_x = (pos + neg).div_exact(seed.cluster[kk])
-    new_y = list(seed.y)
-    new_y[kk] = TropicalElement(trop_inverse(yk))
+    new_y = [y.exponents for y in seed.y]
+    new_y[kk] = trop_inverse(yk)
     for i in range(n):
         if i != kk:
             bki = seed.B[kk][i]
-            yi = seed.y[i].exponents
             gain = tuple(e * max(bki, 0) for e in yk)
             loss = tuple(f * -bki for f in h)
-            new_y[i] = TropicalElement(trop_mul(trop_mul(yi, gain), loss))
+            new_y[i] = trop_mul(trop_mul(new_y[i], gain), loss)
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_x
     return Seed(
-        n,
-        seed.num_frozen,
         dense_mutate_matrix(seed.B, k),
-        tuple(tuple(t.exponents[r] for t in new_y) for r in range(seed.num_frozen)),
+        tuple(tuple(y[r] for y in new_y) for r in range(seed.num_frozen)),
         tuple(new_cluster),
         seed.history + (k,),
     )

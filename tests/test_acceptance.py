@@ -39,8 +39,8 @@ from cluster_logcc import (
     zigzag,
 )
 from cluster_logcc.cli import main
+from cluster_logcc.pattern import principal_states
 from cluster_logcc.polygon import boundary_to_one
-from cluster_logcc.verify import _principal_states
 
 from oracles import dense_log_concave
 
@@ -230,7 +230,7 @@ def test_criterion_07_companion_matrix_duality():
         walk.append(state_step(walk[-1], k))
     check(walk)
     for n in range(2, 6):
-        check(list(_principal_states(n, None)))
+        check(list(principal_states(n, None)))
     _passed(7, "B0 C = G B at every visited vertex")
 
 

@@ -28,7 +28,6 @@ PUBLIC = {
     # pattern
     "DEFAULT_BUDGET",
     "Seed",
-    "TropicalElement",
     "a_n_matrix",
     "boundary_seed",
     "canonical_seed_key",

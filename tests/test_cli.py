@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from cluster_logcc.cli import build_parser, main
+from cluster_logcc.verify import _CHECKERS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +70,43 @@ def test_negative_degree_is_a_usage_error(capsys, scope):
     assert code == 2
     assert out == ""
     assert "degree bound must be nonnegative" in err
+
+
+def _verify_scope_flags():
+    """The verify options that set a claim's scope: all but --claim and --out."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {f for a in commands.choices["verify"]._actions for f in a.option_strings}
+    return sorted(f[2:] for f in options - {"-h", "--help", "--claim", "--out"})
+
+
+def test_every_scope_flag_is_read_by_some_claim():
+    assert _verify_scope_flags() == sorted({f for reads, _ in _CHECKERS.values() for f in reads})
+
+
+@pytest.mark.parametrize(
+    "claim,flag",
+    [
+        (claim, flag)
+        for claim, (reads, _) in _CHECKERS.items()
+        for flag in _verify_scope_flags()
+        if flag not in reads
+    ],
+)
+def test_a_flag_the_claim_never_reads_is_a_usage_error(capsys, claim, flag):
+    # given beside the flags the claim does read, so only the unread one is named
+    reads = _CHECKERS[claim][0]
+    argv = [arg for f in (flag, *reads) for arg in (f"--{f}", "2")]
+    code, out, err = run_cli(capsys, "verify", "--claim", claim, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: claim {claim} does not read --{flag}\n"
+
+
+def test_readme_scope_flags_column_is_the_checker_table():
+    section = README.read_text(encoding="utf-8").split("\n### verify\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| ([^|]*) \|", section, re.M)
+    documented = {claim: tuple(re.findall(r"`--([a-z]+)`", flags)) for claim, flags in rows}
+    assert documented == {claim: reads for claim, (reads, _) in _CHECKERS.items()}
 
 
 def test_budget_env_var(capsys, monkeypatch):
@@ -266,7 +306,7 @@ def test_help_exits_zero(capsys):
 
 def test_readme_names_exactly_the_parsed_flags():
     # an option that is parsed but undocumented, or documented but gone, fails here
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

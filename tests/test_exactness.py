@@ -23,6 +23,11 @@ and in the tests is used, as a name or as the root of an attribute chain.
 Only pattern.py reads or writes a seed's labels.  Labels are ints from one
 sweep's intern table and mean nothing outside it; code elsewhere that kept
 or compared them would carry one sweep's names into another.
+
+No engine module imports an underscore-prefixed name from another package
+module: a helper private to one module is not another's to call, so what
+a module needs from its neighbour is public there.  The CLI is exempt, as
+it is from the float rule.
 """
 
 import ast
@@ -171,3 +176,35 @@ def test_only_pattern_touches_seed_labels(path):
 )
 def test_label_guard_sees_each_use(source):
     assert len(list(_label_uses(ast.parse(source)))) == 1
+
+
+def _private_imports(tree: ast.AST):
+    """Underscore-prefixed names imported from a module of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "cluster_logcc"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_engine_imports_no_private_name(module):
+    assert list(_private_imports(ast.parse((SRC / module).read_text(encoding="utf-8")))) == []
+
+
+@pytest.mark.parametrize(
+    "source,private",
+    [
+        ("from .pattern import _labelled", ["_labelled"]),
+        ("from .pattern import Seed, _labelled as lab", ["_labelled"]),
+        ("from . import _tables", ["_tables"]),
+        ("from cluster_logcc.polygon import _path_sum", ["_path_sum"]),
+        ("from .pattern import principal_states", []),
+        ("from __future__ import annotations", []),
+        ("from collections import _chain", []),
+    ],
+)
+def test_private_import_guard_sees_each_breach(source, private):
+    assert [name for _, name in _private_imports(ast.parse(source))] == private

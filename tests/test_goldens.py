@@ -4,7 +4,8 @@ Each digest is the sha256 of the report exactly as `verify` emits it,
 `json.dumps(report.to_json_dict(), indent=2) + "\\n"`.  A refactor of the
 sweep, the companion-matrix step, the elimination loop or the chord loops
 must leave all of them unchanged.  So must the order in which the flip
-search lists triangulations, which is pinned the same way.
+search lists triangulations, and the seeds `cluster-logcc mutate` dumps,
+which are pinned the same way.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import json
 
 import pytest
 
+from cluster_logcc.cli import main
 from cluster_logcc.polygon import enumerate_triangulations, zigzag
 from cluster_logcc.verify import run_claim
 
@@ -122,6 +124,23 @@ TRIANGULATIONS = [
     "ab67bd6c803645a8fafcb673b55901c6c2b098d554bdce35de024276b24adde7",
 ]
 
+# `cluster-logcc mutate` output at ranks 1..4 on the path 1,2,3,4,3,2,1, each
+# direction d taken as (d - 1) % rank + 1.  They pin seed_to_json's bytes.
+MUTATE = {
+    "free": [
+        "0d760487a02e15b2696969054c13307f88799cab039842e726dbbf9412009b50",
+        "cc3f5bcec6b79c09d19f1652d2071dbcac47070db89b6b64d9932fc9611b7526",
+        "c28087c2ef9e3d6aa2752f3e70d171036bcb1b614ccb49dc186f62240d9ce1c3",
+        "cb043303ba41a6ec700ed3add76504ff64ba07544499acf0bf5d2552113d7ea6",
+    ],
+    "principal": [
+        "634d44aea2e30466ce6c7b2b368eafe23748922d40ad75e50586270ed5684554",
+        "3afcf496c5c0d94ebce6ffd39c045eac3289b5206b7cb4147d0a92653f98a649",
+        "95843f688875921c7763f71accb29498229c1c509d04c7008a98100d2040a077",
+        "f34a5c5d9f1a89b4e3182e78550d1cab82d1c5995ea03bcd35b876b5f77014e0",
+    ],
+}
+
 
 @pytest.mark.parametrize("claim", sorted(BY_RANK))
 def test_rank_claim_reports(claim):
@@ -149,18 +168,24 @@ def test_flip_search_order():
     assert got == TRIANGULATIONS
 
 
+@pytest.mark.parametrize("coeff", sorted(MUTATE))
+def test_mutate_output(capsys, coeff):
+    got = []
+    for n in range(1, 5):
+        path = ",".join(str((d - 1) % n + 1) for d in (1, 2, 3, 4, 3, 2, 1))
+        assert main(["mutate", "--rank", str(n), "--coeff", coeff, "--path", path]) == 0
+        got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert got == MUTATE[coeff]
+
+
 def test_fpoly_needs_no_companion_matrices(monkeypatch):
     import cluster_logcc.pattern as pattern
-    import cluster_logcc.verify as verify
 
     def unreachable(*args):
         raise AssertionError("fpoly reads only the cluster variables of principal seeds")
 
-    for module, name in [
-        (pattern, "state_step"), (verify, "state_step"), (pattern, "cg_step"),
-        (pattern, "d_vector_step"),
-    ]:
-        monkeypatch.setattr(module, name, unreachable)
+    for name in ["state_step", "cg_step", "d_vector_step"]:
+        monkeypatch.setattr(pattern, name, unreachable)
     got = [_digest(run_claim("fpoly", rank=n).to_json_dict()) for n in range(1, 6)]
     assert got == BY_RANK["fpoly"]
 

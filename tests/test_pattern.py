@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,8 +51,7 @@ from cluster_logcc import (
     state_step,
     zigzag,
 )
-from cluster_logcc.pattern import _labelled
-from cluster_logcc.verify import _principal_states
+from cluster_logcc.pattern import _labelled, principal_states
 
 B2 = ((0, 1), (-1, 0))
 TYPE_B2 = ((0, 2), (-1, 0))
@@ -195,7 +194,7 @@ def test_mutation_matches_semifield_route_with_mixed_sign_coefficients(upper, ys
     a, b, c = upper
     B = ((0, a, b), (-a, 0, c), (-b, -c, 0))
     cluster = tuple(LaurentPoly.variable(6, i) for i in range(3))
-    seed = Seed(3, 3, B, tuple(zip(*ys)), cluster)
+    seed = Seed(B, tuple(zip(*ys)), cluster)
     got, want = mutate(seed, k), plain_mutate(seed, k)
     assert got.y == want.y
     assert got.B == want.B
@@ -368,7 +367,7 @@ def test_cg_step_matches_dense_products_along_random_paths(B0):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_cg_step_matches_dense_products_at_every_principal_seed(n):
-    for state in _principal_states(n, None):
+    for state in principal_states(n, None):
         for k in range(1, n + 1):
             assert cg_step(state.C, state.G, state.seed.B, state.B0, k) == dense_cg_step(
                 state.C, state.G, state.seed.B, state.B0, k
@@ -394,7 +393,7 @@ def test_d_vector_step_matches_dense_formula_along_random_paths(B0):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_d_vector_step_matches_dense_formula_at_every_principal_seed(n):
-    for state in _principal_states(n, None):
+    for state in principal_states(n, None):
         for k in range(1, n + 1):
             assert d_vector_step(state.D, state.seed.B, k) == dense_d_vector_step(
                 state.D, state.seed.B, k
@@ -403,7 +402,7 @@ def test_d_vector_step_matches_dense_formula_at_every_principal_seed(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_check_separation_matches_plain_check_at_every_principal_seed(n):
-    for state in _principal_states(n, None):
+    for state in principal_states(n, None):
         seed, G, B0 = state.seed, state.G, state.B0
         assert check_separation(seed, G, B0) == plain_check_separation(seed, G, B0) == []
         # negate one nonzero entry of G (column 0 of an invertible G has
@@ -431,8 +430,6 @@ def test_laurent_phenomenon_blocks_on_inexact_division():
 
     s = coefficient_free_seed(B2)
     bad = Seed(
-        s.n,
-        s.num_frozen,
         s.B,
         s.frozen,
         (LaurentPoly(2, {(1, 0): 1, (0, 0): 1}), s.cluster[1]),  # x1 + 1 is not a variable
@@ -488,15 +485,15 @@ def test_every_search_closes_at_its_class_count_and_fails_one_below(search):
 
 def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):
     calls = []
-    honest = verify.state_step
+    honest = pattern.state_step
 
     def counted(state, k, *, memo=None, table=None):
         calls.append(k)
         return honest(state, k, memo=memo, table=table)
 
-    monkeypatch.setattr(verify, "state_step", counted)
+    monkeypatch.setattr(pattern, "state_step", counted)
     with pytest.raises(RuntimeError, match="not closed within budget"):
-        list(_principal_states(6, 200))
+        list(principal_states(6, 200))
     # 114 seeds expanded in all 6 directions, then 4 steps into the 115th:
     # the 4th reaches a 201st class
     assert len(calls) == 688
@@ -650,8 +647,8 @@ def test_labelled_key_keeps_b_and_y(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_principal_state_keys_split_classes_like_the_table_free_key(monkeypatch, n):
     pairs = []
-    monkeypatch.setattr(verify, "canonical_seed_key", _pairing_key(pairs))
-    states = list(_principal_states(n, None))
+    monkeypatch.setattr(pattern, "canonical_seed_key", _pairing_key(pairs))
+    states = list(principal_states(n, None))
     assert len(pairs) == 1 + n * len(states)
     assert _split_alike(pairs)
     assert len({b for _, b in pairs}) == len(states)
@@ -688,6 +685,20 @@ def test_labels_stay_out_of_equality_hash_repr_and_json():
         mutate(twin, 1, memo={}, table={})
     with pytest.raises(ValueError, match="labelled"):
         mutate(late, 1, memo={})
+
+
+@pytest.mark.parametrize("given", [{"memo": {}}, {"table": {}}], ids=["memo", "table"])
+def test_memo_and_table_come_together(given):
+    # one without the other is an error, never a step that drops it and
+    # returns an unlabelled seed
+    *_, late = enumerate_exchange_graph(principal_seed(a_n_matrix(3)))
+    state = principal_state(a_n_matrix(3))
+    state = replace(state, seed=_labelled(state.seed, {}))
+    with pytest.raises(ValueError, match="labelled"):
+        mutate(late, 1, **given)
+    with pytest.raises(ValueError, match="labelled"):
+        state_step(state, 1, **given)
+    assert not any(given.values())  # and nothing was written to the one given
 
 
 def test_exchange_memo_lives_for_one_sweep(monkeypatch):
@@ -749,7 +760,7 @@ def test_exchange_memo_keeps_apart_exchanges_with_different_binomials():
 
     def seed(col, y1, cluster=(x1, x2, x3)):
         B = ((0, -col[0], -col[1]), (col[0], 0, 0), (col[1], 0, 0))
-        return Seed(3, 2, B, tuple((c, 0, 0) for c in y1), cluster)
+        return Seed(B, tuple((c, 0, 0) for c in y1), cluster)
 
     cases = [
         seed((1, 1), (1, 0)),  # (y1 x2 x3 + 1) / x1
@@ -773,7 +784,7 @@ def test_inexact_division_inside_a_sweep_propagates_and_is_not_cached(monkeypatc
     x1, x2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
     # direction 1 divides x2 + 2 by x1 (exact); direction 2 divides x1 + 1
     # by the corrupt entry x2 + 1 (inexact)
-    bad = Seed(2, 0, B2, (), (x1, x2 + LaurentPoly.const(2, 1)))
+    bad = Seed(B2, (), (x1, x2 + LaurentPoly.const(2, 1)))
     failures = []
     honest = pattern.mutate
 
@@ -851,6 +862,30 @@ def test_boundary_seed_mutation_matches_kept_expansion():
 
 
 # ---- serialization ----
+
+
+def test_seed_stores_only_its_matrices_cluster_history_and_labels():
+    # n and num_frozen are read off B and frozen, so they cannot disagree
+    assert [f.name for f in fields(Seed)] == [
+        "B", "frozen", "cluster", "history", "labels",
+    ]
+    s = boundary_seed(zigzag(3))
+    assert (s.n, s.num_frozen) == (len(s.B), len(s.frozen)) == (3, 6)
+
+
+def test_frozen_rows_of_another_length_rejected():
+    # a short row would only fail later, as an IndexError inside mutate
+    with pytest.raises(ValueError, match="frozen row"):
+        pattern.geometric_seed(B2, [[1]])
+    assert pattern.geometric_seed(B2, [[1, 0]]).num_frozen == 1
+
+
+def test_seed_json_negative_frozen_count_rejected():
+    # with no exchangeable variables no shape check reads "frozen"
+    obj = {"n": 0, "frozen": -1, "B": [], "y": [], "cluster": [], "history": []}
+    with pytest.raises(ValueError, match="frozen"):
+        seed_from_json(obj)
+    assert seed_from_json(dict(obj, frozen=2)).num_frozen == 2
 
 
 def test_seed_json_roundtrip():

@@ -520,6 +520,7 @@ def test_planted_basis_defect_leaves_conj1_a2_residuals(capsys, monkeypatch):
 def test_planted_per_variable_denominator_defect_falsifies_every_slot(capsys, monkeypatch):
     import cluster_logcc.verify as verify
     from cluster_logcc import a_n_matrix, mutate, principal_seed
+    from cluster_logcc.pattern import principal_states
 
     # one non-initial variable, chosen by value, gets a wrong denominator
     target = mutate(principal_seed(a_n_matrix(4)), 2).cluster[1]
@@ -534,7 +535,7 @@ def test_planted_per_variable_denominator_defect_falsifies_every_slot(capsys, mo
     monkeypatch.setattr(verify, "normalize_denominator", bumped)
     slots = [
         (idx, i)
-        for idx, st in enumerate(verify._principal_states(4, None))
+        for idx, st in enumerate(principal_states(4, None))
         for i, x in enumerate(st.seed.cluster)
         if x == target
     ]
