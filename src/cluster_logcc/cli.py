@@ -32,10 +32,10 @@ from .pattern import (
     state_step,
 )
 from .polygon import (
-    _path_sum,
     boundary_to_one,
     enumerate_t_paths,
     fan,
+    path_sum,
     tpath_to_json,
     triangulation_from_json,
     triangulation_to_json,
@@ -130,7 +130,7 @@ def cmd_tpaths(args: argparse.Namespace) -> int:
     tri = _load_triangulation(args.triangulation, args.ngon)
     a, b = args.vertex_from, args.vertex_to
     paths = enumerate_t_paths(tri, a, b)
-    kept = _path_sum(tri, paths)
+    kept = path_sum(tri, paths)
     _emit(
         {
             "triangulation": triangulation_to_json(tri),

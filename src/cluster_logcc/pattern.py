@@ -16,8 +16,8 @@ mutation path: denominator vectors and the two integer matrices whose columns
 record how coefficients and leading monomials transform.  Their recursions
 are exercised against frozen expected values in the test suite.
 
-Only this module labels seeds: the generic sweep (enumerate_exchange_graph)
-and the principal one (principal_states) set up their tables here.
+Only this module labels seeds: the default step of enumerate_exchange_graph
+sets up each sweep's memo and table; principal_states reads that sweep.
 """
 
 from __future__ import annotations
@@ -374,10 +374,6 @@ class PatternState:
     D: Matrix
     B0: Matrix
 
-    @property
-    def n(self) -> int:
-        return self.seed.n
-
 
 def principal_state(B: Sequence[Sequence[int]]) -> PatternState:
     seed = principal_seed(B)
@@ -385,13 +381,11 @@ def principal_state(B: Sequence[Sequence[int]]) -> PatternState:
     return PatternState(seed, _identity(n), _identity(n), initial_d_matrix(n), seed.B)
 
 
-def state_step(
-    state: PatternState, k: int, *, memo: Optional[dict] = None, table: Optional[dict] = None
-) -> PatternState:
-    """Mutate the seed in direction k (memo and table as for mutate) and its companions."""
+def state_step(state: PatternState, k: int, seed: Optional[Seed] = None) -> PatternState:
+    """Step direction k; seed is the neighbour if built, else mutate(state.seed, k)."""
     C2, G2 = cg_step(state.C, state.G, state.seed.B, state.B0, k)
     D2 = d_vector_step(state.D, state.seed.B, k)
-    return PatternState(mutate(state.seed, k, memo=memo, table=table), C2, G2, D2, state.B0)
+    return PatternState(mutate(state.seed, k) if seed is None else seed, C2, G2, D2, state.B0)
 
 
 class FData(NamedTuple):
@@ -497,15 +491,16 @@ def enumerate_exchange_graph(
     multiplied out and divided once.  The default step labels the start from
     that fresh table, whatever labels it carried from another sweep; a
     given step gets a seed start without labels, since they belong to the
-    table of the sweep that made them.  The same search walks principal
-    states and triangulation flips.  Seeds are identified when they differ
-    only by a simultaneous permutation of cluster entries, coefficients, and
-    matrix rows/columns.
+    table of the sweep that made them.  It walks triangulation flips too.
+    Seeds are identified when they differ only by a simultaneous
+    permutation of cluster entries, coefficients, and matrix rows/columns.
     Each class is yielded once, as the first seed that reached it, in the
     order reached, starting with seed itself; the search holds only the class
-    keys and the queue of classes still to expand.  The first step that
-    reaches a new class once `budget` classes are known raises RuntimeError:
-    an exceeded budget is an error, never a truncation.
+    keys and the queue of classes still to expand.  Classes are expanded in
+    yield order, so the new neighbours of each class come out together,
+    after those of earlier classes.  The first step that reaches a new
+    class once `budget` classes are known raises RuntimeError: an exceeded
+    budget is an error, never a truncation.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -536,17 +531,19 @@ def enumerate_exchange_graph(
 def principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
     """Every principal seed of the rank-n pattern, with its companion matrices.
 
-    Breadth-first over seeds up to relabeling, yielded as found; the
-    companion matrices stored for a seed follow the labeling of the first
-    path that reached it, which keeps columns aligned with cluster positions.
-    One exchange memo and one intern table serve the sweep; its start is
-    labelled from the fresh table.
+    The default sweep's seeds, in its order; each seed's companions are
+    stepped once, from its parent's (history one step shorter).  The sweep
+    expands classes in yield order, so states before the parent go.
     """
-    table: dict = {}
     start = principal_state(a_n_matrix(n))
-    start = replace(start, seed=_labelled(start.seed, table))
-    step = partial(state_step, memo={}, table=table)
-    return enumerate_exchange_graph(start, budget, step, lambda st: canonical_seed_key(st.seed))
+    sweep = enumerate_exchange_graph(start.seed, budget)
+    states = deque([replace(start, seed=next(sweep))])
+    yield states[0]
+    for seed in sweep:
+        while states[0].seed.history != seed.history[:-1]:
+            states.popleft()
+        states.append(state_step(states[0], seed.history[-1], seed))
+        yield states[-1]
 
 
 def cluster_variables(seed: Seed, budget: Optional[int] = None) -> List[LaurentPoly]:

@@ -373,10 +373,10 @@ def expand_variable(tri: Triangulation, a: int, b: int) -> LaurentPoly:
     The sum lives in all 2n+3 edge variables, boundary edges kept as frozen
     variables; boundary_to_one turns it into the coefficient-free variable.
     """
-    return _path_sum(tri, enumerate_t_paths(tri, a, b))
+    return path_sum(tri, enumerate_t_paths(tri, a, b))
 
 
-def _path_sum(tri: Triangulation, paths: Iterable[TPath]) -> LaurentPoly:
+def path_sum(tri: Triangulation, paths: Iterable[TPath]) -> LaurentPoly:
     """The sum of the paths' monomials in all 2n+3 edge variables, one add per path."""
     total = LaurentPoly.zero(tri.num_edges)
     for path in paths:

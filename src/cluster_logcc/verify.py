@@ -29,8 +29,8 @@ Claim identifiers accepted by run_claim, each with the scope flags it reads
                cluster monomials, arranged chart by chart, stay nonnegative
                and log-concave
 
-The seed sweeps, the principal one included, come from pattern.py; this
-module only reads the seeds and companion matrices they yield.
+The seed sweeps come from pattern.py.  fpoly reads the principal one's
+seeds; gyo21 and separation read them with companions (principal_states).
 """
 
 from __future__ import annotations
@@ -316,8 +316,8 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
 def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     """Log-concavity and 0/1 degrees of all x->1 specializations.
 
-    The F-polynomials read only the cluster variables, so the sweep walks
-    principal seeds without the companion matrices of principal_states.
+    The F-polynomials read only the cluster variables, so this reads the
+    principal sweep's seeds without principal_states' companions.
     """
     report = Report("fpoly", {"rank": n})
     num_seeds = 0

@@ -11,8 +11,11 @@ from typing import Dict, Tuple
 from cluster_logcc import (
     LaurentPoly,
     Seed,
+    a_n_matrix,
     canonical_seed_key,
     enumerate_t_paths,
+    principal_state,
+    state_step,
 )
 from cluster_logcc.pattern import DEFAULT_BUDGET
 from cluster_logcc.poly import LogConcavityResult
@@ -330,19 +333,33 @@ def plain_exchange_graph(seed, budget=None, step=None):
     are known raises RuntimeError.  step(s, k) replaces plain_mutate when
     given.
     """
+    return _level_search(seed, seed.n, step or plain_mutate, canonical_seed_key, budget)
+
+
+def plain_principal_states(n, budget=None):
+    """Every principal state of the rank-n pattern, one state_step per edge.
+
+    The same level-by-level search, stepping each state in every direction
+    with state_step and no exchange memo, and keying each class on
+    canonical_seed_key of its (unlabelled) seed.
+    """
+    return _level_search(
+        principal_state(a_n_matrix(n)), n, state_step, lambda st: canonical_seed_key(st.seed), budget
+    )
+
+
+def _level_search(start, n, step, key, budget):
     if budget is None:
         budget = DEFAULT_BUDGET
-    if step is None:
-        step = plain_mutate
-    known = {canonical_seed_key(seed)}
-    yield seed
-    frontier = [seed]
+    known = {key(start)}
+    yield start
+    frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
-            for k in range(1, seed.n + 1):
+            for k in range(1, n + 1):
                 t = step(s, k)
-                t_key = canonical_seed_key(t)
+                t_key = key(t)
                 if t_key not in known:
                     if len(known) >= budget:
                         raise RuntimeError("exchange graph not closed within budget")

@@ -14,6 +14,7 @@ from oracles import (
     plain_check_separation,
     plain_exchange_graph,
     plain_mutate,
+    plain_principal_states,
     trop_inverse,
     trop_mul,
     trop_one_oplus,
@@ -484,19 +485,26 @@ def test_every_search_closes_at_its_class_count_and_fails_one_below(search):
 
 
 def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):
-    calls = []
-    honest = pattern.state_step
+    mutations, companions = [], []
+    honest_mutate, honest_step = pattern.mutate, pattern.state_step
 
-    def counted(state, k, *, memo=None, table=None):
-        calls.append(k)
-        return honest(state, k, memo=memo, table=table)
+    def counted_mutate(seed, k, *, memo=None, table=None):
+        mutations.append(k)
+        return honest_mutate(seed, k, memo=memo, table=table)
 
-    monkeypatch.setattr(pattern, "state_step", counted)
+    def counted_step(state, k, seed=None):
+        companions.append(k)
+        return honest_step(state, k, seed)
+
+    monkeypatch.setattr(pattern, "mutate", counted_mutate)
+    monkeypatch.setattr(pattern, "state_step", counted_step)
     with pytest.raises(RuntimeError, match="not closed within budget"):
         list(principal_states(6, 200))
     # 114 seeds expanded in all 6 directions, then 4 steps into the 115th:
     # the 4th reaches a 201st class
-    assert len(calls) == 688
+    assert len(mutations) == 688
+    # companions are stepped once per class past the start, none for the 201st
+    assert len(companions) == 199
 
 
 def _sweep_cases():
@@ -576,6 +584,38 @@ def test_memoised_sweep_matches_plain_sweep(monkeypatch, seed, budget):
         assert (s.history, s.B, s.y, s.cluster) == (t.history, t.B, t.y, t.cluster)
     # every step, not only those that find a class, reaches the same class
     assert got_steps == want_steps
+
+
+@pytest.mark.parametrize("seed,budget", _sweep_cases())
+def test_sweep_expands_classes_in_the_order_it_yields_them(seed, budget):
+    got, _ = _drain(enumerate_exchange_graph(seed, budget))
+    index = {s.history: i for i, s in enumerate(got)}
+    assert got[0].history == () and len(index) == len(got)
+    parents = [index[s.history[:-1]] for s in got[1:]]
+    # each parent was yielded before its child, and a later child never has
+    # an earlier parent: the new neighbours of one class come out together
+    assert all(p < i for i, p in enumerate(parents, start=1))
+    assert parents == sorted(parents)
+
+
+def _state_data(st):
+    return (st.seed.history, st.seed, st.C, st.G, st.D, st.B0)
+
+
+@pytest.mark.parametrize(
+    "n,budget,classes",
+    [(1, None, 2), (2, None, 5), (3, None, 14), (4, None, 42), (5, None, 132), (6, None, 429)]
+    + [(6, 200, 200)],
+)
+def test_principal_states_match_the_per_edge_route(n, budget, classes):
+    # the per-edge route steps the companions of every neighbour and keys
+    # it table-free; the same states must come out, then the same error
+    got, got_error = _drain(principal_states(n, budget))
+    want, want_error = _drain(plain_principal_states(n, budget))
+    overrun = None if budget is None else "exchange graph not closed within budget"
+    assert got_error == want_error == overrun
+    assert len(got) == len(want) == classes
+    assert [_state_data(s) for s in got] == [_state_data(t) for t in want]
 
 
 def _split_alike(pairs):
@@ -692,12 +732,8 @@ def test_memo_and_table_come_together(given):
     # one without the other is an error, never a step that drops it and
     # returns an unlabelled seed
     *_, late = enumerate_exchange_graph(principal_seed(a_n_matrix(3)))
-    state = principal_state(a_n_matrix(3))
-    state = replace(state, seed=_labelled(state.seed, {}))
     with pytest.raises(ValueError, match="labelled"):
         mutate(late, 1, **given)
-    with pytest.raises(ValueError, match="labelled"):
-        state_step(state, 1, **given)
     assert not any(given.values())  # and nothing was written to the one given
 
 
