@@ -16,8 +16,9 @@ mutation path: denominator vectors and the two integer matrices whose columns
 record how coefficients and leading monomials transform.  Their recursions
 are exercised against frozen expected values in the test suite.
 
-Only this module labels seeds: the default step of enumerate_exchange_graph
-sets up each sweep's memo and table; principal_states reads that sweep.
+Only this module labels seeds: enumerate_exchange_graph sets up each
+sweep's memo and table, and principal_states reads that sweep; the
+triangulations of polygon.enumerate_triangulations are read off it too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from fractions import Fraction
 from operator import index, itemgetter
@@ -476,22 +477,14 @@ def canonical_seed_key(seed: Seed) -> tuple:
     )
 
 
-def enumerate_exchange_graph(
-    seed,
-    budget: Optional[int] = None,
-    step: Optional[Callable] = None,
-    key: Optional[Callable] = None,
-) -> Iterator:
+def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Iterator[Seed]:
     """Breadth-first search of seeds up to relabeling, yielding classes as found.
 
-    step(s, k) is the neighbour of s in direction k (1..s.n) and key(s) names
-    its class.  They are looked up when the search starts: key defaults to
-    canonical_seed_key, and step to mutate with an exchange memo and an
-    intern table of this search's own, so each distinct exchange relation is
-    multiplied out and divided once.  The default step labels the start from
-    that fresh table, whatever labels it carried from another sweep; a
-    given step gets a seed start without labels, since they belong to the
-    table of the sweep that made them.  It walks triangulation flips too.
+    The start is labelled from an intern table of this search's own,
+    whatever labels it carried from another sweep; each step is mutate with
+    that table and an exchange memo of its own, so each distinct exchange
+    relation is multiplied out and divided once, and canonical_seed_key
+    names each class.  Both are looked up when the search starts.
     Seeds are identified when they differ only by a simultaneous
     permutation of cluster entries, coefficients, and matrix rows/columns.
     Each class is yielded once, as the first seed that reached it, in the
@@ -504,14 +497,9 @@ def enumerate_exchange_graph(
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    if step is None:
-        table: dict = {}
-        seed = _labelled(seed, table)
-        step = partial(mutate, memo={}, table=table)
-    elif isinstance(seed, Seed) and seed.labels is not None:
-        seed = replace(seed, labels=None)
-    if key is None:
-        key = canonical_seed_key
+    table: dict = {}
+    seed = _labelled(seed, table)
+    step, key = partial(mutate, memo={}, table=table), canonical_seed_key
     seen = {key(seed)}
     queue = deque([seed])
     yield seed
@@ -531,7 +519,7 @@ def enumerate_exchange_graph(
 def principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
     """Every principal seed of the rank-n pattern, with its companion matrices.
 
-    The default sweep's seeds, in its order; each seed's companions are
+    The seed sweep's seeds, in its order; each seed's companions are
     stepped once, from its parent's (history one step shorter).  The sweep
     expands classes in yield order, so states before the parent go.
     """

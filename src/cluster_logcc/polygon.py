@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .pattern import Seed, enumerate_exchange_graph, geometric_seed
+from .pattern import Seed, coefficient_free_seed, enumerate_exchange_graph, geometric_seed
 from .poly import LaurentPoly, poly_to_json
 
 Pair = Tuple[int, int]
@@ -218,10 +219,13 @@ def flip(tri: Triangulation, k: int) -> Triangulation:
 def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None) -> List[Triangulation]:
     """All triangulations reachable by flips (all of them, by connectivity).
 
-    Listed in breadth-first order by the exchange-graph search; more than
-    `budget` (default DEFAULT_BUDGET) triangulations is an error.
+    Flipping diagonal k mutates in direction k, so each class of the seed
+    sweep from start's coefficient-free seed is start flipped along the path
+    that first reached it; the list is in the sweep's breadth-first order,
+    and more than `budget` (default DEFAULT_BUDGET) triangulations is an error.
     """
-    return list(enumerate_exchange_graph(start, budget, flip, lambda tri: frozenset(tri.diagonal_pairs())))
+    sweep = enumerate_exchange_graph(coefficient_free_seed(principal_b_matrix(start)), budget)
+    return [reduce(flip, s.history, start) for s in sweep]
 
 
 # ---- path expansion ----

@@ -663,21 +663,26 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
     Enumerates every cluster, every monomial in its variables up to total
     degree deg.  Violations are recorded as witnesses; none is expected, but
     the claim is open, so the report stays exploratory either way.  The
-    monomials come from _cluster_monomials; the constant is skipped.
+    monomials come from _cluster_monomials; the constant is skipped.  Only a
+    power of one variable recurs there, so only those keys are kept.
     """
     if deg < 0:
         raise ValueError("degree bound must be nonnegative")
     report = Report("conj-an", {"rank": n, "deg": deg}, exploratory=True)
     seeds = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget)
-    num_clusters = 0
-    seen = set()
+    num_clusters = num_monomials = 0
+    powers_seen = set()
     max_coeff = 0
     for idx, m, value in _cluster_monomials((s.cluster for s in seeds), deg):
         num_clusters = idx + 1  # every cluster yields its constant monomial first
-        key = value.key()
-        if not any(m) or key in seen:
+        if not any(m):
             continue
-        seen.add(key)
+        if len(m) - m.count(0) == 1:
+            key = value.key()
+            if key in powers_seen:
+                continue
+            powers_seen.add(key)
+        num_monomials += 1
         numerator = normalize_denominator(value, n).numerator
         max_coeff = max(max_coeff, max(numerator.coefficients()))
         w = _logcc_witness(numerator, kind="not-log-concave", seed_index=idx, exponents=list(m))
@@ -685,7 +690,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
             report.add(w)
     report.stats = {
         "num_clusters": num_clusters,
-        "num_monomials": len(seen),
+        "num_monomials": num_monomials,
         "max_numerator_coefficient": max_coeff,
     }
     return report

@@ -14,6 +14,7 @@ from cluster_logcc import (
     a_n_matrix,
     canonical_seed_key,
     enumerate_t_paths,
+    flip,
     principal_state,
     state_step,
 )
@@ -345,6 +346,17 @@ def plain_principal_states(n, budget=None):
     """
     return _level_search(
         principal_state(a_n_matrix(n)), n, state_step, lambda st: canonical_seed_key(st.seed), budget
+    )
+
+
+def plain_flip_graph(start, budget=None):
+    """Every triangulation reachable from start by flips, with no seeds.
+
+    The same level-by-level search, stepping each triangulation with flip
+    in every direction and keying each on its set of diagonals.
+    """
+    return list(
+        _level_search(start, start.n, flip, lambda tri: frozenset(tri.diagonal_pairs()), budget)
     )
 
 

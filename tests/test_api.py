@@ -10,6 +10,7 @@ so a rename fails here and not only in the benchmark's traced run.
 
 import importlib
 import importlib.util
+import inspect
 import types
 from pathlib import Path
 
@@ -91,6 +92,12 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
+
+
+def test_seed_sweep_takes_no_plug_ins():
+    # one search, over seeds: no step or key to swap in
+    params = inspect.signature(cluster_logcc.enumerate_exchange_graph).parameters
+    assert tuple(params) == ("seed", "budget")
 
 
 def test_no_export_list_to_keep_in_step():

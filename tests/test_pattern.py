@@ -598,6 +598,22 @@ def test_sweep_expands_classes_in_the_order_it_yields_them(seed, budget):
     assert parents == sorted(parents)
 
 
+@pytest.mark.parametrize("seed,budget", _sweep_cases())
+def test_sweep_labels_appear_in_order_one_at_a_time(seed, budget):
+    # a new label makes a new class key, so the seed that brings it is
+    # yielded at once: read in yield order the labels run 0, 1, 2, ... and
+    # each seed past the start brings at most one, where it mutated
+    got, _ = _drain(enumerate_exchange_graph(seed, budget))
+    assert got[0].labels == tuple(range(seed.n))
+    known = seed.n
+    for s in got[1:]:
+        new = [i for i, label in enumerate(s.labels) if label >= known]
+        assert new in ([], [s.history[-1] - 1])
+        if new:
+            assert s.labels[new[0]] == known
+            known += 1
+
+
 def _state_data(st):
     return (st.seed.history, st.seed, st.C, st.G, st.D, st.B0)
 
@@ -639,9 +655,10 @@ def _pairing_key(pairs):
 
 
 @pytest.mark.parametrize("seed,budget", _sweep_cases())
-def test_labelled_key_splits_classes_like_the_table_free_key(seed, budget):
+def test_labelled_key_splits_classes_like_the_table_free_key(monkeypatch, seed, budget):
     pairs = []
-    got, _ = _drain(enumerate_exchange_graph(seed, budget, key=_pairing_key(pairs)))
+    monkeypatch.setattr(pattern, "canonical_seed_key", _pairing_key(pairs))
+    got, _ = _drain(enumerate_exchange_graph(seed, budget))
     # every step's key is compared: the start's, then n per expanded seed
     # (a budget cut stops inside an expansion)
     assert len(pairs) > len(got)
@@ -705,11 +722,10 @@ def test_a_yielded_seed_restarts_like_a_fresh_one(start):
     assert sorted(late.labels) != list(range(late.n))
     want = [(t.history, t.B, t.y, t.cluster) for t in enumerate_exchange_graph(_unlabelled(late))]
     assert len(want) == 42
-    # the default step labels the start afresh; a given step gets it unlabelled
-    for step in (None, mutate, plain_mutate):
-        again = list(enumerate_exchange_graph(late, step=step))
-        assert [(s.history, s.B, s.y, s.cluster) for s in again] == want
-        assert again[0].labels == (tuple(range(late.n)) if step is None else None)
+    # the sweep labels the start afresh
+    again = list(enumerate_exchange_graph(late))
+    assert [(s.history, s.B, s.y, s.cluster) for s in again] == want
+    assert again[0].labels == tuple(range(late.n))
 
 
 def test_labels_stay_out_of_equality_hash_repr_and_json():

@@ -30,7 +30,7 @@ from cluster_logcc import (
     zigzag,
 )
 from cluster_logcc.polygon import boundary_to_one, chords
-from oracles import free_path_sum, rotation_b_matrix
+from oracles import free_path_sum, plain_flip_graph, rotation_b_matrix
 
 
 # ---- construction and crossing ----
@@ -179,6 +179,27 @@ def test_flip_graph_size(n, count):
 def test_flip_budget():
     with pytest.raises(RuntimeError):
         enumerate_triangulations(zigzag(4), budget=10)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [build(n) for build in (zigzag, fan) for n in range(1, 7)] + plain_flip_graph(zigzag(3)),
+    ids=[f"{build.__name__}{n}" for build in (zigzag, fan) for n in range(1, 7)]
+    + [f"hexagon{i}" for i in range(14)],
+)
+def test_triangulations_read_off_the_seed_sweep_match_the_flip_search(start):
+    # the seed sweep must reach the same triangulations, with the same
+    # labels, in the same order as a search that only flips
+    got = enumerate_triangulations(start)
+    assert [t.edges for t in got] == [t.edges for t in plain_flip_graph(start)]
+
+
+def test_flip_budget_cut_matches_the_flip_search():
+    with pytest.raises(RuntimeError) as got:
+        enumerate_triangulations(zigzag(4), budget=10)
+    with pytest.raises(RuntimeError) as want:
+        plain_flip_graph(zigzag(4), budget=10)
+    assert str(got.value) == str(want.value) == "exchange graph not closed within budget"
 
 
 # ---- crossing order along a chord ----

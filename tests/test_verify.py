@@ -169,6 +169,20 @@ def test_conj_an_multiplies_each_monomial_once(monkeypatch):
     assert calls <= 1660
 
 
+def test_conj_an_products_of_several_variables_never_recur():
+    # explore_an_monomials keeps keys only for powers of one variable, on
+    # the ground that every product of two or more is met once
+    from cluster_logcc import a_n_matrix, coefficient_free_seed, enumerate_exchange_graph
+    from cluster_logcc.verify import _cluster_monomials
+
+    n, deg = 4, 4
+    clusters = (s.cluster for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))))
+    keys = [
+        value.key() for _, m, value in _cluster_monomials(clusters, deg) if len(m) - m.count(0) > 1
+    ]
+    assert len(keys) == len(set(keys)) > 0
+
+
 # ---- basis ----
 
 
