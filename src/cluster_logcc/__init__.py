@@ -24,7 +24,6 @@ from .pattern import (
     DEFAULT_BUDGET,
     Seed,
     a_n_matrix,
-    canonical_seed_key,
     cg_step,
     check_separation,
     cluster_variables,

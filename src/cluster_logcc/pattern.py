@@ -454,27 +454,21 @@ def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, Laure
 
 
 def canonical_seed_key(seed: Seed) -> tuple:
-    """Canonical form under simultaneous permutation of cluster positions.
+    """A sweep's seed up to simultaneous permutation of cluster positions.
 
-    A labelled seed is named by its sorted labels, with the columns of the
-    frozen rows and the rows and columns of B permuted by the same order;
-    labels mean something only within their sweep, so such keys are
-    compared only with keys from the same sweep.  An unlabelled seed is
-    named by its variables' key()s, with the same permutation of the frozen
-    rows and B, and is comparable everywhere.
+    The seed is named by its sorted labels, with the columns of the frozen
+    rows and the rows and columns of B permuted by the same order.  Labels
+    mean something only within their sweep, so keys are compared only with
+    keys from the same sweep; a seed without labels has no key and raises
+    ValueError.
     """
     labels = seed.labels
-    if labels is not None:
-        if seed.n == 1:  # itemgetter of one index returns the item, not a tuple
-            return (labels, seed.frozen, seed.B)
-        pick = itemgetter(*sorted(range(seed.n), key=labels.__getitem__))
-        return (pick(labels), tuple(map(pick, seed.frozen)), tuple(map(pick, pick(seed.B))))
-    perm = sorted(range(seed.n), key=lambda i: seed.cluster[i].key())
-    return (
-        tuple(seed.cluster[p].key() for p in perm),
-        tuple(tuple(row[p] for p in perm) for row in seed.frozen),
-        tuple(tuple(seed.B[pr][pc] for pc in perm) for pr in perm),
-    )
+    if labels is None:
+        raise ValueError("canonical_seed_key needs a seed labelled by a sweep")
+    if seed.n == 1:  # itemgetter of one index returns the item, not a tuple
+        return (labels, seed.frozen, seed.B)
+    pick = itemgetter(*sorted(range(seed.n), key=labels.__getitem__))
+    return (pick(labels), tuple(map(pick, seed.frozen)), tuple(map(pick, pick(seed.B))))
 
 
 def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Iterator[Seed]:

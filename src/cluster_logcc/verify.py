@@ -107,7 +107,7 @@ def _logcc_witness(p: LaurentPoly, **extra) -> Optional[dict]:
     """A witness unless p is log-concave.  A negative coefficient is a finding,
     not an input error: it gives a negative-coefficient witness, never
     is_log_concave's ValueError."""
-    out = dict(extra)
+    out = {"kind": "not-log-concave", **extra}
     if any(c < 0 for c in p.coefficients()):
         out["kind"] = "negative-coefficient"
     else:
@@ -179,7 +179,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
             continue  # the zero polynomial is witnessed by the route comparison alone
         numerator = normalize_denominator(by_key[key], n).numerator
         max_coeff = max(max_coeff, max(numerator.coefficients()))
-        w = _logcc_witness(numerator, kind="not-log-concave")
+        w = _logcc_witness(numerator)
         if w is not None:
             report.add(w)
 
@@ -328,7 +328,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
             fpolys.setdefault(fp.key(), fp)
     for key in sorted(fpolys):
         fp = fpolys[key]
-        w = _logcc_witness(fp, kind="not-log-concave")
+        w = _logcc_witness(fp)
         if w is not None:
             report.add(w)
         fvec = fp.max_degrees()
@@ -620,7 +620,7 @@ def verify_a2_monomials(deg: int) -> Report:
         chart, (m1, m2) = cm.chart, cm.exponents
         num_monomials += 1
         nd = normalize_denominator(cm.value, 2)
-        w = _logcc_witness(nd.numerator, kind="not-log-concave", chart=chart, exponents=[m1, m2])
+        w = _logcc_witness(nd.numerator, chart=chart, exponents=[m1, m2])
         if w is not None:
             report.add(w)
         if chart == 3:
@@ -685,7 +685,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
         num_monomials += 1
         numerator = normalize_denominator(value, n).numerator
         max_coeff = max(max_coeff, max(numerator.coefficients()))
-        w = _logcc_witness(numerator, kind="not-log-concave", seed_index=idx, exponents=list(m))
+        w = _logcc_witness(numerator, seed_index=idx, exponents=list(m))
         if w is not None:
             report.add(w)
     report.stats = {

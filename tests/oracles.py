@@ -1,8 +1,19 @@
 """Independent reference implementations used to cross-check the fast paths.
 
 Everything here is written for clarity over speed: dense arrays, explicit
-loops, no shared code with the package internals beyond the public term
-representation.
+loops, and only public package names (no underscore-prefixed import; a test
+in test_exactness.py checks this).  Every reference builds on LaurentPoly
+and its ring operations, which slow_poly_mul checks in turn.  Beyond that,
+each shares with the package only what its docstring names:
+
+- plain_principal_states starts from principal_state and steps with the
+  package's state_step, so it checks the sweep and its memo, not the
+  companion recursions (dense_cg_step and dense_d_vector_step check those);
+- plain_flip_graph steps with the package's flip;
+- free_path_sum reads its paths from the package's enumerate_t_paths.
+
+The searches key seeds with plain_seed_key, never with the package's
+canonical_seed_key, and share no stepping code with the sweep they check.
 """
 
 from itertools import combinations, permutations, product
@@ -12,7 +23,6 @@ from cluster_logcc import (
     LaurentPoly,
     Seed,
     a_n_matrix,
-    canonical_seed_key,
     enumerate_t_paths,
     flip,
     principal_state,
@@ -325,6 +335,21 @@ def plain_mutate(seed, k):
     )
 
 
+def plain_seed_key(seed):
+    """Canonical form of any seed under simultaneous permutation of positions.
+
+    The variables' key()s in sorted order, with the columns of the frozen
+    rows and the rows and columns of B permuted alike.  Labels are not read,
+    so keys compare across sweeps and outside them.
+    """
+    perm = sorted(range(seed.n), key=lambda i: seed.cluster[i].key())
+    return (
+        tuple(seed.cluster[p].key() for p in perm),
+        tuple(tuple(row[p] for p in perm) for row in seed.frozen),
+        tuple(tuple(seed.B[pr][pc] for pc in perm) for pr in perm),
+    )
+
+
 def plain_exchange_graph(seed, budget=None, step=None):
     """Breadth-first search over plain_mutate, with no exchange memo.
 
@@ -334,7 +359,7 @@ def plain_exchange_graph(seed, budget=None, step=None):
     are known raises RuntimeError.  step(s, k) replaces plain_mutate when
     given.
     """
-    return _level_search(seed, seed.n, step or plain_mutate, canonical_seed_key, budget)
+    return _level_search(seed, seed.n, step or plain_mutate, plain_seed_key, budget)
 
 
 def plain_principal_states(n, budget=None):
@@ -342,10 +367,10 @@ def plain_principal_states(n, budget=None):
 
     The same level-by-level search, stepping each state in every direction
     with state_step and no exchange memo, and keying each class on
-    canonical_seed_key of its (unlabelled) seed.
+    plain_seed_key of its seed.
     """
     return _level_search(
-        principal_state(a_n_matrix(n)), n, state_step, lambda st: canonical_seed_key(st.seed), budget
+        principal_state(a_n_matrix(n)), n, state_step, lambda st: plain_seed_key(st.seed), budget
     )
 
 

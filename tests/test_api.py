@@ -31,7 +31,6 @@ PUBLIC = {
     "Seed",
     "a_n_matrix",
     "boundary_seed",
-    "canonical_seed_key",
     "cg_step",
     "check_separation",
     "cluster_variables",

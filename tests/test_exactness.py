@@ -27,7 +27,8 @@ or compared them would carry one sweep's names into another.
 No module of the package, the CLI included, imports an underscore-prefixed
 name from another: a helper private to one module is not another's to
 call, so what a module needs from its neighbour is public there.  The
-CLI's only exemptions are the float and except rules.
+CLI's only exemptions are the float and except rules.  The tests' reference
+routes in oracles.py import no such name either.
 """
 
 import ast
@@ -192,6 +193,13 @@ def _private_imports(tree: ast.AST):
 @pytest.mark.parametrize("module", MODULES + ["cli.py"])
 def test_engine_imports_no_private_name(module):
     assert list(_private_imports(ast.parse((SRC / module).read_text(encoding="utf-8")))) == []
+
+
+def test_reference_routes_import_no_private_name():
+    # a reference that imported a package helper would share code with the
+    # route it checks
+    oracles = (TESTS / "oracles.py").read_text(encoding="utf-8")
+    assert list(_private_imports(ast.parse(oracles))) == []
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from oracles import (
     plain_exchange_graph,
     plain_mutate,
     plain_principal_states,
+    plain_seed_key,
     trop_inverse,
     trop_mul,
     trop_one_oplus,
@@ -30,7 +31,6 @@ from cluster_logcc import (
     Seed,
     a_n_matrix,
     boundary_seed,
-    canonical_seed_key,
     cg_step,
     check_separation,
     cluster_variables,
@@ -52,7 +52,7 @@ from cluster_logcc import (
     state_step,
     zigzag,
 )
-from cluster_logcc.pattern import _labelled, principal_states
+from cluster_logcc.pattern import _labelled, canonical_seed_key, principal_states
 
 B2 = ((0, 1), (-1, 0))
 TYPE_B2 = ((0, 2), (-1, 0))
@@ -320,7 +320,7 @@ def test_half_period_swaps_the_initial_cluster():
     for i in range(5):
         t = mutate(t, 1 + (i % 2))
     assert [dict(x.terms) for x in t.cluster] == [{(0, 1): 1}, {(1, 0): 1}]
-    assert canonical_seed_key(t) == canonical_seed_key(s)
+    assert plain_seed_key(t) == plain_seed_key(s)
     assert t != s  # labeled seeds differ, canonical classes agree
 
 
@@ -530,7 +530,7 @@ def _spy_on_mutate(monkeypatch, log=None):
 
     Returns the (memo, table) pairs handed to it, in order of first use.
     With a log, each step's direction and the class it reaches, named by
-    the table-free key, are appended to it.
+    plain_seed_key, are appended to it.
     """
     sweeps = []
     honest = pattern.mutate
@@ -540,7 +540,7 @@ def _spy_on_mutate(monkeypatch, log=None):
             sweeps.append((memo, table))
         t = honest(seed, k, memo=memo, table=table)
         if log is not None:
-            log.append((k, canonical_seed_key(_unlabelled(t))))
+            log.append((k, plain_seed_key(t)))
         return t
 
     monkeypatch.setattr(pattern, "mutate", spied)
@@ -552,7 +552,7 @@ def _recording(step, log):
 
     def recorded(s, k):
         t = step(s, k)
-        log.append((k, canonical_seed_key(t)))
+        log.append((k, plain_seed_key(t)))
         return t
 
     return recorded
@@ -644,11 +644,11 @@ def _split_alike(pairs):
 
 
 def _pairing_key(pairs):
-    """canonical_seed_key, pairing each labelled key with the table-free one."""
+    """canonical_seed_key, pairing each labelled key with plain_seed_key."""
 
     def key(s):
         assert s.labels is not None
-        pairs.append((canonical_seed_key(s), canonical_seed_key(_unlabelled(s))))
+        pairs.append((canonical_seed_key(s), plain_seed_key(s)))
         return pairs[-1][0]
 
     return key
@@ -695,10 +695,26 @@ def test_labelled_key_keeps_b_and_y(n):
     ]
     if n > 1:
         seeds.append(replace(s, frozen=tuple(row[1:] + row[:1] for row in s.frozen)))
-    pairs = [(canonical_seed_key(t), canonical_seed_key(_unlabelled(t))) for t in seeds]
+    pairs = [(canonical_seed_key(t), plain_seed_key(t)) for t in seeds]
     assert _split_alike(pairs)
     # at rank 1, negating B = ((0,),) changes nothing
     assert pairs[3][0] == pairs[0][0] and len(set(pairs)) == (2 if n == 1 else 4)
+
+
+def test_canonical_seed_key_rejects_a_seed_without_labels():
+    # outside a sweep a seed has no class key; plain_seed_key names it
+    *_, late = enumerate_exchange_graph(principal_seed(a_n_matrix(3)))
+    for s in [principal_seed(a_n_matrix(3)), _unlabelled(late)]:
+        with pytest.raises(ValueError, match="needs a seed labelled by a sweep"):
+            canonical_seed_key(s)
+    # with its labels the same seed keys as ever: sorted labels, with the
+    # frozen columns and B permuted alike
+    perm = sorted(range(3), key=late.labels.__getitem__)
+    assert canonical_seed_key(late) == (
+        tuple(late.labels[p] for p in perm),
+        tuple(tuple(row[p] for p in perm) for row in late.frozen),
+        tuple(tuple(late.B[i][j] for j in perm) for i in perm),
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 6))
