@@ -17,8 +17,9 @@ record how coefficients and leading monomials transform.  Their recursions
 are exercised against frozen expected values in the test suite.
 
 Only this module labels seeds: enumerate_exchange_graph sets up each
-sweep's memo and table, and principal_states reads that sweep; the
-triangulations of polygon.enumerate_triangulations are read off it too.
+sweep's memo and table, names clusters and facets by sorted labels, and
+mutates only into classes it has not met; principal_states reads that
+sweep, and so do the triangulations of polygon.enumerate_triangulations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import partial
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from fractions import Fraction
-from operator import index, itemgetter
+from operator import index
 
 from .poly import LaurentPoly, poly_from_json, poly_to_json
 
@@ -453,22 +454,17 @@ def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, Laure
 # ---- exchange graph ----
 
 
-def canonical_seed_key(seed: Seed) -> tuple:
-    """A sweep's seed up to simultaneous permutation of cluster positions.
+def canonical_seed_key(labels: Sequence[int]) -> tuple:
+    """A sweep's name for a set of its variables: their labels, sorted.
 
-    The seed is named by its sorted labels, with the columns of the frozen
-    rows and the rows and columns of B permuted by the same order.  Labels
-    mean something only within their sweep, so keys are compared only with
-    keys from the same sweep; a seed without labels has no key and raises
-    ValueError.
+    n labels name a class, n - 1 a facet (a cluster less one variable);
+    names compare only within one sweep.  That labels suffice rests on CA IV
+    Conj. 4.14 (Fomin-Zelevinsky, Compos. Math. 2007), proved for geometric
+    type by Gekhtman-Shapiro-Vainshtein (Math. Res. Lett. 2008): a seed is
+    fixed by its cluster, and two clusters are adjacent exactly when they
+    share n - 1 variables.
     """
-    labels = seed.labels
-    if labels is None:
-        raise ValueError("canonical_seed_key needs a seed labelled by a sweep")
-    if seed.n == 1:  # itemgetter of one index returns the item, not a tuple
-        return (labels, seed.frozen, seed.B)
-    pick = itemgetter(*sorted(range(seed.n), key=labels.__getitem__))
-    return (pick(labels), tuple(map(pick, seed.frozen)), tuple(map(pick, pick(seed.B))))
+    return tuple(sorted(labels))
 
 
 def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Iterator[Seed]:
@@ -476,15 +472,20 @@ def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Iterat
 
     The start is labelled from an intern table of this search's own,
     whatever labels it carried from another sweep; each step is mutate with
-    that table and an exchange memo of its own, so each distinct exchange
-    relation is multiplied out and divided once, and canonical_seed_key
-    names each class.  Both are looked up when the search starts.
-    Seeds are identified when they differ only by a simultaneous
-    permutation of cluster entries, coefficients, and matrix rows/columns.
+    that table and an exchange memo of its own, both looked up when the
+    search starts.  Seeds are identified when they differ only by a
+    simultaneous permutation of cluster entries, coefficients, and matrix
+    rows/columns.  By CA IV Conj. 4.14, proved for geometric type (see
+    canonical_seed_key), a seed is fixed by its cluster and two clusters are
+    adjacent exactly when they share n - 1 variables, so each facet lies in
+    exactly two classes.  The search keeps the open facets, those of one
+    known class, toggling a class's n facets as it is yielded: a step whose
+    facet is closed reaches a known class and is skipped, and mutate runs
+    only for a step that reaches a new class.
     Each class is yielded once, as the first seed that reached it, in the
-    order reached, starting with seed itself; the search holds only the class
-    keys and the queue of classes still to expand.  Classes are expanded in
-    yield order, so the new neighbours of each class come out together,
+    order reached, starting with seed itself; the search holds only the open
+    facets and the queue of classes still to expand.  Classes are expanded
+    in yield order, so the new neighbours of each class come out together,
     after those of earlier classes.  The first step that reaches a new
     class once `budget` classes are known raises RuntimeError: an exceeded
     budget is an error, never a truncation.
@@ -494,20 +495,26 @@ def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Iterat
     table: dict = {}
     seed = _labelled(seed, table)
     step, key = partial(mutate, memo={}, table=table), canonical_seed_key
-    seen = {key(seed)}
+
+    def facet(labels: Tuple[int, ...], kk: int) -> tuple:
+        return key(labels[:kk] + labels[kk + 1 :])
+
+    open_facets = {facet(seed.labels, kk) for kk in range(seed.n)}
+    classes = 1
     queue = deque([seed])
     yield seed
     while queue:
         s = queue.popleft()
-        for k in range(1, s.n + 1):
-            t = step(s, k)
-            t_key = key(t)
-            if t_key not in seen:
-                if len(seen) >= budget:
-                    raise RuntimeError("exchange graph not closed within budget")
-                seen.add(t_key)
-                queue.append(t)
-                yield t
+        for kk in range(s.n):
+            if facet(s.labels, kk) not in open_facets:
+                continue
+            if classes >= budget:
+                raise RuntimeError("exchange graph not closed within budget")
+            t = step(s, kk + 1)
+            classes += 1
+            open_facets ^= {facet(t.labels, jj) for jj in range(t.n)}
+            queue.append(t)
+            yield t
 
 
 def principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:

@@ -31,6 +31,8 @@ Claim identifiers accepted by run_claim, each with the scope flags it reads
 
 The seed sweeps come from pattern.py.  fpoly reads the principal one's
 seeds; gyo21 and separation read them with companions (principal_states).
+main1, gyo21, fpoly and separation each also count the sweep's seeds
+against Catalan(n + 1).
 """
 
 from __future__ import annotations
@@ -132,6 +134,15 @@ def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
+def _check_seed_count(report: Report, n: int, num_seeds: int) -> None:
+    """A seed-count witness unless the sweep found Catalan(n + 1) seeds, the
+    number of clusters of type A_n: a sweep that merged or split classes
+    may still find every variable."""
+    expected = math.comb(2 * n + 2, n + 1) // (n + 2)
+    if num_seeds != expected:
+        report.add({"kind": "seed-count", "expected": expected, "got": num_seeds})
+
+
 # ---- claim checkers ----
 
 
@@ -140,8 +151,9 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 
     The variables are produced twice: by admissible-path expansion of every
     chord, and independently by exhausting seed mutation from the matching
-    coefficient-free seed.  The two sets must agree, the count must be
-    n(n+3)/2, and every numerator must pass the log-concavity check.
+    coefficient-free seed.  The sweep must find Catalan(n+1) seeds, the two
+    sets must agree, the count must be n(n+3)/2, and every numerator must
+    pass the log-concavity check.
     """
     report = Report("main1", {"rank": n})
     tri = zigzag(n)
@@ -156,6 +168,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         num_seeds += 1
         for x in s.cluster:
             mutated.setdefault(x.key(), x)
+    _check_seed_count(report, n, num_seeds)
 
     expected = n * (n + 3) // 2
     if len(by_key) != expected:
@@ -309,6 +322,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                         "c": list(c_col),
                     }
                 )
+    _check_seed_count(report, n, num_seeds)
     report.stats = {"num_seeds": num_seeds}
     return report
 
@@ -326,6 +340,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
         num_seeds += 1
         for fp in f_data(seed).f_polynomials:
             fpolys.setdefault(fp.key(), fp)
+    _check_seed_count(report, n, num_seeds)
     for key in sorted(fpolys):
         fp = fpolys[key]
         w = _logcc_witness(fp)
@@ -357,6 +372,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
                     "reconstructed": poly_to_json(rhs),
                 }
             )
+    _check_seed_count(report, n, num_seeds)
     report.stats = {"num_seeds": num_seeds, "num_variables_checked": n * num_seeds}
     return report
 

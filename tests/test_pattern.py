@@ -57,6 +57,8 @@ from cluster_logcc.pattern import _labelled, canonical_seed_key, principal_state
 B2 = ((0, 1), (-1, 0))
 TYPE_B2 = ((0, 2), (-1, 0))
 TYPE_G2 = ((0, 3), (-1, 0))
+KRONECKER = ((0, 2), (-2, 0))
+MARKOV = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
 
 
 # ---- exchange matrices ----
@@ -468,6 +470,9 @@ _SEARCHES = {
     "enumerate_triangulations": lambda b: enumerate_triangulations(zigzag(3), b),
     "main1": lambda b: verify.run_claim("main1", rank=3, budget=b),
     "gyo21": lambda b: verify.run_claim("gyo21", rank=3, budget=b),
+    "fpoly": lambda b: verify.run_claim("fpoly", rank=3, budget=b),
+    "separation": lambda b: verify.run_claim("separation", rank=3, budget=b),
+    "conj-an": lambda b: verify.run_claim("conj-an", rank=3, deg=2, budget=b),
 }
 
 
@@ -478,6 +483,8 @@ def test_every_search_closes_at_its_class_count_and_fails_one_below(search):
         assert len(result) == 9
     elif search == "enumerate_triangulations":
         assert len(result) == 14
+    elif search == "conj-an":
+        assert result.status == "exploratory" and result.stats["num_clusters"] == 14
     else:
         assert result.status == "verified" and result.stats["num_seeds"] == 14
     with pytest.raises(RuntimeError, match="^exchange graph not closed within budget$"):
@@ -500,9 +507,9 @@ def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):
     monkeypatch.setattr(pattern, "state_step", counted_step)
     with pytest.raises(RuntimeError, match="not closed within budget"):
         list(principal_states(6, 200))
-    # 114 seeds expanded in all 6 directions, then 4 steps into the 115th:
-    # the 4th reaches a 201st class
-    assert len(mutations) == 688
+    # one mutation per class past the start: a step to a known class is
+    # read off its facet, and the 201st class raises before its mutation
+    assert len(mutations) == 199
     # companions are stepped once per class past the start, none for the 201st
     assert len(companions) == 199
 
@@ -518,6 +525,10 @@ def _sweep_cases():
         yield pytest.param(principal_seed(B), None, id=f"principal-{name}")
     yield pytest.param(coefficient_free_seed(a_n_matrix(4)), 20, id="free-A4-budget-20")
     yield pytest.param(principal_seed(a_n_matrix(5)), 50, id="principal-A5-budget-50")
+    # infinite type, cut by the budget: the Kronecker and Markov quivers
+    for name, B, budget in (("kronecker", KRONECKER, 12), ("markov", MARKOV, 40)):
+        yield pytest.param(coefficient_free_seed(B), budget, id=f"free-{name}-budget-{budget}")
+        yield pytest.param(principal_seed(B), budget, id=f"principal-{name}-budget-{budget}")
 
 
 def _unlabelled(s):
@@ -569,6 +580,32 @@ def _drain(sweep):
     return classes, None
 
 
+def _facet_steps(classes):
+    """Every step of a sweep's expansion, as its facets tell it.
+
+    For each yielded class s in expansion order and each direction k:
+    (s, k, t), where t is the other yielded class holding the facet of s
+    without position k, or None when no yielded class does (past a budget
+    cut).  Facets are named here by their sorted labels, not by
+    canonical_seed_key, and no step is mutated.
+    """
+
+    def facet(s, kk):
+        return tuple(sorted(s.labels[:kk] + s.labels[kk + 1 :]))
+
+    holders = {}
+    for s in classes:
+        for kk in range(s.n):
+            holders.setdefault(facet(s, kk), []).append(s)
+    steps = []
+    for s in classes:
+        for kk in range(s.n):
+            others = [t for t in holders[facet(s, kk)] if t is not s]
+            assert len(others) <= 1  # a facet lies in at most two clusters
+            steps.append((s, kk + 1, others[0] if others else None))
+    return steps
+
+
 @pytest.mark.parametrize("seed,budget", _sweep_cases())
 def test_memoised_sweep_matches_plain_sweep(monkeypatch, seed, budget):
     got_steps, want_steps = [], []
@@ -582,8 +619,22 @@ def test_memoised_sweep_matches_plain_sweep(monkeypatch, seed, budget):
     assert len(got) == len(want)
     for s, t in zip(got, want):
         assert (s.history, s.B, s.y, s.cluster) == (t.history, t.B, t.y, t.cluster)
-    # every step, not only those that find a class, reaches the same class
-    assert got_steps == want_steps
+    # edge by edge, the class a step's facet leads to is the class
+    # plain_mutate reaches; past a budget cut the plain route's last step
+    # reaches a class that no yielded class shares a facet with
+    steps = _facet_steps(got)
+    assert len(steps) >= len(want_steps)
+    steps = steps[: len(want_steps)]
+    if overrun:
+        (_, k, t), (want_k, past) = steps.pop(), want_steps.pop()
+        assert (k, t) == (want_k, None)
+        assert past not in {plain_seed_key(s) for s in got}
+    else:
+        assert len(steps) == seed.n * len(got)
+    assert [(k, plain_seed_key(t)) for _, k, t in steps] == want_steps
+    # mutate runs only on the steps that reach a new class, the ones yielded
+    new = [(k, plain_seed_key(t)) for s, k, t in steps if t.history == s.history + (k,)]
+    assert got_steps == new and len(new) == len(got) - 1
 
 
 @pytest.mark.parametrize("seed,budget", _sweep_cases())
@@ -643,27 +694,26 @@ def _split_alike(pairs):
     return len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(set(pairs))
 
 
-def _pairing_key(pairs):
-    """canonical_seed_key, pairing each labelled key with plain_seed_key."""
-
-    def key(s):
-        assert s.labels is not None
-        pairs.append((canonical_seed_key(s), plain_seed_key(s)))
-        return pairs[-1][0]
-
-    return key
+def _key_pairs(classes):
+    """canonical_seed_key of each yielded class's labels, paired with its
+    plain_seed_key; then, step by step, that of the neighbour the step's
+    facet leads to, paired with plain_seed_key of plain_mutate's step."""
+    pairs = [(canonical_seed_key(s.labels), plain_seed_key(s)) for s in classes]
+    for s, k, t in _facet_steps(classes):
+        if t is not None:
+            pairs.append((canonical_seed_key(t.labels), plain_seed_key(plain_mutate(s, k))))
+    return pairs
 
 
 @pytest.mark.parametrize("seed,budget", _sweep_cases())
-def test_labelled_key_splits_classes_like_the_table_free_key(monkeypatch, seed, budget):
-    pairs = []
-    monkeypatch.setattr(pattern, "canonical_seed_key", _pairing_key(pairs))
+def test_labelled_key_splits_classes_like_the_table_free_key(seed, budget):
     got, _ = _drain(enumerate_exchange_graph(seed, budget))
-    # every step's key is compared: the start's, then n per expanded seed
-    # (a budget cut stops inside an expansion)
+    pairs = _key_pairs(got)
+    # every yielded class, then every step whose facet another class holds
+    # (a budget cut leaves some facets with one class)
     assert len(pairs) > len(got)
     if budget is None:
-        assert len(pairs) == 1 + seed.n * len(got)
+        assert len(pairs) == (1 + seed.n) * len(got)
     assert _split_alike(pairs)
     assert len({b for _, b in pairs}) >= len(got)
     # a key that splits nothing apart, or everything, fails the check
@@ -671,58 +721,22 @@ def test_labelled_key_splits_classes_like_the_table_free_key(monkeypatch, seed, 
     assert not _split_alike([(i, b) for i, (_, b) in enumerate(pairs)])
 
 
-def _permuted(s, perm):
-    """s with its positions reordered by perm, labels included."""
-    return replace(
-        s,
-        B=tuple(tuple(s.B[i][j] for j in perm) for i in perm),
-        frozen=tuple(tuple(row[i] for i in perm) for row in s.frozen),
-        cluster=tuple(s.cluster[i] for i in perm),
-        labels=tuple(s.labels[i] for i in perm),
-    )
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_labelled_key_keeps_b_and_y(n):
-    # In a sweep the cluster fixes the seed, so sweeps cannot show a key that
-    # drops B or y; these hand-made seeds share a cluster and labels.
-    s = _labelled(principal_seed(a_n_matrix(n)), {})
-    seeds = [
-        s,
-        replace(s, frozen=tuple(tuple(-c for c in row) for row in s.frozen)),
-        replace(s, B=tuple(tuple(-b for b in row) for row in s.B)),
-        _permuted(s, list(reversed(range(n)))),  # the same class as s
-    ]
-    if n > 1:
-        seeds.append(replace(s, frozen=tuple(row[1:] + row[:1] for row in s.frozen)))
-    pairs = [(canonical_seed_key(t), plain_seed_key(t)) for t in seeds]
-    assert _split_alike(pairs)
-    # at rank 1, negating B = ((0,),) changes nothing
-    assert pairs[3][0] == pairs[0][0] and len(set(pairs)) == (2 if n == 1 else 4)
-
-
-def test_canonical_seed_key_rejects_a_seed_without_labels():
-    # outside a sweep a seed has no class key; plain_seed_key names it
-    *_, late = enumerate_exchange_graph(principal_seed(a_n_matrix(3)))
-    for s in [principal_seed(a_n_matrix(3)), _unlabelled(late)]:
-        with pytest.raises(ValueError, match="needs a seed labelled by a sweep"):
-            canonical_seed_key(s)
-    # with its labels the same seed keys as ever: sorted labels, with the
-    # frozen columns and B permuted alike
-    perm = sorted(range(3), key=late.labels.__getitem__)
-    assert canonical_seed_key(late) == (
-        tuple(late.labels[p] for p in perm),
-        tuple(tuple(row[p] for p in perm) for row in late.frozen),
-        tuple(tuple(late.B[i][j] for j in perm) for i in perm),
-    )
+def test_canonical_seed_key_names_a_label_set():
+    # the order labels come in is forgotten, and distinct sets keep apart;
+    # n labels name a class, n - 1 a facet
+    sets = [(), (0,), (3,), (0, 1), (1, 2), (0, 1, 2), (0, 2, 5), (2, 5, 7, 9)]
+    for labels in sets:
+        assert {canonical_seed_key(p) for p in itertools.permutations(labels)} == {
+            tuple(sorted(labels))
+        }
+    assert len({canonical_seed_key(labels) for labels in sets}) == len(sets)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_principal_state_keys_split_classes_like_the_table_free_key(monkeypatch, n):
-    pairs = []
-    monkeypatch.setattr(pattern, "canonical_seed_key", _pairing_key(pairs))
+def test_principal_state_keys_split_classes_like_the_table_free_key(n):
     states = list(principal_states(n, None))
-    assert len(pairs) == 1 + n * len(states)
+    pairs = _key_pairs([st.seed for st in states])
+    assert len(pairs) == (1 + n) * len(states)
     assert _split_alike(pairs)
     assert len({b for _, b in pairs}) == len(states)
 
@@ -774,7 +788,8 @@ def test_exchange_memo_lives_for_one_sweep(monkeypatch):
     start = coefficient_free_seed(a_n_matrix(3))
     g = list(enumerate_exchange_graph(start))
     [(memo, table)] = sweeps
-    assert len(memo) == 2 * 15  # two flip directions of each of the hexagon's 15 quadrilaterals
+    # only the 13 steps that reach a new class mutate, over 11 distinct exchanges
+    assert len(memo) == 11
     assert len(table) == 9  # each of the 9 variables interned once
     # every variable in the sweep is an initial one or a memo entry, shared
     objects = {id(x) for t in g for x in t.cluster}
@@ -803,8 +818,8 @@ def test_interleaved_sweeps_keep_their_own_memos(monkeypatch):
         assert [(s.history, s.B, s.y, s.cluster) for s in got] == [
             (t.history, t.B, t.y, t.cluster) for t in want
         ]
-    # 2 C(n+3, 4) exchanges each, one per flip direction of each quadrilateral
-    assert [len(memo) for memo, _ in sweeps] == [70, 30]
+    # the distinct exchanges of the 41 and 13 steps that reach a new class
+    assert [len(memo) for memo, _ in sweeps] == [26, 11]
     # and n(n+3)/2 variables each, interned once
     assert [len(table) for _, table in sweeps] == [14, 9]
 

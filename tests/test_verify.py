@@ -746,11 +746,26 @@ def test_sweep_that_stops_at_its_start_gives_main1_a_mutation_count_witness(
     monkeypatch.setattr(verify, "enumerate_exchange_graph", lambda seed, budget=None: iter([seed]))
     report = _falsified_report(capsys, "main1")
     witnesses = report["witnesses"]
-    assert [(w["kind"], w["route"]) for w in witnesses] == [("count", "mutation")] + [
+    assert witnesses[0] == {"kind": "seed-count", "expected": 14, "got": 1}
+    assert [(w["kind"], w["route"]) for w in witnesses[1:]] == [("count", "mutation")] + [
         ("route-mismatch", "paths-only")
     ] * 6
-    assert (witnesses[0]["expected"], witnesses[0]["got"]) == (9, 3)
+    assert (witnesses[1]["expected"], witnesses[1]["got"]) == (9, 3)
     assert report["stats"]["num_seeds"] == 1
+
+
+@pytest.mark.parametrize("claim", ["main1", "gyo21", "fpoly", "separation"])
+def test_colliding_facets_give_a_seed_count_witness(capsys, monkeypatch, claim):
+    import cluster_logcc.pattern as pattern
+
+    # a facet name that drops its least label: facets collide, the sweep
+    # takes a new class for a known one or a known one for new, and the
+    # seed count, not only the variable set, must show it
+    monkeypatch.setattr(pattern, "canonical_seed_key", lambda labels: tuple(sorted(labels))[1:])
+    report = _falsified_report(capsys, claim, "--rank", "4")
+    counts = [w for w in report["witnesses"] if w["kind"] == "seed-count"]
+    assert counts == [{"kind": "seed-count", "expected": 42, "got": report["stats"]["num_seeds"]}]
+    assert report["stats"]["num_seeds"] != 42
 
 
 def test_planted_c_matrix_defect_gives_gyo21_coefficient_columns(capsys, monkeypatch):
