@@ -44,7 +44,6 @@ from .pattern import (
 from .polygon import (
     TPath,
     Triangulation,
-    assert_valid_t_path,
     b_matrix_of,
     boundary_seed,
     crosses,
@@ -56,7 +55,6 @@ from .polygon import (
     fan,
     flip,
     from_diagonals,
-    intersection_parameter,
     principal_b_matrix,
     tpath_monomial,
     triangulation_from_json,

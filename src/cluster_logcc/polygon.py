@@ -6,6 +6,9 @@ Conventions used throughout (and by the CLI file formats):
 * A triangulation carries 2n + 3 labeled edges: labels 1..n are its diagonals
   (in construction/file order) and labels n+1..2n+3 are the boundary edges,
   label n+1 being {n+2, 0} and label n+1+j being {j-1, j} for j = 1..n+2.
+* The order in which a chord crosses the diagonals is read from vertex
+  labels, never from coordinates; the tests check it against exact
+  intersection points of a convex embedding (tests/oracles.py).
 * Flipping diagonal k keeps the label k on the new diagonal, so mutation
   directions and diagonal labels stay aligned.
 
@@ -19,7 +22,6 @@ matrix, so flip itself only moves the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -239,33 +241,29 @@ class TPath:
     edge_labels: Tuple[int, ...]
 
 
-def _embed(v: int) -> Tuple[int, int]:
-    # strictly convex integer embedding; vertex order 0..m-1 is counterclockwise
-    return (v, v * v)
-
-
-def _cross2(o: Tuple[int, int], p: Tuple[int, int], q: Tuple[int, int]) -> int:
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-
-def intersection_parameter(chord: Pair, a: int, b: int) -> Fraction:
-    """Parameter t in (0,1) where chord meets the segment a -> b (exact)."""
-    A, B = _embed(a), _embed(b)
-    C, D = _embed(chord[0]), _embed(chord[1])
-    # solve cross(A - C + t*(B - A), D - C) = 0 for t
-    acdc = _cross2(C, A, D)
-    badc = (B[0] - A[0]) * (D[1] - C[1]) - (B[1] - A[1]) * (D[0] - C[0])
-    if badc == 0:
-        raise ValueError(f"chord {chord} is parallel to segment {(a, b)}")
-    return Fraction(-acdc, badc)
-
-
 def diagonals_crossing(tri: Triangulation, a: int, b: int) -> List[int]:
-    """Labels of diagonals crossing the chord {a, b}, nearest to a first."""
+    """Labels of diagonals crossing the chord {a, b}, nearest to a first.
+
+    The order is read from vertex labels alone.  A crossing diagonal has one
+    end u on the counterclockwise arc from a to b and its other end w on the
+    arc back.  Diagonals of a triangulation never cross, so sorting on how
+    far u lies counterclockwise of a, then on how far w lies clockwise of a,
+    puts the nearest crossing first.  Vertices outside 0..size-1, or a pair
+    that spans no diagonal, are a ValueError; enumerate_t_paths shares this
+    check.
+    """
+    size = tri.size
+    if not (0 <= a < size and 0 <= b < size):
+        raise ValueError(f"vertices must lie in 0..{size - 1}")
+    if a == b or _adjacent(a, b, size):
+        raise ValueError(f"vertices {a} and {b} do not span a diagonal")
+
+    def offsets(k: int) -> Pair:
+        u_ccw, w_ccw = sorted((v - a) % size for v in tri.pair_of(k))
+        return u_ccw, size - w_ccw
+
     gamma = _norm_pair(a, b)
-    labs = [k for k in range(1, tri.n + 1) if crosses(tri.pair_of(k), gamma)]
-    labs.sort(key=lambda k: intersection_parameter(tri.pair_of(k), a, b))
-    return labs
+    return sorted((k for k in range(1, tri.n + 1) if crosses(tri.pair_of(k), gamma)), key=offsets)
 
 
 def enumerate_t_paths(tri: Triangulation, a: int, b: int) -> List[TPath]:
@@ -278,10 +276,6 @@ def enumerate_t_paths(tri: Triangulation, a: int, b: int) -> List[TPath]:
     from a.  Output is sorted by (length, label sequence).
     """
     size = tri.size
-    if not (0 <= a < size and 0 <= b < size):
-        raise ValueError(f"vertices must lie in 0..{size - 1}")
-    if a == b or _adjacent(a, b, size):
-        raise ValueError(f"vertices {a} and {b} do not span a diagonal")
     order = diagonals_crossing(tri, a, b)
     prox = {lab: i for i, lab in enumerate(order)}
     incident: Dict[int, List[Tuple[int, int]]] = {v: [] for v in range(size)}
@@ -325,38 +319,6 @@ def enumerate_t_paths(tri: Triangulation, a: int, b: int) -> List[TPath]:
     walk(a, -1)
     results.sort(key=lambda P: (len(P.edge_labels), P.edge_labels))
     return results
-
-
-def assert_valid_t_path(tri: Triangulation, a: int, b: int, path: TPath) -> None:
-    """Independent re-check of a path against the admissibility rules.
-
-    Validates the raw object rather than trusting the enumerator: endpoint
-    and connectivity conditions, label distinctness, odd length, crossing
-    parity, and the monotone crossing order (recomputed from exact
-    intersection parameters).  Raises ValueError with the failed rule.
-    """
-    v, labs = path.vertices, path.edge_labels
-    if len(v) != len(labs) + 1:
-        raise ValueError("vertex/label length mismatch")
-    if v[0] != a or v[-1] != b:
-        raise ValueError("path endpoints differ from requested vertices")
-    for i, lab in enumerate(labs):
-        if _norm_pair(v[i], v[i + 1]) != tri.pair_of(lab):
-            raise ValueError(f"step {i + 1} does not walk edge {lab}")
-    if len(set(labs)) != len(labs):
-        raise ValueError("edge labels repeat")
-    if len(labs) % 2 == 0:
-        raise ValueError("path length is even")
-    gamma = _norm_pair(a, b)
-    params = []
-    for i, lab in enumerate(labs):
-        edge_crosses = crosses(tri.pair_of(lab), gamma)
-        if (i + 1) % 2 == 0 and not edge_crosses:
-            raise ValueError(f"even step {i + 1} does not cross the expansion chord")
-        if edge_crosses:
-            params.append(intersection_parameter(tri.pair_of(lab), a, b))
-    if any(p2 <= p1 for p1, p2 in zip(params, params[1:])):
-        raise ValueError("crossing edges out of proximity order")
 
 
 def tpath_monomial(tri: Triangulation, path: TPath) -> LaurentPoly:

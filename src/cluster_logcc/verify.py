@@ -32,7 +32,7 @@ Claim identifiers accepted by run_claim, each with the scope flags it reads
 The seed sweeps come from pattern.py.  fpoly reads the principal one's
 seeds; gyo21 and separation read them with companions (principal_states).
 main1, gyo21, fpoly and separation each also count the sweep's seeds
-against Catalan(n + 1).
+against Catalan(n + 1) and its variables against n(n + 3)/2.
 """
 
 from __future__ import annotations
@@ -134,13 +134,16 @@ def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _check_seed_count(report: Report, n: int, num_seeds: int) -> None:
-    """A seed-count witness unless the sweep found Catalan(n + 1) seeds, the
-    number of clusters of type A_n: a sweep that merged or split classes
-    may still find every variable."""
+def _check_counts(report: Report, n: int, num_seeds: int, **num_vars: int) -> None:
+    """Witnesses unless the sweep met the Catalan(n + 1) seeds and each route
+    (keyword) the n(n + 3)/2 variables of type A_n."""
     expected = math.comb(2 * n + 2, n + 1) // (n + 2)
     if num_seeds != expected:
         report.add({"kind": "seed-count", "expected": expected, "got": num_seeds})
+    expected = n * (n + 3) // 2
+    for route, got in num_vars.items():
+        if got != expected:
+            report.add({"kind": "count", "route": route, "expected": expected, "got": got})
 
 
 # ---- claim checkers ----
@@ -168,15 +171,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         num_seeds += 1
         for x in s.cluster:
             mutated.setdefault(x.key(), x)
-    _check_seed_count(report, n, num_seeds)
-
-    expected = n * (n + 3) // 2
-    if len(by_key) != expected:
-        report.add({"kind": "count", "route": "paths", "expected": expected, "got": len(by_key)})
-    if len(mutated) != expected:
-        report.add(
-            {"kind": "count", "route": "mutation", "expected": expected, "got": len(mutated)}
-        )
+    _check_counts(report, n, num_seeds, paths=len(by_key), mutation=len(mutated))
     for key in sorted(set(by_key) - set(mutated)):
         report.add(
             {"kind": "route-mismatch", "route": "paths-only", "poly": poly_to_json(by_key[key])}
@@ -322,7 +317,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
                         "c": list(c_col),
                     }
                 )
-    _check_seed_count(report, n, num_seeds)
+    _check_counts(report, n, num_seeds, mutation=len(facts))
     report.stats = {"num_seeds": num_seeds}
     return report
 
@@ -336,11 +331,13 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     report = Report("fpoly", {"rank": n})
     num_seeds = 0
     fpolys: Dict[tuple, LaurentPoly] = {}
+    variables = set()
     for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n)), budget):
         num_seeds += 1
+        variables.update(seed.cluster)
         for fp in f_data(seed).f_polynomials:
             fpolys.setdefault(fp.key(), fp)
-    _check_seed_count(report, n, num_seeds)
+    _check_counts(report, n, num_seeds, mutation=len(variables))
     for key in sorted(fpolys):
         fp = fpolys[key]
         w = _logcc_witness(fp)
@@ -359,8 +356,10 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
     """Monomial-times-specialization factorization at every principal seed."""
     report = Report("separation", {"rank": n})
     num_seeds = 0
+    variables = set()
     for idx, st in enumerate(principal_states(n, budget)):
         num_seeds += 1
+        variables.update(st.seed.cluster)
         for i, lhs, rhs in check_separation(st.seed, st.G, st.B0):
             report.add(
                 {
@@ -372,7 +371,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
                     "reconstructed": poly_to_json(rhs),
                 }
             )
-    _check_seed_count(report, n, num_seeds)
+    _check_counts(report, n, num_seeds, mutation=len(variables))
     report.stats = {"num_seeds": num_seeds, "num_variables_checked": n * num_seeds}
     return report
 
@@ -536,11 +535,8 @@ def a2_basis(deg: int) -> List[BasisElement]:
             raise RuntimeError("basis leading coefficient is not 1")
         elements.append(BasisElement(value, degree, lead, tuple(aliases)))
     elements.sort(key=lambda e: _graded_lex_key(e.leading))
-    seen_leads = set()
-    for e in elements:
-        if e.leading in seen_leads:
-            raise RuntimeError("leading exponents collide; greedy expansion is ambiguous")
-        seen_leads.add(e.leading)
+    if len({e.leading for e in elements}) != len(elements):
+        raise RuntimeError("leading exponents collide; greedy expansion is ambiguous")
     return elements
 
 
@@ -660,9 +656,7 @@ def verify_a2_monomials(deg: int) -> Report:
                 )
 
     def _c(nn: int, kk: int) -> int:
-        if nn < 0 or kk < 0 or kk > nn:
-            return 0
-        return math.comb(nn, kk)
+        return math.comb(nn, kk) if nn >= 0 else 0
 
     binom_rows = 31
     for nn in range(binom_rows):

@@ -10,12 +10,17 @@ each shares with the package only what its docstring names:
   package's state_step, so it checks the sweep and its memo, not the
   companion recursions (dense_cg_step and dense_d_vector_step check those);
 - plain_flip_graph steps with the package's flip;
-- free_path_sum reads its paths from the package's enumerate_t_paths.
+- free_path_sum reads its paths from the package's enumerate_t_paths;
+- geometric_crossing_order and assert_valid_t_path share only crosses
+  with the package.  The package reads the order in which a chord crosses
+  the diagonals from vertex labels; these read it from exact intersection
+  points of a convex embedding (intersection_parameter, in Fractions).
 
 The searches key seeds with plain_seed_key, never with the package's
 canonical_seed_key, and share no stepping code with the sweep they check.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, Tuple
 
@@ -23,6 +28,7 @@ from cluster_logcc import (
     LaurentPoly,
     Seed,
     a_n_matrix,
+    crosses,
     enumerate_t_paths,
     flip,
     principal_state,
@@ -423,6 +429,59 @@ def free_path_sum(tri, a, b):
         e = tuple(exps)
         terms[e] = terms.get(e, 0) + 1
     return LaurentPoly(tri.n, terms)
+
+
+def intersection_parameter(chord, a, b):
+    """The exact t in (0, 1) at which chord meets the segment from a to b.
+
+    Vertex v sits at (v, v^2): points on a parabola are in strictly convex
+    position, with 0..size-1 counterclockwise.  With A, B, C, D the points
+    of a, b and the chord's ends, solving (A + t(B - A) - C) x (D - C) = 0
+    gives t = (C - A) x (D - C) / (B - A) x (D - C).
+    """
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = ((v, v * v) for v in (a, b, *chord))
+    den = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
+    if den == 0:
+        raise ValueError(f"chord {chord} is parallel to segment {(a, b)}")
+    return Fraction((cx - ax) * (dy - cy) - (cy - ay) * (dx - cx), den)
+
+
+def geometric_crossing_order(tri, a, b):
+    """Labels of the diagonals crossing chord {a, b}, by intersection_parameter."""
+    gamma = tuple(sorted((a, b)))
+    labels = [k for k in range(1, tri.n + 1) if crosses(tri.pair_of(k), gamma)]
+    return sorted(labels, key=lambda k: intersection_parameter(tri.pair_of(k), a, b))
+
+
+def assert_valid_t_path(tri, a, b, path):
+    """Re-check a path against the admissibility rules, trusting no enumerator.
+
+    Endpoints and connectivity, distinct labels, odd length, a crossing
+    edge at every even step, and crossing edges in increasing
+    intersection_parameter.  Raises ValueError naming the failed rule.
+    """
+    v, labs = path.vertices, path.edge_labels
+    if len(v) != len(labs) + 1:
+        raise ValueError("vertex/label length mismatch")
+    if v[0] != a or v[-1] != b:
+        raise ValueError("path endpoints differ from requested vertices")
+    for i, lab in enumerate(labs):
+        if tuple(sorted((v[i], v[i + 1]))) != tri.pair_of(lab):
+            raise ValueError(f"step {i + 1} does not walk edge {lab}")
+    if len(set(labs)) != len(labs):
+        raise ValueError("edge labels repeat")
+    if len(labs) % 2 == 0:
+        raise ValueError("path length is even")
+    gamma = tuple(sorted((a, b)))
+    params = []
+    for i, lab in enumerate(labs):
+        edge_crosses = crosses(tri.pair_of(lab), gamma)
+        if (i + 1) % 2 == 0 and not edge_crosses:
+            raise ValueError(f"even step {i + 1} does not cross the expansion chord")
+        if edge_crosses:
+            params.append(intersection_parameter(tri.pair_of(lab), a, b))
+    if any(p2 <= p1 for p1, p2 in zip(params, params[1:])):
+        raise ValueError("crossing edges out of proximity order")
 
 
 def rotation_b_matrix(tri):

@@ -50,7 +50,6 @@ PUBLIC = {
     # polygon
     "TPath",
     "Triangulation",
-    "assert_valid_t_path",
     "b_matrix_of",
     "crosses",
     "crossing_d_vector",
@@ -61,7 +60,6 @@ PUBLIC = {
     "fan",
     "flip",
     "from_diagonals",
-    "intersection_parameter",
     "principal_b_matrix",
     "tpath_monomial",
     "triangulation_from_json",

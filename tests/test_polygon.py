@@ -5,7 +5,6 @@ from cluster_logcc import (
     LaurentPoly,
     TPath,
     a_n_matrix,
-    assert_valid_t_path,
     b_matrix_of,
     boundary_seed,
     cluster_variables,
@@ -19,7 +18,6 @@ from cluster_logcc import (
     fan,
     flip,
     from_diagonals,
-    intersection_parameter,
     mutate,
     mutate_matrix,
     normalize_denominator,
@@ -30,7 +28,14 @@ from cluster_logcc import (
     zigzag,
 )
 from cluster_logcc.polygon import boundary_to_one, chords
-from oracles import free_path_sum, plain_flip_graph, rotation_b_matrix
+from oracles import (
+    assert_valid_t_path,
+    free_path_sum,
+    geometric_crossing_order,
+    intersection_parameter,
+    plain_flip_graph,
+    rotation_b_matrix,
+)
 
 
 # ---- construction and crossing ----
@@ -215,6 +220,33 @@ def test_intersection_parameters_increase_along_chord():
     assert diagonals_crossing(tri, 3, 0) == [3, 2, 1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_label_order_matches_the_geometric_order(n):
+    # the package reads the crossing order off vertex labels; the oracle
+    # sorts on exact intersection points of a convex embedding
+    for tri in enumerate_triangulations(zigzag(n)):
+        for a, b in chords(tri.size):
+            for u, v in ((a, b), (b, a)):
+                assert diagonals_crossing(tri, u, v) == geometric_crossing_order(tri, u, v)
+
+
+@pytest.mark.parametrize("a,b", [(-1, 3), (3, -1), (0, 6), (0, 7), (6, 2)])
+def test_crossing_order_rejects_vertices_off_the_polygon(a, b):
+    # label arithmetic is modular, so -1 would otherwise read as vertex 5
+    tri = zigzag(3)
+    for route in (diagonals_crossing, enumerate_t_paths):
+        with pytest.raises(ValueError, match=r"^vertices must lie in 0\.\.5$"):
+            route(tri, a, b)
+
+
+def test_crossing_order_rejects_pairs_spanning_no_diagonal():
+    tri = zigzag(3)
+    for a, b in ((2, 2), (2, 3), (0, 5)):
+        for route in (diagonals_crossing, enumerate_t_paths):
+            with pytest.raises(ValueError, match="do not span a diagonal"):
+                route(tri, a, b)
+
+
 def test_crossing_d_vector():
     tri = zigzag(3)
     assert crossing_d_vector(tri, (0, 3)) == (1, 1, 1)
@@ -320,7 +352,7 @@ def test_path_validation_rejects_bad_paths():
         assert_valid_t_path(tri, 0, 3, TPath((0, 1, 2, 3), (5, 6, 7)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_emitted_paths_pass_independent_validation(n):
     for tri in enumerate_triangulations(zigzag(n)):
         size = tri.size

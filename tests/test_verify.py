@@ -759,13 +759,16 @@ def test_colliding_facets_give_a_seed_count_witness(capsys, monkeypatch, claim):
     import cluster_logcc.pattern as pattern
 
     # a facet name that drops its least label: facets collide, the sweep
-    # takes a new class for a known one or a known one for new, and the
-    # seed count, not only the variable set, must show it
+    # takes a new class for a known one or a known one for new, and both
+    # the seed count and the count of variables the sweep met must show it
     monkeypatch.setattr(pattern, "canonical_seed_key", lambda labels: tuple(sorted(labels))[1:])
     report = _falsified_report(capsys, claim, "--rank", "4")
-    counts = [w for w in report["witnesses"] if w["kind"] == "seed-count"]
-    assert counts == [{"kind": "seed-count", "expected": 42, "got": report["stats"]["num_seeds"]}]
-    assert report["stats"]["num_seeds"] != 42
+    counts = [w for w in report["witnesses"] if w["kind"] in ("seed-count", "count")]
+    assert counts == [
+        {"kind": "seed-count", "expected": 42, "got": report["stats"]["num_seeds"]},
+        {"kind": "count", "route": "mutation", "expected": 14, "got": 12},
+    ]
+    assert report["stats"]["num_seeds"] == 32
 
 
 def test_planted_c_matrix_defect_gives_gyo21_coefficient_columns(capsys, monkeypatch):
