@@ -20,6 +20,8 @@ Only this module labels seeds: enumerate_exchange_graph sets up each
 sweep's memo and table, names clusters and facets by sorted labels, and
 mutates only into classes it has not met; principal_states reads that
 sweep, and so do the triangulations of polygon.enumerate_triangulations.
+per_variable keys a caller's per-variable work on the same labels, so
+f_data, check_separation and the claims do it once per variable.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from fractions import Fraction
+from math import gcd
 from operator import index
 
 from .poly import LaurentPoly, poly_from_json, poly_to_json
@@ -128,22 +130,25 @@ def is_skew_symmetrizable(B: Sequence[Sequence[int]]) -> bool:
                 return False
             if B[i][j] * B[j][i] > 0:
                 return False
-    scale: List[Optional[Fraction]] = [None] * n
+    # d_j as an integer pair (p, q) meaning p / q, both positive; d_i b_ij = -d_j b_ji
+    scale: List[Optional[Tuple[int, int]]] = [None] * n
     for start in range(n):
         if scale[start] is not None:
             continue
-        scale[start] = Fraction(1)
+        scale[start] = (1, 1)
         stack = [start]
         while stack:
             i = stack.pop()
+            p, q = scale[i]
             for j in range(n):
                 if B[i][j] == 0:
                     continue
-                implied = scale[i] * Fraction(B[i][j], -B[j][i])
+                num, den = p * abs(B[i][j]), q * abs(B[j][i])
                 if scale[j] is None:
-                    scale[j] = implied
+                    g = gcd(num, den)
+                    scale[j] = (num // g, den // g)
                     stack.append(j)
-                elif scale[j] != implied:
+                elif scale[j][0] * den != num * scale[j][1]:
                     return False
     return True
 
@@ -390,6 +395,30 @@ def state_step(state: PatternState, k: int, seed: Optional[Seed] = None) -> Patt
     return PatternState(mutate(state.seed, k) if seed is None else seed, C2, G2, D2, state.B0)
 
 
+def per_variable(seed: Seed, memo: list, fn: Callable[[LaurentPoly], object]) -> list:
+    """fn of each cluster variable of a sweep's seed, computed once per variable.
+
+    memo holds fn's value for each label the sweep has handed out so far,
+    at the label's index: labels come out as 0, 1, 2, ... in yield order,
+    so reading the sweep's seeds in that order with one memo grows it by
+    one entry per new variable.  After the sweep it holds one value per
+    distinct variable.  A seed without labels is read as the start of a
+    sweep of its own, labelled as that sweep would label it, so only an
+    empty memo takes it; a seed read out of order is a ValueError too.
+    """
+    labels = seed.labels
+    if labels is None:
+        if memo:
+            raise ValueError("a seed outside a sweep needs an empty per-variable memo")
+        labels = _labelled(seed, {}).labels
+    for label, x in zip(labels, seed.cluster):
+        if label == len(memo):
+            memo.append(fn(x))
+        elif label > len(memo):
+            raise ValueError("per-variable memos read a sweep's seeds in yield order")
+    return [memo[label] for label in labels]
+
+
 class FData(NamedTuple):
     f_polynomials: Tuple[LaurentPoly, ...]
 
@@ -399,19 +428,53 @@ class FData(NamedTuple):
         return tuple(zip(*(fp.max_degrees() for fp in self.f_polynomials)))
 
 
-def f_data(seed: Seed) -> FData:
+def f_data(seed: Seed, *, memo: Optional[list] = None) -> FData:
     """Specialize x -> 1: the coefficient polynomials, with their f-matrix.
 
     Only meaningful for seeds with one frozen variable per direction (the
-    principal setup).
+    principal setup).  A sweep's seeds, read in yield order, may share one
+    memo (per_variable): each variable is then specialized once.
     """
     n = seed.n
     if seed.num_frozen != n:
         raise ValueError("f-data needs a principal-coefficients seed")
-    return FData(tuple(x.substitute_ones(range(n)) for x in seed.cluster))
+
+    def specialize(x: LaurentPoly) -> LaurentPoly:
+        return x.substitute_ones(range(n))
+
+    if memo is None:
+        return FData(tuple(map(specialize, seed.cluster)))
+    return FData(tuple(per_variable(seed, memo, specialize)))
 
 
-def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, LaurentPoly, LaurentPoly]]:
+def _separation_mismatch(
+    x: LaurentPoly, g_col: Tuple[int, ...], b0_rows: list
+) -> Optional[Tuple[LaurentPoly, LaurentPoly]]:
+    """(specialized variable, reconstructed form) unless x = x^g F(y-hat)."""
+    n = len(g_col)
+    lhs_terms: Dict[tuple, int] = {}
+    f_terms: Dict[tuple, int] = {}
+    for e, c in x.terms.items():
+        xe, ye = e[:n], e[n:]
+        lhs_terms[xe] = lhs_terms.get(xe, 0) + c
+        f_terms[ye] = f_terms.get(ye, 0) + c
+    hat_terms: Dict[tuple, int] = {}
+    for ye, c in f_terms.items():
+        hat = []
+        for g, row in zip(g_col, b0_rows):
+            for t, b in row:
+                g += ye[t] * b
+            hat.append(g)
+        exp = tuple(hat)
+        hat_terms[exp] = hat_terms.get(exp, 0) + c
+    lhs = LaurentPoly._trusted(n, {e: c for e, c in lhs_terms.items() if c})
+    rhs = LaurentPoly._trusted(n, {e: c for e, c in hat_terms.items() if c})
+    return None if lhs == rhs else (lhs, rhs)
+
+
+def check_separation(
+    seed: Seed, G: Matrix, B0: Matrix, *, memo: Optional[list] = None
+) -> List[Tuple[int, LaurentPoly, LaurentPoly]]:
     """Compare each coefficient-free variable with its monomial-times-F form.
 
     Variable i, with the frozen variables set to 1, must equal
@@ -421,33 +484,26 @@ def check_separation(seed: Seed, G: Matrix, B0: Matrix) -> List[Tuple[int, Laure
     entries of each row of B0.  Returns mismatches as (index, specialized
     variable, reconstructed form); empty means the separation identity holds
     at this seed.
+
+    The verdict depends only on the variable, its column of G and B0.  A
+    sweep's seeds, read in yield order with one B0, may share one memo
+    (per_variable): each verdict is then reached once per (variable,
+    g-column), so a G that differs from seed to seed is still checked.
     """
     n = seed.n
     if seed.num_frozen != n:
         raise ValueError("separation check needs a principal-coefficients seed")
     b0_rows = [[(t, b) for t, b in enumerate(row) if b] for row in B0]
+    verdicts = [{} for _ in range(n)] if memo is None else per_variable(seed, memo, lambda x: {})
     mismatches = []
-    for i, x in enumerate(seed.cluster):
-        lhs_terms: Dict[tuple, int] = {}
-        f_terms: Dict[tuple, int] = {}
-        for e, c in x.terms.items():
-            xe, ye = e[:n], e[n:]
-            lhs_terms[xe] = lhs_terms.get(xe, 0) + c
-            f_terms[ye] = f_terms.get(ye, 0) + c
-        g_col = [G[j][i] for j in range(n)]
-        hat_terms: Dict[tuple, int] = {}
-        for ye, c in f_terms.items():
-            hat = []
-            for g, row in zip(g_col, b0_rows):
-                for t, b in row:
-                    g += ye[t] * b
-                hat.append(g)
-            exp = tuple(hat)
-            hat_terms[exp] = hat_terms.get(exp, 0) + c
-        lhs = LaurentPoly._trusted(n, {e: c for e, c in lhs_terms.items() if c})
-        rhs = LaurentPoly._trusted(n, {e: c for e, c in hat_terms.items() if c})
-        if lhs != rhs:
-            mismatches.append((i, lhs, rhs))
+    for i, (x, seen) in enumerate(zip(seed.cluster, verdicts)):
+        g_col = tuple(row[i] for row in G)
+        if g_col in seen:
+            found = seen[g_col]
+        else:
+            found = seen[g_col] = _separation_mismatch(x, g_col, b0_rows)
+        if found is not None:
+            mismatches.append((i, *found))
     return mismatches
 
 
@@ -481,7 +537,8 @@ def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Iterat
     exactly two classes.  The search keeps the open facets, those of one
     known class, toggling a class's n facets as it is yielded: a step whose
     facet is closed reaches a known class and is skipped, and mutate runs
-    only for a step that reaches a new class.
+    only for a step that reaches a new class.  A class is queued with the
+    facet names computed at its yield, and its expansion reads those.
     Each class is yielded once, as the first seed that reached it, in the
     order reached, starting with seed itself; the search holds only the open
     facets and the queue of classes still to expand.  Classes are expanded
@@ -496,24 +553,26 @@ def enumerate_exchange_graph(seed: Seed, budget: Optional[int] = None) -> Iterat
     seed = _labelled(seed, table)
     step, key = partial(mutate, memo={}, table=table), canonical_seed_key
 
-    def facet(labels: Tuple[int, ...], kk: int) -> tuple:
-        return key(labels[:kk] + labels[kk + 1 :])
+    def facets(labels: Tuple[int, ...]) -> Tuple[tuple, ...]:
+        return tuple([key(labels[:kk] + labels[kk + 1 :]) for kk in range(len(labels))])
 
-    open_facets = {facet(seed.labels, kk) for kk in range(seed.n)}
+    names = facets(seed.labels)
+    open_facets = set(names)
     classes = 1
-    queue = deque([seed])
+    queue = deque([(seed, names)])  # each class with its facet names, named once
     yield seed
     while queue:
-        s = queue.popleft()
-        for kk in range(s.n):
-            if facet(s.labels, kk) not in open_facets:
+        s, names = queue.popleft()
+        for kk, name in enumerate(names):
+            if name not in open_facets:
                 continue
             if classes >= budget:
                 raise RuntimeError("exchange graph not closed within budget")
             t = step(s, kk + 1)
             classes += 1
-            open_facets ^= {facet(t.labels, jj) for jj in range(t.n)}
-            queue.append(t)
+            t_names = facets(t.labels)
+            open_facets.symmetric_difference_update(t_names)
+            queue.append((t, t_names))
             yield t
 
 

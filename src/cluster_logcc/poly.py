@@ -20,7 +20,8 @@ hand it to the result unchecked, through LaurentPoly._trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, index
+from heapq import heapify, heappop, heappush
+from operator import add, index, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 Exponent = tuple  # tuple[int, ...], one entry per ambient variable
@@ -188,16 +189,21 @@ class LaurentPoly:
                         self.num_vars, tuple(x * exponent for x in e), coeff
                     )
             raise ValueError("negative powers only defined for unit monomials")
-        result = LaurentPoly.const(self.num_vars, 1)
+        if exponent == 0:
+            return LaurentPoly.const(self.num_vars, 1)
+        result = None  # the first factor is copied in, so no product with 1 is formed
         base = self
         k = exponent
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
+                if result is None:
+                    result = LaurentPoly._trusted(self.num_vars, dict(base.terms))
+                else:
+                    result = result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring.
@@ -206,6 +212,11 @@ class LaurentPoly:
         carrying the nonzero remainder reached.  Uses long division by lex
         leading terms after shifting both operands into the polynomial range;
         lex on nonnegative exponents is a well-order, so this terminates.
+
+        Exponents are stored negated, so the lex-largest pending exponent is
+        the least entry of a heap.  A step cancels its lead and adds only
+        exponents below it, so a lead never returns; an exponent the heap
+        holds that has since cancelled is passed over when popped.
         """
         self._check_dims(divisor)
         if not divisor:
@@ -215,31 +226,36 @@ class LaurentPoly:
             return LaurentPoly.zero(m)
         smin = self.min_degrees()
         dmin = divisor.min_degrees()
-        rem = {tuple(a - b for a, b in zip(e, smin)): c for e, c in self.terms.items()}
-        q_terms = {tuple(a - b for a, b in zip(e, dmin)): c for e, c in divisor.terms.items()}
-        q_lead = max(q_terms)
+        rem = {tuple(map(sub, smin, e)): c for e, c in self.terms.items()}
+        q_terms = {tuple(map(sub, dmin, e)): c for e, c in divisor.terms.items()}
+        q_lead = min(q_terms)
         q_lc = q_terms[q_lead]
+        pending = list(rem)
+        heapify(pending)
         quotient: dict = {}
         while rem:
-            lead = max(rem)
-            texp = tuple(a - b for a, b in zip(lead, q_lead))
+            lead = heappop(pending)
+            if lead not in rem:
+                continue
+            texp = tuple(map(sub, lead, q_lead))
             coeff, sub_rem = divmod(rem[lead], q_lc)
-            if sub_rem or any(e < 0 for e in texp):
-                witness = LaurentPoly(
-                    m, {tuple(a + b for a, b in zip(e, smin)): c for e, c in rem.items()}
-                )
+            if sub_rem or any(e > 0 for e in texp):
+                witness = LaurentPoly(m, {tuple(map(sub, smin, e)): c for e, c in rem.items()})
                 raise InexactDivisionError("division is not exact", witness)
             quotient[texp] = coeff
             for e, c in q_terms.items():
-                ne = tuple(a + b for a, b in zip(texp, e))
-                acc = rem.get(ne, 0) - coeff * c
-                if acc:
-                    rem[ne] = acc
+                ne = tuple(map(add, texp, e))
+                old = rem.get(ne)
+                if old is None:
+                    rem[ne] = -coeff * c
+                    heappush(pending, ne)
+                elif old == coeff * c:
+                    del rem[ne]
                 else:
-                    rem.pop(ne, None)
-        offset = tuple(a - b for a, b in zip(smin, dmin))
+                    rem[ne] = old - coeff * c
+        offset = tuple(map(sub, smin, dmin))
         return LaurentPoly._trusted(
-            m, {tuple(map(add, e, offset)): c for e, c in quotient.items()}
+            m, {tuple(map(sub, offset, e)): c for e, c in quotient.items()}
         )
 
     # ---- support queries ----
@@ -248,13 +264,13 @@ class LaurentPoly:
         """Per-variable minimum exponent over the support; errors on zero."""
         if not self.terms:
             raise ValueError("the zero polynomial has no degree data")
-        return tuple(min(e[j] for e in self.terms) for j in range(self.num_vars))
+        return tuple(map(min, zip(*self.terms)))
 
     def max_degrees(self) -> tuple:
         """Per-variable maximum exponent over the support; errors on zero."""
         if not self.terms:
             raise ValueError("the zero polynomial has no degree data")
-        return tuple(max(e[j] for e in self.terms) for j in range(self.num_vars))
+        return tuple(map(max, zip(*self.terms)))
 
     def substitute_ones(self, indices: Iterable[int]) -> "LaurentPoly":
         """Set the given variables to 1, merging coefficients.

@@ -54,6 +54,7 @@ from .pattern import (
     coefficient_free_seed,
     enumerate_exchange_graph,
     f_data,
+    per_variable,
     principal_seed,
     principal_states,
 )
@@ -166,11 +167,11 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         by_key[p.key()] = p
 
     num_seeds = 0
-    mutated: Dict[tuple, LaurentPoly] = {}
+    variables: List[LaurentPoly] = []
     for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget):
         num_seeds += 1
-        for x in s.cluster:
-            mutated.setdefault(x.key(), x)
+        per_variable(s, variables, lambda x: x)
+    mutated = {x.key(): x for x in variables}
     _check_counts(report, n, num_seeds, paths=len(by_key), mutation=len(mutated))
     for key in sorted(set(by_key) - set(mutated)):
         report.add(
@@ -254,24 +255,20 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
 
     The facts that read only the variable, its x->1 degree vector and its
     normalized denominator vector, are computed once per distinct variable
-    (keyed on the polynomial).  The comparisons with seed data run per seed,
-    in the order above.
+    (per_variable).  The comparisons with seed data run per seed, in the
+    order above.
     """
     report = Report("gyo21", {"rank": n})
     num_seeds = 0
-    facts: Dict[LaurentPoly, Tuple[tuple, tuple]] = {}  # x -> (f-vector, d-vector)
+
+    def fd_vectors(x: LaurentPoly) -> Tuple[tuple, tuple]:  # (f-vector, d-vector)
+        return x.substitute_ones(range(n)).max_degrees(), normalize_denominator(x, n).d_vector
+
+    facts: List[Tuple[tuple, tuple]] = []
     for idx, st in enumerate(principal_states(n, budget)):
         num_seeds += 1
         seed = st.seed
-        cols = []
-        for x in seed.cluster:
-            fd = facts.get(x)
-            if fd is None:
-                fd = facts[x] = (
-                    x.substitute_ones(range(n)).max_degrees(),
-                    normalize_denominator(x, n).d_vector,
-                )
-            cols.append(fd)
+        cols = per_variable(seed, facts, fd_vectors)
         fm = tuple(tuple(f[j] for f, _ in cols) for j in range(n))
         if fm != tuple(tuple(max(d, 0) for d in row) for row in st.D):
             report.add(
@@ -330,14 +327,13 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     """
     report = Report("fpoly", {"rank": n})
     num_seeds = 0
+    memo: List[LaurentPoly] = []
     fpolys: Dict[tuple, LaurentPoly] = {}
-    variables = set()
     for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n)), budget):
         num_seeds += 1
-        variables.update(seed.cluster)
-        for fp in f_data(seed).f_polynomials:
+        for fp in f_data(seed, memo=memo).f_polynomials:
             fpolys.setdefault(fp.key(), fp)
-    _check_counts(report, n, num_seeds, mutation=len(variables))
+    _check_counts(report, n, num_seeds, mutation=len(memo))
     for key in sorted(fpolys):
         fp = fpolys[key]
         w = _logcc_witness(fp)
@@ -353,14 +349,16 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
 
 
 def verify_separation(n: int, budget: Optional[int] = None) -> Report:
-    """Monomial-times-specialization factorization at every principal seed."""
+    """Monomial-times-specialization factorization at every principal seed.
+
+    num_variables_checked counts the (seed, position) pairs covered.
+    """
     report = Report("separation", {"rank": n})
     num_seeds = 0
-    variables = set()
+    memo: list = []
     for idx, st in enumerate(principal_states(n, budget)):
         num_seeds += 1
-        variables.update(st.seed.cluster)
-        for i, lhs, rhs in check_separation(st.seed, st.G, st.B0):
+        for i, lhs, rhs in check_separation(st.seed, st.G, st.B0, memo=memo):
             report.add(
                 {
                     "kind": "separation-mismatch",
@@ -371,7 +369,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
                     "reconstructed": poly_to_json(rhs),
                 }
             )
-    _check_counts(report, n, num_seeds, mutation=len(variables))
+    _check_counts(report, n, num_seeds, mutation=len(memo))
     report.stats = {"num_seeds": num_seeds, "num_variables_checked": n * num_seeds}
     return report
 

@@ -11,6 +11,10 @@ each shares with the package only what its docstring names:
   companion recursions (dense_cg_step and dense_d_vector_step check those);
 - plain_flip_graph steps with the package's flip;
 - free_path_sum reads its paths from the package's enumerate_t_paths;
+- plain_div_exact is long division that finds each lead by max over the
+  remainder, where the package pops it from a heap; plain_mutate divides
+  with it.  fraction_skew_symmetrizable keeps its scales as Fractions,
+  where the package cross-multiplies integer pairs;
 - geometric_crossing_order and assert_valid_t_path share only crosses
   with the package.  The package reads the order in which a chord crosses
   the diagonals from vertex labels; these read it from exact intersection
@@ -25,6 +29,7 @@ from itertools import combinations, permutations, product
 from typing import Dict, Tuple
 
 from cluster_logcc import (
+    InexactDivisionError,
     LaurentPoly,
     Seed,
     a_n_matrix,
@@ -136,6 +141,69 @@ def slow_poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             e = tuple(a + b for a, b in zip(e1, e2))
             terms[e] = terms.get(e, 0) + c1 * c2
     return LaurentPoly(p.num_vars, terms)
+
+
+def plain_div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """Long division by lex leading terms, each lead found by max over the
+    whole remainder; the package's division keeps its leads in a heap.
+
+    Both operands are shifted into the polynomial range first.  Returns the
+    quotient, or raises InexactDivisionError with the remainder reached.
+    """
+    m = p.num_vars
+    if not p:
+        return LaurentPoly.zero(m)
+    smin = [min(e[j] for e in p.terms) for j in range(m)]
+    dmin = [min(e[j] for e in d.terms) for j in range(m)]
+    rem = {tuple(a - b for a, b in zip(e, smin)): c for e, c in p.terms.items()}
+    q_terms = {tuple(a - b for a, b in zip(e, dmin)): c for e, c in d.terms.items()}
+    q_lead = max(q_terms)
+    quotient: Dict[Tuple[int, ...], int] = {}
+    while rem:
+        lead = max(rem)
+        texp = tuple(a - b for a, b in zip(lead, q_lead))
+        coeff, left = divmod(rem[lead], q_terms[q_lead])
+        if left or any(e < 0 for e in texp):
+            witness = {tuple(a + b for a, b in zip(e, smin)): c for e, c in rem.items()}
+            raise InexactDivisionError("division is not exact", LaurentPoly(m, witness))
+        quotient[texp] = coeff
+        for e, c in q_terms.items():
+            ne = tuple(a + b for a, b in zip(texp, e))
+            rem[ne] = rem.get(ne, 0) - coeff * c
+            if not rem[ne]:
+                del rem[ne]
+    offset = [a - b for a, b in zip(smin, dmin)]
+    return LaurentPoly(m, {tuple(a + b for a, b in zip(e, offset)): c for e, c in quotient.items()})
+
+
+def fraction_skew_symmetrizable(B) -> bool:
+    """Whether some positive diagonal D makes D*B skew-symmetric, with the
+    scales as Fractions: d_j = d_i b_ij / -b_ji along each nonzero entry."""
+    n = len(B)
+    if any(len(row) != n or row[i] != 0 for i, row in enumerate(B)):
+        return False
+    if any(
+        (B[i][j] == 0) != (B[j][i] == 0) or B[i][j] * B[j][i] > 0
+        for i in range(n)
+        for j in range(n)
+    ):
+        return False
+    scale = [None] * n
+    for start in range(n):
+        if scale[start] is None:
+            scale[start] = Fraction(1)
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    if B[i][j]:
+                        implied = scale[i] * Fraction(B[i][j], -B[j][i])
+                        if scale[j] is None:
+                            scale[j] = implied
+                            stack.append(j)
+                        elif scale[j] != implied:
+                            return False
+    return True
 
 
 def plain_eliminate(prod, basis, lead_index):
@@ -301,7 +369,8 @@ def trop_split_pm(a):
 
 
 def plain_mutate(seed, k):
-    """Seed mutation with every exchange binomial multiplied out and divided.
+    """Seed mutation with every exchange binomial multiplied out and divided
+    by plain_div_exact.
 
     Coefficients take the tropical semifield route, through the trop_*
     helpers above: with h = 1 (+) y_k, the binomial's frozen monomials are
@@ -322,7 +391,7 @@ def plain_mutate(seed, k):
             pos = pos * seed.cluster[j] ** bjk
         elif bjk < 0:
             neg = neg * seed.cluster[j] ** (-bjk)
-    new_x = (pos + neg).div_exact(seed.cluster[kk])
+    new_x = plain_div_exact(pos + neg, seed.cluster[kk])
     new_y = [y.exponents for y in seed.y]
     new_y[kk] = trop_inverse(yk)
     for i in range(n):

@@ -11,6 +11,9 @@ so a rename fails here and not only in the benchmark's traced run.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -95,6 +98,19 @@ def test_seed_sweep_takes_no_plug_ins():
     # one search, over seeds: no step or key to swap in
     params = inspect.signature(cluster_logcc.enumerate_exchange_graph).parameters
     assert tuple(params) == ("seed", "budget")
+
+
+def test_import_leaves_rational_number_modules_unloaded():
+    # the package computes in ints only; fractions would bring decimal and numbers
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, cluster_logcc; "
+        "print(sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_export_list_to_keep_in_step():

@@ -11,6 +11,7 @@ from oracles import (
     dense_cg_step,
     dense_d_vector_step,
     dense_mutate_matrix,
+    fraction_skew_symmetrizable,
     plain_check_separation,
     plain_exchange_graph,
     plain_mutate,
@@ -44,6 +45,7 @@ from cluster_logcc import (
     is_skew_symmetrizable,
     mutate,
     mutate_matrix,
+    normalize_denominator,
     poly_to_json,
     principal_seed,
     principal_state,
@@ -52,7 +54,7 @@ from cluster_logcc import (
     state_step,
     zigzag,
 )
-from cluster_logcc.pattern import _labelled, canonical_seed_key, principal_states
+from cluster_logcc.pattern import _labelled, canonical_seed_key, per_variable, principal_states
 
 B2 = ((0, 1), (-1, 0))
 TYPE_B2 = ((0, 2), (-1, 0))
@@ -113,6 +115,25 @@ def test_matrix_mutation_involutive_and_symmetrizable(n, path):
         assert mutate_matrix(mutate_matrix(B, k), k) == B
         B = mutate_matrix(B, k)
         assert is_skew_symmetrizable(B)
+
+
+@st.composite
+def _sign_skew_matrices(draw):
+    """Square matrices with zero diagonal and b_ij b_ji < 0 or both 0."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = draw(st.integers(min_value=-3, max_value=3))
+            if b:
+                B[i][j] = b
+                B[j][i] = -draw(st.integers(min_value=1, max_value=3)) * (1 if b > 0 else -1)
+    return tuple(map(tuple, B))
+
+
+@given(_sign_skew_matrices())
+def test_integer_pair_scales_match_fraction_scales(B):
+    assert is_skew_symmetrizable(B) == fraction_skew_symmetrizable(B)
 
 
 def test_is_skew_symmetrizable():
@@ -403,20 +424,70 @@ def test_d_vector_step_matches_dense_formula_at_every_principal_seed(n):
             )
 
 
+def _negated_first_entry(G):
+    """G with the first nonzero entry of column 0 negated (an invertible G has one)."""
+    j = next(j for j, row in enumerate(G) if row[0])
+    return tuple(
+        tuple(-g if (r, c) == (j, 0) else g for c, g in enumerate(row))
+        for r, row in enumerate(G)
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_check_separation_matches_plain_check_at_every_principal_seed(n):
     for state in principal_states(n, None):
         seed, G, B0 = state.seed, state.G, state.B0
         assert check_separation(seed, G, B0) == plain_check_separation(seed, G, B0) == []
-        # negate one nonzero entry of G (column 0 of an invertible G has
-        # one): both checks must list the same mismatches
-        j = next(j for j in range(n) if G[j][0])
-        bad = tuple(
-            tuple(-g if (r, c) == (j, 0) else g for c, g in enumerate(row))
-            for r, row in enumerate(G)
-        )
+        # with one entry of G negated both checks must list the same mismatches
+        bad = _negated_first_entry(G)
         mismatches = check_separation(seed, bad, B0)
         assert mismatches and mismatches == plain_check_separation(seed, bad, B0)
+
+
+def _fd_vectors(x, n):
+    return x.substitute_ones(range(n)).max_degrees(), normalize_denominator(x, n).d_vector
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_per_variable_memos_agree_with_uncached_checks_seed_by_seed(n):
+    num_variables = n * (n + 3) // 2
+    # fpoly: f_data with a memo specializes each variable once
+    memo = []
+    for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n))):
+        assert f_data(seed, memo=memo) == f_data(seed)
+    assert len(memo) == num_variables
+    # gyo21: (f-vector, d-vector) facts once per variable
+    facts, checks, verdicts = [], [], []
+    for state in principal_states(n, None):
+        seed, G, B0 = state.seed, state.G, state.B0
+        fd = [_fd_vectors(x, n) for x in seed.cluster]
+        assert per_variable(seed, facts, lambda x: _fd_vectors(x, n)) == fd
+        # separation: the honest G, then a wrong one through the same memo, so
+        # a verdict met for (variable, g-column) is not reused for another column
+        honest = check_separation(seed, G, B0, memo=verdicts)
+        assert honest == plain_check_separation(seed, G, B0) == []
+        bad = _negated_first_entry(G)
+        mismatches = check_separation(seed, bad, B0, memo=verdicts)
+        assert mismatches and mismatches == plain_check_separation(seed, bad, B0)
+        checks.append(mismatches)
+    assert len(facts) == len(verdicts) == num_variables
+    # a second pass, every verdict now memoised, lists the same mismatches
+    for state, mismatches in zip(principal_states(n, None), checks):
+        bad = _negated_first_entry(state.G)
+        assert check_separation(state.seed, bad, state.B0, memo=verdicts) == mismatches
+
+
+def test_per_variable_memo_reads_a_sweep_in_yield_order():
+    seeds = list(enumerate_exchange_graph(principal_seed(a_n_matrix(3))))
+    memo = []
+    per_variable(seeds[0], memo, lambda x: x)
+    with pytest.raises(ValueError, match="yield order"):
+        per_variable(seeds[-1], memo, lambda x: x)
+    # a seed outside any sweep reads as a sweep's start: into an empty memo only
+    start = principal_seed(a_n_matrix(3))
+    assert per_variable(start, [], lambda x: x) == list(start.cluster)
+    with pytest.raises(ValueError, match="empty"):
+        per_variable(start, memo, lambda x: x)
 
 
 def test_principal_only_checks_reject_a_coefficient_free_seed():

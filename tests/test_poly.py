@@ -8,13 +8,17 @@ from cluster_logcc import (
     DimensionMismatchError,
     InexactDivisionError,
     LaurentPoly,
+    a_n_matrix,
+    coefficient_free_seed,
+    enumerate_exchange_graph,
     is_log_concave,
     normalize_denominator,
     poly_from_json,
     poly_to_json,
+    principal_seed,
 )
 
-from oracles import dense_log_concave, scan_log_concave, slow_poly_mul
+from oracles import dense_log_concave, plain_div_exact, scan_log_concave, slow_poly_mul
 
 
 def P(num_vars, terms):
@@ -177,6 +181,55 @@ def test_div_exact_laurent_shift():
     p = P(1, {(1,): 1, (0,): 1})
     q = p.div_exact(LaurentPoly.variable(1, 0))
     assert q.terms == {(0,): 1, (-1,): 1}
+
+
+def _division(divide, p, d):
+    """("quotient", q) or ("remainder", the InexactDivisionError witness)."""
+    try:
+        return "quotient", divide(p, d)
+    except InexactDivisionError as err:
+        return "remainder", err.remainder
+
+
+@given(polys(3), polys(3).filter(bool), polys(3, max_terms=2))
+def test_heap_division_matches_plain_long_division(p, q, r):
+    # exact on p * q, and inexact for most planted extra terms r
+    for dividend in (p * q, p * q + r):
+        got = _division(LaurentPoly.div_exact, dividend, q)
+        assert got == _division(plain_div_exact, dividend, q)
+        assert got[1].terms == LaurentPoly(got[1].num_vars, got[1].terms).terms
+
+
+@pytest.mark.parametrize("start", [coefficient_free_seed, principal_seed])
+def test_heap_division_matches_plain_long_division_on_sweep_operands(monkeypatch, start):
+    honest = LaurentPoly.div_exact
+    operands = []
+
+    def recording(p, d):
+        operands.append((p, d))
+        return honest(p, d)
+
+    monkeypatch.setattr(LaurentPoly, "div_exact", recording)
+    assert sum(1 for _ in enumerate_exchange_graph(start(a_n_matrix(5)))) == 132
+    monkeypatch.undo()
+    assert len(operands) > 50
+    inexact = 0
+    for p, d in operands:
+        assert _division(LaurentPoly.div_exact, p, d) == ("quotient", plain_div_exact(p, d))
+        # one more of the lowest term: inexact unless the divisor is a monomial
+        planted = p + LaurentPoly.monomial(p.num_vars, min(p.terms))
+        got = _division(LaurentPoly.div_exact, planted, d)
+        assert got == _division(plain_div_exact, planted, d)
+        inexact += got[0] == "remainder"
+    assert inexact == sum(len(d.terms) > 1 for _, d in operands) > 0
+
+
+@given(polys(2, max_terms=3), st.integers(min_value=0, max_value=5))
+def test_power_matches_repeated_product(p, k):
+    expected = LaurentPoly.const(2, 1)
+    for _ in range(k):
+        expected = slow_poly_mul(expected, p)
+    assert p ** k == expected
 
 
 # ---- degrees and substitution ----

@@ -566,8 +566,8 @@ def _planted_first_f_polynomial(monkeypatch, defect):
 
     honest = verify.f_data
 
-    def planted(seed):
-        fd = honest(seed)
+    def planted(seed, *, memo=None):
+        fd = honest(seed, memo=memo)
         fpolys = list(fd.f_polynomials)
         for i, fp in enumerate(fpolys):
             if len(fp.terms) >= 2:
