@@ -26,7 +26,6 @@ from .pattern import (
     a_n_matrix,
     cg_step,
     check_separation,
-    cluster_variables,
     coefficient_free_seed,
     d_vector_step,
     enumerate_exchange_graph,
@@ -64,8 +63,6 @@ from .polygon import (
 from .verify import (
     a2_basis,
     a2_charts,
-    a2_cluster_monomial,
-    a2_structure_constants,
     explore_a2_structure_constants,
     explore_an_monomials,
     run_claim,

@@ -594,15 +594,6 @@ def principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
         yield states[-1]
 
 
-def cluster_variables(seed: Seed, budget: Optional[int] = None) -> List[LaurentPoly]:
-    """All cluster variables reachable from the seed, canonically sorted."""
-    seen: Dict[tuple, LaurentPoly] = {}
-    for s in enumerate_exchange_graph(seed, budget):
-        for x in s.cluster:
-            seen.setdefault(x.key(), x)
-    return [seen[key] for key in sorted(seen)]
-
-
 # ---- serialization ----
 
 

@@ -360,15 +360,13 @@ def crossing_d_vector(tri: Triangulation, gamma: Sequence[int]) -> Tuple[int, ..
 
     gamma must not itself be a diagonal of the triangulation; the caller
     owns that degenerate case (its denominator data is -e_k, not a crossing
-    count).
+    count).  Vertices off the polygon, or a pair that spans no diagonal,
+    raise diagonals_crossing's ValueError.
     """
-    g = _norm_pair(*gamma)
-    size = tri.size
-    if not (0 <= g[0] < size and 0 <= g[1] < size) or g[0] == g[1] or _adjacent(*g, size):
-        raise ValueError(f"{gamma!r} is not a diagonal of the {size}-gon")
-    if g in tri.diagonal_pairs():
+    crossing = set(diagonals_crossing(tri, *gamma))
+    if _norm_pair(*gamma) in tri.diagonal_pairs():
         raise ValueError(f"{gamma!r} belongs to the triangulation")
-    return tuple(1 if crosses(tri.pair_of(k), g) else 0 for k in range(1, tri.n + 1))
+    return tuple(1 if k in crossing else 0 for k in range(1, tri.n + 1))
 
 
 # ---- serialization ----

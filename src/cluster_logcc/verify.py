@@ -392,23 +392,6 @@ def a2_charts() -> Tuple[Tuple[LaurentPoly, LaurentPoly], ...]:
     return ((x1, x2), (v, x2), (v, u), (w, u), (w, x1))
 
 
-@dataclass(frozen=True)
-class ClusterMonomial:
-    chart: int  # 1..5
-    exponents: Tuple[int, int]
-    value: LaurentPoly
-
-
-def a2_cluster_monomial(chart: int, m1: int, m2: int) -> ClusterMonomial:
-    charts = a2_charts()
-    if not 1 <= chart <= len(charts):
-        raise IndexError(f"chart {chart} out of range 1..{len(charts)}")
-    if m1 < 0 or m2 < 0:
-        raise ValueError("cluster monomial exponents must be nonnegative")
-    z1, z2 = charts[chart - 1]
-    return ClusterMonomial(chart, (m1, m2), (z1 ** m1) * (z2 ** m2))
-
-
 def _powers(z: LaurentPoly, deg: int) -> List[LaurentPoly]:
     """z^0, ..., z^deg, one multiplication per step."""
     table = [LaurentPoly.const(z.num_vars, 1)]
@@ -441,7 +424,10 @@ def _cluster_monomials(
     also held is skipped before any multiplication: that cluster already
     yielded the same polynomial.  The constant and the powers of a single
     variable are yielded in every cluster, so rank-2 aliases stay whole.
+    A negative deg is a ValueError, raised before any cluster is read.
     """
+    if deg < 0:
+        raise ValueError("degree bound must be nonnegative")
     powers: Dict[tuple, Tuple[int, List[LaurentPoly]]] = {}
     held = set()  # variable sets of two or more that earlier clusters held
     for idx, cluster in enumerate(clusters):
@@ -468,18 +454,6 @@ def _cluster_monomials(
                     value = table[e] if value is None else value * table[e]
             yield idx, m, tables[0][0] if value is None else value
         held.update(met)
-
-
-def _a2_monomials(deg: int) -> Iterator[ClusterMonomial]:
-    """Every rank-2 cluster monomial of total degree at most deg.
-
-    Charts, then m1, then m2 ascending; the values are those of
-    a2_cluster_monomial, formed by _cluster_monomials.
-    """
-    if deg < 0:
-        raise ValueError("degree bound must be nonnegative")
-    for idx, m, value in _cluster_monomials(a2_charts(), deg):
-        yield ClusterMonomial(idx + 1, m, value)
 
 
 def _graded_lex_key(exp: Tuple[int, ...]) -> tuple:
@@ -513,19 +487,18 @@ def a2_basis(deg: int) -> List[BasisElement]:
     polynomials and are merged, keeping every (chart, exponents) alias.
     Elements are sorted by graded-lex leading exponent; leading exponents
     are pairwise distinct and carry coefficient 1, which is what makes the
-    greedy expansion in a2_structure_constants well defined.
+    greedy expansion in _eliminate well defined.
     """
     merged: Dict[tuple, List] = {}
-    for cm in _a2_monomials(deg):
-        degree = sum(cm.exponents)
-        key = cm.value.key()
+    for idx, m, value in _cluster_monomials(a2_charts(), deg):
+        degree, key = sum(m), value.key()
         entry = merged.get(key)
         if entry is None:
-            merged[key] = [cm.value, degree, [(cm.chart, cm.exponents)]]
+            merged[key] = [value, degree, [(idx + 1, m)]]
         else:
             if entry[1] != degree:
                 raise RuntimeError("inconsistent degree among aliases")
-            entry[2].append((cm.chart, cm.exponents))
+            entry[2].append((idx + 1, m))
     elements = []
     for value, degree, aliases in merged.values():
         lead = _leading_exponent(value.terms)
@@ -536,13 +509,6 @@ def a2_basis(deg: int) -> List[BasisElement]:
     if len({e.leading for e in elements}) != len(elements):
         raise RuntimeError("leading exponents collide; greedy expansion is ambiguous")
     return elements
-
-
-@dataclass
-class StructureExpansion:
-    basis: List[BasisElement]
-    coefficients: Dict[int, int]  # basis index -> nonzero constant
-    residual: LaurentPoly  # zero when the product fully resolved
 
 
 _ELIMINATION_GUARD = 1_000_000
@@ -580,23 +546,6 @@ def _eliminate(
     return {i: c for i, c in sorted(coeffs.items()) if c != 0}, LaurentPoly(prod.num_vars, rem)
 
 
-def a2_structure_constants(factors: Sequence[ClusterMonomial]) -> StructureExpansion:
-    """Expand a product of rank-2 cluster monomials over the monomial basis.
-
-    Greedy elimination on graded-lex leading terms (_eliminate) over the
-    basis up to the product's total degree.  A leftover residual means the
-    basis bound was too small (or the expansion genuinely leaves the span);
-    it is returned, not raised.
-    """
-    basis = a2_basis(sum(f.exponents[0] + f.exponents[1] for f in factors))
-    lead_index = {e.leading: i for i, e in enumerate(basis)}
-    prod = LaurentPoly.const(2, 1)
-    for f in factors:
-        prod = prod * f.value
-    coeffs, residual = _eliminate(prod, basis, lead_index)
-    return StructureExpansion(basis, coeffs, residual)
-
-
 def _chart_tables(
     basis: List[BasisElement], coefficients: Dict[int, int]
 ) -> Dict[int, LaurentPoly]:
@@ -626,10 +575,10 @@ def verify_a2_monomials(deg: int) -> Report:
     """
     report = Report("a2-monomials", {"deg": deg})
     num_monomials = 0
-    for cm in _a2_monomials(deg):
-        chart, (m1, m2) = cm.chart, cm.exponents
+    for idx, (m1, m2), value in _cluster_monomials(a2_charts(), deg):
+        chart = idx + 1
         num_monomials += 1
-        nd = normalize_denominator(cm.value, 2)
+        nd = normalize_denominator(value, 2)
         w = _logcc_witness(nd.numerator, chart=chart, exponents=[m1, m2])
         if w is not None:
             report.add(w)
@@ -674,8 +623,6 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
     monomials come from _cluster_monomials; the constant is skipped.  Only a
     power of one variable recurs there, so only those keys are kept.
     """
-    if deg < 0:
-        raise ValueError("degree bound must be nonnegative")
     report = Report("conj-an", {"rank": n, "deg": deg}, exploratory=True)
     seeds = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget)
     num_clusters = num_monomials = 0

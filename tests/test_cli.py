@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -289,8 +290,11 @@ def test_verify_output_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_module_runs_as_subprocess():
+    # the child gets the package's src on its path, whether or not it is installed
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "cluster_logcc.cli", "verify", "--claim", "separation", "--rank", "2"],
+        env=env,
         capture_output=True,
         text=True,
     )

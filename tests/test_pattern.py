@@ -34,7 +34,6 @@ from cluster_logcc import (
     boundary_seed,
     cg_step,
     check_separation,
-    cluster_variables,
     coefficient_free_seed,
     d_vector_step,
     enumerate_exchange_graph,
@@ -516,11 +515,19 @@ def test_laurent_phenomenon_blocks_on_inexact_division():
 # ---- exchange graph ----
 
 
+def _sweep_variables(seed):
+    """The distinct variables the seed sweep meets, in label order: main1's route."""
+    variables = []
+    for s in enumerate_exchange_graph(seed):
+        per_variable(s, variables, lambda x: x)
+    return variables
+
+
 @pytest.mark.parametrize("n,seeds,variables", [(1, 2, 2), (2, 5, 5), (3, 14, 9), (4, 42, 14)])
 def test_exchange_graph_counts(n, seeds, variables):
     g = list(enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))))
     assert len(g) == seeds
-    assert len(cluster_variables(coefficient_free_seed(a_n_matrix(n)))) == variables
+    assert len(_sweep_variables(coefficient_free_seed(a_n_matrix(n)))) == variables
 
 
 def test_exchange_graph_budget():
@@ -529,15 +536,12 @@ def test_exchange_graph_budget():
         for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(3)), budget=5):
             got.append(s)
     assert len(got) == 5
-    with pytest.raises(RuntimeError, match="not closed within budget"):
-        cluster_variables(coefficient_free_seed(a_n_matrix(3)), budget=5)
 
 
 # Every search goes through enumerate_exchange_graph, so each one closes with
 # a budget of exactly its class count (14 at rank 3) and fails one below with
 # one message.
 _SEARCHES = {
-    "cluster_variables": lambda b: cluster_variables(coefficient_free_seed(a_n_matrix(3)), b),
     "enumerate_triangulations": lambda b: enumerate_triangulations(zigzag(3), b),
     "main1": lambda b: verify.run_claim("main1", rank=3, budget=b),
     "gyo21": lambda b: verify.run_claim("gyo21", rank=3, budget=b),
@@ -550,9 +554,7 @@ _SEARCHES = {
 @pytest.mark.parametrize("search", list(_SEARCHES))
 def test_every_search_closes_at_its_class_count_and_fails_one_below(search):
     result = _SEARCHES[search](14)
-    if search == "cluster_variables":
-        assert len(result) == 9
-    elif search == "enumerate_triangulations":
+    if search == "enumerate_triangulations":
         assert len(result) == 14
     elif search == "conj-an":
         assert result.status == "exploratory" and result.stats["num_clusters"] == 14
@@ -970,7 +972,7 @@ def test_no_memo_outlives_its_sweep(monkeypatch):
 
 
 def test_rank_two_variables_are_the_five_expected():
-    got = {tuple(sorted(v.terms.items())) for v in cluster_variables(coefficient_free_seed(B2))}
+    got = {tuple(sorted(v.terms.items())) for v in _sweep_variables(coefficient_free_seed(B2))}
     expected = [
         {(1, 0): 1},                                # x1
         {(0, 1): 1},                                # x2
@@ -982,8 +984,8 @@ def test_rank_two_variables_are_the_five_expected():
 
 
 def test_rank_one_variables():
-    vs = cluster_variables(coefficient_free_seed(((0,),)))
-    assert [dict(v.terms) for v in vs] == [{(-1,): 2}, {(1,): 1}]
+    vs = _sweep_variables(coefficient_free_seed(((0,),)))
+    assert [dict(v.terms) for v in vs] == [{(1,): 1}, {(-1,): 2}]
 
 
 # ---- boundary coefficients from a triangulation ----

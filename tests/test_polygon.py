@@ -7,11 +7,11 @@ from cluster_logcc import (
     a_n_matrix,
     b_matrix_of,
     boundary_seed,
-    cluster_variables,
     coefficient_free_seed,
     crosses,
     crossing_d_vector,
     diagonals_crossing,
+    enumerate_exchange_graph,
     enumerate_t_paths,
     enumerate_triangulations,
     expand_variable,
@@ -27,6 +27,7 @@ from cluster_logcc import (
     triangulation_to_json,
     zigzag,
 )
+from cluster_logcc.pattern import per_variable
 from cluster_logcc.polygon import boundary_to_one, chords
 from oracles import (
     assert_valid_t_path,
@@ -230,11 +231,19 @@ def test_label_order_matches_the_geometric_order(n):
                 assert diagonals_crossing(tri, u, v) == geometric_crossing_order(tri, u, v)
 
 
+# every route that reads a chord rejects it with diagonals_crossing's check
+_CHORD_ROUTES = (
+    diagonals_crossing,
+    enumerate_t_paths,
+    lambda tri, a, b: crossing_d_vector(tri, (a, b)),
+)
+
+
 @pytest.mark.parametrize("a,b", [(-1, 3), (3, -1), (0, 6), (0, 7), (6, 2)])
 def test_crossing_order_rejects_vertices_off_the_polygon(a, b):
     # label arithmetic is modular, so -1 would otherwise read as vertex 5
     tri = zigzag(3)
-    for route in (diagonals_crossing, enumerate_t_paths):
+    for route in _CHORD_ROUTES:
         with pytest.raises(ValueError, match=r"^vertices must lie in 0\.\.5$"):
             route(tri, a, b)
 
@@ -242,7 +251,7 @@ def test_crossing_order_rejects_vertices_off_the_polygon(a, b):
 def test_crossing_order_rejects_pairs_spanning_no_diagonal():
     tri = zigzag(3)
     for a, b in ((2, 2), (2, 3), (0, 5)):
-        for route in (diagonals_crossing, enumerate_t_paths):
+        for route in _CHORD_ROUTES:
             with pytest.raises(ValueError, match="do not span a diagonal"):
                 route(tri, a, b)
 
@@ -252,8 +261,9 @@ def test_crossing_d_vector():
     assert crossing_d_vector(tri, (0, 3)) == (1, 1, 1)
     assert crossing_d_vector(tri, (0, 2)) == (1, 1, 0)
     assert crossing_d_vector(tri, (2, 5)) == (0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="belongs to the triangulation"):
         crossing_d_vector(tri, (1, 4))  # already a diagonal of the triangulation
+
 
 
 # ---- admissible paths ----
@@ -376,8 +386,10 @@ def test_pentagon_fan_variables_match_mutation():
     expanded = {boundary_to_one(tri, expand_variable(tri, a, b)).key()
                 for a, b in [(1, 3), (1, 4), (2, 4)]}
     expanded |= {LaurentPoly.variable(2, 0).key(), LaurentPoly.variable(2, 1).key()}
-    mutated = {x.key() for x in cluster_variables(coefficient_free_seed(principal_b_matrix(tri)))}
-    assert expanded == mutated
+    mutated = []
+    for s in enumerate_exchange_graph(coefficient_free_seed(principal_b_matrix(tri))):
+        per_variable(s, mutated, LaurentPoly.key)
+    assert expanded == set(mutated)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

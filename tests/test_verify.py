@@ -9,8 +9,6 @@ from cluster_logcc import (
     LaurentPoly,
     a2_basis,
     a2_charts,
-    a2_cluster_monomial,
-    a2_structure_constants,
     explore_a2_structure_constants,
     explore_an_monomials,
     normalize_denominator,
@@ -23,7 +21,7 @@ from cluster_logcc import (
     verify_separation,
 )
 
-from oracles import plain_cluster_monomials
+from oracles import plain_cluster_monomials, plain_eliminate
 
 
 # ---- rank-2 charts ----
@@ -47,29 +45,31 @@ def test_adjacent_charts_share_a_variable():
         assert len(shared) == 1
 
 
+def _monomial(chart, m1, m2):
+    z1, z2 = a2_charts()[chart - 1]
+    return z1 ** m1 * z2 ** m2
+
+
 def test_cluster_monomial_values():
-    assert a2_cluster_monomial(1, 2, 1).value.terms == {(2, 1): 1}  # x1^2 x2
-    vu = a2_cluster_monomial(3, 1, 1)  # v * u = (x2+1)(x1+x2+1) / (x1^2 x2)
-    assert vu.value == a2_charts()[2][0] * a2_charts()[2][1]
-    assert vu.value.terms == {
+    assert _monomial(1, 2, 1).terms == {(2, 1): 1}  # x1^2 x2
+    vu = _monomial(3, 1, 1)  # v * u = (x2+1)(x1+x2+1) / (x1^2 x2)
+    assert vu.terms == {
         (-1, 0): 1, (-1, -1): 1, (-2, 1): 1, (-2, 0): 2, (-2, -1): 1,
     }
-    with pytest.raises(ValueError):
-        a2_cluster_monomial(1, -1, 0)
-    with pytest.raises(IndexError):
-        a2_cluster_monomial(6, 1, 0)
+    (elem,) = [e for e in a2_basis(2) if (3, (1, 1)) in e.aliases]
+    assert elem.value == vu
 
 
 def test_power_tables_match_repeated_squaring():
-    from cluster_logcc.verify import _a2_monomials
+    from cluster_logcc.verify import _cluster_monomials
 
     want = [
-        a2_cluster_monomial(chart, m1, m2)
+        (chart - 1, (m1, m2), _monomial(chart, m1, m2))
         for chart in range(1, 6)
         for m1 in range(13)
         for m2 in range(13 - m1)
     ]
-    assert list(_a2_monomials(12)) == want
+    assert list(_cluster_monomials(a2_charts(), 12)) == want
 
 
 def test_conj_an_power_tables_match_repeated_squaring():
@@ -194,6 +194,28 @@ def test_basis_counts():
     assert len(a2_basis(4)) == 51
 
 
+@pytest.mark.parametrize("d", range(9))
+def test_basis_matches_plain_enumerator_grouped_by_polynomial(d):
+    want = {}
+    for idx, m, value in plain_cluster_monomials(a2_charts(), d):
+        _, degrees, aliases = want.setdefault(value.key(), (value, set(), []))
+        degrees.add(sum(m))
+        aliases.append((idx + 1, m))
+    got = {e.value.key(): (e.value, {e.degree}, list(e.aliases)) for e in a2_basis(d)}
+    assert got == want
+    assert len(got) == 5 * d * (d + 1) // 2 + 1
+
+
+def test_negative_degree_is_refused_before_any_sweep_step():
+    with pytest.raises(RuntimeError, match="not closed within budget"):
+        explore_an_monomials(3, 0, budget=1)
+    with pytest.raises(ValueError, match="^degree bound must be nonnegative$"):
+        explore_an_monomials(3, -1, budget=1)
+    for check in (a2_basis, verify_a2_monomials):
+        with pytest.raises(ValueError, match="^degree bound must be nonnegative$"):
+            check(-1)
+
+
 def test_basis_constant_element_is_shared_by_all_charts():
     basis = a2_basis(2)
     const = [e for e in basis if e.degree == 0]
@@ -218,44 +240,49 @@ def test_basis_leading_exponents_distinct():
 # ---- structure constants ----
 
 
-def alias_set(expansion, idx):
-    return set(expansion.basis[idx].aliases)
+def _expand(prod, deg):
+    """_eliminate over a2_basis(deg), which must agree with plain_eliminate."""
+    from cluster_logcc.verify import _eliminate
+
+    basis = a2_basis(deg)
+    lead_index = {e.leading: i for i, e in enumerate(basis)}
+    coeffs, residual = _eliminate(prod, basis, lead_index)
+    assert (coeffs, residual) == plain_eliminate(prod, basis, lead_index)
+    return basis, coeffs, residual
+
+
+def _constants_by_aliases(basis, coeffs):
+    return {frozenset(basis[idx].aliases): c for idx, c in coeffs.items()}
 
 
 def test_product_x1_times_v():
     # x1 * (x2+1)/x1 = x2 + 1
-    exp = a2_structure_constants([a2_cluster_monomial(1, 1, 0), a2_cluster_monomial(2, 1, 0)])
-    assert not exp.residual
-    constants = {}
-    for idx, c in exp.coefficients.items():
-        constants[frozenset(alias_set(exp, idx))] = c
+    basis, coeffs, residual = _expand(_monomial(1, 1, 0) * _monomial(2, 1, 0), 2)
+    assert not residual
     x2_elem = frozenset({(1, (0, 1)), (2, (0, 1))})
     one_elem = frozenset({(c, (0, 0)) for c in range(1, 6)})
-    assert constants == {x2_elem: 1, one_elem: 1}
+    assert _constants_by_aliases(basis, coeffs) == {x2_elem: 1, one_elem: 1}
 
 
 def test_product_w_times_v():
     # (x1+1)/x2 * (x2+1)/x1 = u + 1
-    exp = a2_structure_constants([a2_cluster_monomial(4, 1, 0), a2_cluster_monomial(2, 1, 0)])
-    assert not exp.residual
-    got = {frozenset(alias_set(exp, idx)): c for idx, c in exp.coefficients.items()}
+    basis, coeffs, residual = _expand(_monomial(4, 1, 0) * _monomial(2, 1, 0), 2)
+    assert not residual
     u_elem = frozenset({(3, (0, 1)), (4, (0, 1))})
     one_elem = frozenset({(c, (0, 0)) for c in range(1, 6)})
-    assert got == {u_elem: 1, one_elem: 1}
+    assert _constants_by_aliases(basis, coeffs) == {u_elem: 1, one_elem: 1}
 
 
 def test_product_within_one_chart_is_a_single_element():
-    exp = a2_structure_constants([a2_cluster_monomial(3, 2, 1), a2_cluster_monomial(3, 0, 2)])
-    assert not exp.residual
-    assert len(exp.coefficients) == 1
-    ((idx, c),) = exp.coefficients.items()
+    basis, coeffs, residual = _expand(_monomial(3, 2, 1) * _monomial(3, 0, 2), 5)
+    assert not residual
+    ((aliases, c),) = _constants_by_aliases(basis, coeffs).items()
     assert c == 1
-    assert (3, (2, 3)) in alias_set(exp, idx)
+    assert (3, (2, 3)) in aliases
 
 
 def test_in_place_elimination_matches_plain_loop(monkeypatch):
     import cluster_logcc.verify as verify
-    from oracles import plain_eliminate
 
     # A slip that stops the lead from cancelling fails here, not after a
     # million steps.
@@ -272,10 +299,7 @@ def test_in_place_elimination_matches_plain_loop(monkeypatch):
         assert verify._eliminate(prod, basis, lead_index) == plain_eliminate(
             prod, basis, lead_index
         )
-    planted = (
-        a2_cluster_monomial(2, 2, 1).value * a2_cluster_monomial(4, 1, 1).value
-        + LaurentPoly.monomial(2, (-5, -5))
-    )
+    planted = _monomial(2, 2, 1) * _monomial(4, 1, 1) + LaurentPoly.monomial(2, (-5, -5))
     assert (-5, -5) not in lead_index
     coeffs, residual = verify._eliminate(planted, basis, lead_index)
     assert coeffs and residual == LaurentPoly.monomial(2, (-5, -5))
@@ -316,12 +340,10 @@ def test_chart_tables_match_per_chart_scan():
 
 
 def test_expansion_reassembles_the_product():
-    factors = [a2_cluster_monomial(2, 1, 1), a2_cluster_monomial(5, 1, 0)]
-    exp = a2_structure_constants(factors)
-    total = exp.residual
-    for idx, c in exp.coefficients.items():
-        total = total + exp.basis[idx].value.scale(c)
-    product = factors[0].value * factors[1].value
+    product = _monomial(2, 1, 1) * _monomial(5, 1, 0)
+    basis, coeffs, total = _expand(product, 3)
+    for idx, c in coeffs.items():
+        total = total + basis[idx].value.scale(c)
     assert total == product
 
 
