@@ -27,7 +27,6 @@ f_data, check_separation and the claims do it once per variable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -156,14 +155,12 @@ def is_skew_symmetrizable(B: Sequence[Sequence[int]]) -> bool:
 # ---- seeds ----
 
 
-@dataclass(frozen=True)
-class TropicalElement:
+class TropicalElement(NamedTuple):
     """y_i as Seed.y reads it: column i of the frozen rows, not stored."""
 
     exponents: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Seed:
     """A labeled seed: exchange matrix B, its frozen rows, cluster.
 
@@ -173,14 +170,48 @@ class Seed:
     directions that produced the seed and is excluded from equality and
     hashing.  labels, set only inside a sweep, holds one small int per
     cluster variable from that sweep's intern table; it is excluded from
-    equality, hashing, repr and seed_to_json.
+    equality, hashing, repr and seed_to_json.  Seeds are immutable:
+    assigning an attribute is an AttributeError.
     """
 
-    B: Matrix
-    frozen: Matrix
-    cluster: Tuple[LaurentPoly, ...]
-    history: Tuple[int, ...] = field(default=(), compare=False)
-    labels: Optional[Tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    __slots__ = ("B", "frozen", "cluster", "history", "labels", "__weakref__")
+
+    def __init__(
+        self,
+        B: Matrix,
+        frozen: Matrix,
+        cluster: Tuple[LaurentPoly, ...],
+        history: Tuple[int, ...] = (),
+        labels: Optional[Tuple[int, ...]] = None,
+    ) -> None:
+        set_ = object.__setattr__  # __setattr__ below refuses every assignment
+        set_(self, "B", B)
+        set_(self, "frozen", frozen)
+        set_(self, "cluster", cluster)
+        set_(self, "history", history)
+        set_(self, "labels", labels)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign or delete {name!r}: seeds are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.B, self.frozen, self.cluster) == (other.B, other.frozen, other.cluster)
+
+    def __hash__(self) -> int:
+        return hash((self.B, self.frozen, self.cluster))
+
+    def __repr__(self) -> str:
+        return (
+            f"Seed(B={self.B!r}, frozen={self.frozen!r}, cluster={self.cluster!r}, "
+            f"history={self.history!r})"
+        )
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return Seed, (self.B, self.frozen, self.cluster, self.history, self.labels)
 
     @property
     def n(self) -> int:
@@ -230,7 +261,8 @@ def principal_seed(B: Sequence[Sequence[int]]) -> Seed:
 def _labelled(seed: Seed, table: dict) -> Seed:
     """seed labelled from table, which maps key() to label and gives a new
     variable the next free int; any labels seed carried are replaced."""
-    return replace(seed, labels=tuple(table.setdefault(x.key(), len(table)) for x in seed.cluster))
+    labels = tuple(table.setdefault(x.key(), len(table)) for x in seed.cluster)
+    return Seed(seed.B, seed.frozen, seed.cluster, seed.history, labels)
 
 
 def _exchange_quotient(seed: Seed, kk: int, ck: Tuple[int, ...]) -> LaurentPoly:
@@ -367,8 +399,7 @@ def cg_step(C: Matrix, G: Matrix, B_t: Matrix, B0: Matrix, k: int) -> Tuple[Matr
     return tuple(C2), tuple(G2)
 
 
-@dataclass(frozen=True)
-class PatternState:
+class PatternState(NamedTuple):
     """A seed bundled with the matrix data its mutation path accumulated.
 
     B0 is the exchange matrix of the starting seed; the G recursion needs it
@@ -585,7 +616,7 @@ def principal_states(n: int, budget: Optional[int]) -> Iterator[PatternState]:
     """
     start = principal_state(a_n_matrix(n))
     sweep = enumerate_exchange_graph(start.seed, budget)
-    states = deque([replace(start, seed=next(sweep))])
+    states = deque([start._replace(seed=next(sweep))])
     yield states[0]
     for seed in sweep:
         while states[0].seed.history != seed.history[:-1]:

@@ -19,7 +19,6 @@ hand it to the result unchecked, through LaurentPoly._trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import add, index, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -302,8 +301,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.num_vars}, {dict(sorted(self.terms.items()))!r})"
 
 
-@dataclass(frozen=True)
-class DenominatorForm:
+class DenominatorForm(NamedTuple):
     """A Laurent polynomial split as numerator * prod x_j^{-d_j}.
 
     The numerator has nonnegative exponents everywhere and, in each of the

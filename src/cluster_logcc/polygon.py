@@ -21,9 +21,8 @@ matrix, so flip itself only moves the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .pattern import Seed, coefficient_free_seed, enumerate_exchange_graph, geometric_seed
 from .poly import LaurentPoly, poly_to_json
@@ -60,8 +59,7 @@ def chords(size: int) -> Iterator[Pair]:
                 yield a, b
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(NamedTuple):
     """A labeled triangulation of the (n+3)-gon."""
 
     n: int
@@ -233,8 +231,7 @@ def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None)
 # ---- path expansion ----
 
 
-@dataclass(frozen=True)
-class TPath:
+class TPath(NamedTuple):
     """An admissible path: vertex sequence plus the edge labels walked."""
 
     vertices: Tuple[int, ...]

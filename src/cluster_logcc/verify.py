@@ -38,8 +38,7 @@ against Catalan(n + 1) and its variables against n(n + 3)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import (
     LaurentPoly,
@@ -63,16 +62,14 @@ from .polygon import boundary_to_one, chords, expand_variable, zigzag
 WITNESS_CAP = 20
 
 
-@dataclass
 class Report:
     """A checker's findings; status and ok are read off the witness list."""
 
-    claim: str
-    scope: Dict[str, int]
-    exploratory: bool = False
-    witnesses: List[dict] = field(default_factory=list)
-    stats: Dict[str, object] = field(default_factory=dict)
-    found: int = 0  # witnesses passed to add(), kept or not
+    def __init__(self, claim: str, scope: Dict[str, int], exploratory: bool = False) -> None:
+        self.claim, self.scope, self.exploratory = claim, scope, exploratory
+        self.witnesses: List[dict] = []
+        self.stats: Dict[str, object] = {}
+        self.found = 0  # witnesses passed to add(), kept or not
 
     def add(self, witness: dict) -> None:
         """Keep the first WITNESS_CAP witnesses of a scan; count the rest."""
@@ -173,14 +170,9 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         per_variable(s, variables, lambda x: x)
     mutated = {x.key(): x for x in variables}
     _check_counts(report, n, num_seeds, paths=len(by_key), mutation=len(mutated))
-    for key in sorted(set(by_key) - set(mutated)):
-        report.add(
-            {"kind": "route-mismatch", "route": "paths-only", "poly": poly_to_json(by_key[key])}
-        )
-    for key in sorted(set(mutated) - set(by_key)):
-        report.add(
-            {"kind": "route-mismatch", "route": "mutation-only", "poly": poly_to_json(mutated[key])}
-        )
+    for route, mine, other in (("paths-only", by_key, mutated), ("mutation-only", mutated, by_key)):
+        for key in sorted(set(mine) - set(other)):
+            report.add({"kind": "route-mismatch", "route": route, "poly": poly_to_json(mine[key])})
 
     max_coeff = 0
     for key in sorted(by_key):
@@ -464,8 +456,7 @@ def _leading_exponent(terms: Dict[tuple, int]) -> Tuple[int, ...]:
     return max(terms, key=_graded_lex_key)
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     value: LaurentPoly
     degree: int
     leading: Tuple[int, int]
@@ -478,6 +469,10 @@ def _basis_element_json(elem: BasisElement) -> dict:
         "leading": list(elem.leading),
         "aliases": [[chart, list(m)] for chart, m in elem.aliases],
     }
+
+
+def _pair_json(basis: List[BasisElement], i: int, j: int) -> dict:
+    return {"left": _basis_element_json(basis[i]), "right": _basis_element_json(basis[j])}
 
 
 def a2_basis(deg: int) -> List[BasisElement]:
@@ -583,21 +578,19 @@ def verify_a2_monomials(deg: int) -> Report:
         if w is not None:
             report.add(w)
         if chart == 3:
-            expected_terms = {}
-            for k in range(m2 + 1):
-                for l in range(m1 + m2 - k + 1):
-                    coeff = math.comb(m2, k) * math.comb(m1 + m2 - k, l)
-                    if coeff:
-                        expected_terms[(k, l)] = coeff
-            expected = LaurentPoly(2, expected_terms)
-            if nd.numerator != expected or nd.d_vector != (m1 + m2, m2):
+            expected_terms = {  # positive binomials: clean as built
+                (k, l): math.comb(m2, k) * math.comb(m1 + m2 - k, l)
+                for k in range(m2 + 1)
+                for l in range(m1 + m2 - k + 1)
+            }
+            if nd.numerator.terms != expected_terms or nd.d_vector != (m1 + m2, m2):
                 report.add(
                     {
                         "kind": "closed-form-mismatch",
                         "chart": chart,
                         "exponents": [m1, m2],
                         "numerator": poly_to_json(nd.numerator),
-                        "expected": poly_to_json(expected),
+                        "expected": poly_to_json(LaurentPoly(2, expected_terms)),
                         "d_vector": list(nd.d_vector),
                     }
                 )
@@ -667,21 +660,20 @@ def explore_a2_structure_constants(deg: int) -> Report:
     num_pairs = 0
     max_constant = 0
     num_unresolved = 0
-    for ai in range(len(nonconstant)):
-        for bi in range(ai, len(nonconstant)):
-            i, j = nonconstant[ai], nonconstant[bi]
+    for ai, i in enumerate(nonconstant):
+        for j in nonconstant[ai:]:
             if basis[i].degree + basis[j].degree > deg:
                 continue
             num_pairs += 1
             coeffs, residual = _eliminate(basis[i].value * basis[j].value, basis, lead_index)
-            pair_json = {
-                "left": _basis_element_json(basis[i]),
-                "right": _basis_element_json(basis[j]),
-            }
             if residual:
                 num_unresolved += 1
                 report.add(
-                    {"kind": "unresolved-residual", "residual": poly_to_json(residual), **pair_json}
+                    {
+                        "kind": "unresolved-residual",
+                        "residual": poly_to_json(residual),
+                        **_pair_json(basis, i, j),
+                    }
                 )
                 continue
             negatives = {t: c for t, c in coeffs.items() if c < 0}
@@ -692,7 +684,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
                         "constants": [
                             [_basis_element_json(basis[t]), c] for t, c in negatives.items()
                         ],
-                        **pair_json,
+                        **_pair_json(basis, i, j),
                     }
                 )
             if coeffs:
@@ -709,7 +701,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
                             "axis": res.axis,
                             "point": list(res.point),
                             "table": poly_to_json(table),
-                            **pair_json,
+                            **_pair_json(basis, i, j),
                         }
                     )
     report.stats = {

@@ -152,8 +152,6 @@ def test_inexact_division_is_an_error_not_a_finding(capsys, monkeypatch):
     # A planted coefficient defect: each mutated seed gets y_k off by one, so
     # a later exchange binomial does not divide.  That must not read as
     # exit 1 ("witnesses found"), and no report is written.
-    import dataclasses
-
     import cluster_logcc.pattern as pattern
 
     honest = pattern.mutate
@@ -162,7 +160,7 @@ def test_inexact_division_is_an_error_not_a_finding(capsys, monkeypatch):
         s = honest(seed, k, memo=memo, table=table)
         row = list(s.frozen[0])
         row[k - 1] += 1
-        return dataclasses.replace(s, frozen=(tuple(row),) + s.frozen[1:])
+        return pattern.Seed(s.B, (tuple(row),) + s.frozen[1:], s.cluster, s.history, s.labels)
 
     monkeypatch.setattr(pattern, "mutate", corrupt_y)
     code, out, err = run_cli(capsys, "verify", "--claim", "gyo21", "--rank", "3")

@@ -15,7 +15,9 @@ to each step as arguments.
 
 Every import sits at module level.  The module graph runs one way, poly ->
 pattern -> polygon -> verify; an import inside a function is how a cycle
-against that order would hide.
+against that order would hide.  Importing the package and its CLI loads no
+dataclasses module, which would bring inspect, ast and dis to every start;
+the one check here that starts an interpreter holds that.
 
 Every module-level import in the package (bar the re-exporting __init__.py)
 and in the tests is used, as a name or as the root of an attribute chain.
@@ -32,6 +34,9 @@ routes in oracles.py import no such name either.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +116,16 @@ def test_module_stays_exact(module):
 )
 def test_guard_sees_each_breach(source):
     assert len(list(_breaches(ast.parse(source)))) == 1
+
+
+def test_import_loads_no_dataclasses():
+    # the record types are NamedTuples and plain classes; dataclasses would
+    # cost every start its own import and an exec per decorated class
+    probe = "import sys, cluster_logcc, cluster_logcc.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def _unused_imports(tree: ast.Module):

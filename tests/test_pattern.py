@@ -1,8 +1,9 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import weakref
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,7 @@ from cluster_logcc import (
     coefficient_free_seed,
     d_vector_step,
     enumerate_exchange_graph,
+    enumerate_t_paths,
     enumerate_triangulations,
     expand_variable,
     f_data,
@@ -606,7 +608,7 @@ def _sweep_cases():
 
 def _unlabelled(s):
     """s without sweep labels: the twin a caller outside any sweep sees."""
-    return replace(s, labels=None)
+    return Seed(s.B, s.frozen, s.cluster, s.history)
 
 
 def _spy_on_mutate(monkeypatch, log=None):
@@ -1022,11 +1024,47 @@ def test_boundary_seed_mutation_matches_kept_expansion():
 
 def test_seed_stores_only_its_matrices_cluster_history_and_labels():
     # n and num_frozen are read off B and frozen, so they cannot disagree
-    assert [f.name for f in fields(Seed)] == [
+    assert [name for name in Seed.__slots__ if name != "__weakref__"] == [
         "B", "frozen", "cluster", "history", "labels",
     ]
     s = boundary_seed(zigzag(3))
+    assert not hasattr(s, "__dict__")
     assert (s.n, s.num_frozen) == (len(s.B), len(s.frozen)) == (3, 6)
+
+
+def _records():
+    """One instance of each immutable record type, with one of its fields."""
+    seed = principal_seed(B2)
+    tri = zigzag(3)
+    yield pytest.param(mutate(seed, 1), "cluster", id="Seed")
+    yield pytest.param(seed.y[0], "exponents", id="TropicalElement")
+    yield pytest.param(principal_state(B2), "seed", id="PatternState")
+    yield pytest.param(normalize_denominator(seed.cluster[0], 2), "d_vector", id="DenominatorForm")
+    yield pytest.param(tri, "edges", id="Triangulation")
+    yield pytest.param(enumerate_t_paths(tri, 0, 3)[0], "vertices", id="TPath")
+    yield pytest.param(verify.a2_basis(1)[0], "value", id="BasisElement")
+
+
+@pytest.mark.parametrize("record, field", _records())
+def test_records_refuse_assignment(record, field):
+    # neither a field nor a new attribute can be set on a value record
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, getattr(record, field))
+
+
+def test_seed_hash_is_the_hash_of_its_compared_fields():
+    # sets and dicts of seeds keep the order they had, so report bytes do not move
+    *_, late = enumerate_exchange_graph(principal_seed(a_n_matrix(3)))
+    assert late.labels is not None and late.history
+    assert hash(late) == hash((late.B, late.frozen, late.cluster))
+
+
+def test_seed_copies_keep_history_and_labels():
+    *_, late = enumerate_exchange_graph(principal_seed(a_n_matrix(3)))
+    for twin in (copy.copy(late), copy.deepcopy(late), pickle.loads(pickle.dumps(late))):
+        assert twin == late
+        assert (twin.history, twin.labels) == (late.history, late.labels)
 
 
 def test_frozen_rows_of_another_length_rejected():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from itertools import product
@@ -542,7 +541,7 @@ def test_planted_basis_defect_leaves_conj1_a2_residuals(capsys, monkeypatch):
     def perturbed(deg):
         basis = honest(deg)
         e = basis[2]
-        basis[2] = dataclasses.replace(e, value=e.value + LaurentPoly.monomial(2, (-1, 0)))
+        basis[2] = e._replace(value=e.value + LaurentPoly.monomial(2, (-1, 0)))
         return basis
 
     monkeypatch.setattr(verify, "a2_basis", perturbed)
@@ -565,7 +564,7 @@ def test_planted_per_variable_denominator_defect_falsifies_every_slot(capsys, mo
     def bumped(p, n):
         nd = honest(p, n)
         if p == target:
-            return dataclasses.replace(nd, d_vector=(nd.d_vector[0] + 1,) + nd.d_vector[1:])
+            return nd._replace(d_vector=(nd.d_vector[0] + 1,) + nd.d_vector[1:])
         return nd
 
     monkeypatch.setattr(verify, "normalize_denominator", bumped)
