@@ -19,9 +19,8 @@ are exercised against frozen expected values in the test suite.
 Only this module labels seeds: enumerate_exchange_graph sets up each
 sweep's memo and table, names clusters and facets by sorted labels, and
 mutates only into classes it has not met; principal_states reads that
-sweep, and so do the triangulations of polygon.enumerate_triangulations.
-per_variable keys a caller's per-variable work on the same labels, so
-f_data, check_separation and the claims do it once per variable.
+sweep.  per_variable keys a caller's per-variable work on the same labels,
+so f_data, check_separation and the claims do it once per variable.
 """
 
 from __future__ import annotations

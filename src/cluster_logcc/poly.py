@@ -180,14 +180,7 @@ class LaurentPoly:
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if exponent < 0:
-            if len(self.terms) == 1:
-                ((e, c),) = self.terms.items()
-                if c in (1, -1):
-                    coeff = c if exponent % 2 else 1
-                    return LaurentPoly.monomial(
-                        self.num_vars, tuple(x * exponent for x in e), coeff
-                    )
-            raise ValueError("negative powers only defined for unit monomials")
+            raise ValueError("negative powers are not defined")
         if exponent == 0:
             return LaurentPoly.const(self.num_vars, 1)
         result = None  # the first factor is copied in, so no product with 1 is formed

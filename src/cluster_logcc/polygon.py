@@ -21,10 +21,9 @@ matrix, so flip itself only moves the diagonal.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .pattern import Seed, coefficient_free_seed, enumerate_exchange_graph, geometric_seed
+from .pattern import Seed, geometric_seed
 from .poly import LaurentPoly, poly_to_json
 
 Pair = Tuple[int, int]
@@ -178,12 +177,6 @@ def b_matrix_of(tri: Triangulation) -> List[List[int]]:
     return B
 
 
-def principal_b_matrix(tri: Triangulation) -> Tuple[Tuple[int, ...], ...]:
-    """The n-by-n top block of the extended exchange matrix."""
-    B = b_matrix_of(tri)
-    return tuple(tuple(row) for row in B[: tri.n])
-
-
 def boundary_seed(tri: Triangulation) -> Seed:
     """Seed of a triangulation with its boundary edges as frozen variables.
 
@@ -214,18 +207,6 @@ def flip(tri: Triangulation, k: int) -> Triangulation:
     new_edges = list(tri.edges)
     new_edges[k - 1] = _norm_pair(p, q)
     return Triangulation(tri.n, tuple(new_edges))
-
-
-def enumerate_triangulations(start: Triangulation, budget: Optional[int] = None) -> List[Triangulation]:
-    """All triangulations reachable by flips (all of them, by connectivity).
-
-    Flipping diagonal k mutates in direction k, so each class of the seed
-    sweep from start's coefficient-free seed is start flipped along the path
-    that first reached it; the list is in the sweep's breadth-first order,
-    and more than `budget` (default DEFAULT_BUDGET) triangulations is an error.
-    """
-    sweep = enumerate_exchange_graph(coefficient_free_seed(principal_b_matrix(start)), budget)
-    return [reduce(flip, s.history, start) for s in sweep]
 
 
 # ---- path expansion ----

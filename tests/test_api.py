@@ -59,12 +59,10 @@ PUBLIC = {
     "crossing_d_vector",
     "diagonals_crossing",
     "enumerate_t_paths",
-    "enumerate_triangulations",
     "expand_variable",
     "fan",
     "flip",
     "from_diagonals",
-    "principal_b_matrix",
     "tpath_monomial",
     "triangulation_from_json",
     "triangulation_to_json",

@@ -3,9 +3,10 @@
 Each digest is the sha256 of the report exactly as `verify` emits it,
 `json.dumps(report.to_json_dict(), indent=2) + "\\n"`.  A refactor of the
 sweep, the companion-matrix step, the elimination loop or the chord loops
-must leave all of them unchanged.  So must the order in which the flip
-search lists triangulations, and the seeds `cluster-logcc mutate` dumps,
-which are pinned the same way.
+must leave all of them unchanged.  So must the seeds `cluster-logcc
+mutate` dumps, which are pinned the same way, and the order in which the
+flip search of tests/oracles.py lists triangulations (test_polygon.py
+checks the seed sweep's classes against that order).
 """
 
 import hashlib
@@ -14,8 +15,9 @@ import json
 import pytest
 
 from cluster_logcc.cli import main
-from cluster_logcc.polygon import enumerate_triangulations, zigzag
+from cluster_logcc.polygon import zigzag
 from cluster_logcc.verify import run_claim
+from oracles import plain_flip_graph
 
 
 def _digest(obj) -> str:
@@ -115,7 +117,7 @@ CONJ_AN = [
     ],
 ]
 
-# ordered diagonal lists of enumerate_triangulations(zigzag(n)), n = 1..5
+# ordered diagonal lists of plain_flip_graph(zigzag(n)), n = 1..5
 TRIANGULATIONS = [
     "67f03156022aaa47f2114dd77dd1c384cc5bda460872a5b7f353c280ef225a82",
     "d6710986b4f7d34eae458756c15ea0c2aa4bde8eb355a664a916fc918fd42e20",
@@ -162,7 +164,7 @@ def test_conj_an_reports(n):
 
 def test_flip_search_order():
     got = [
-        _digest([[list(p) for p in t.diagonal_pairs()] for t in enumerate_triangulations(zigzag(n))])
+        _digest([[list(p) for p in t.diagonal_pairs()] for t in plain_flip_graph(zigzag(n))])
         for n in range(1, 6)
     ]
     assert got == TRIANGULATIONS

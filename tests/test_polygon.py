@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from functools import reduce
 
 from cluster_logcc import (
     LaurentPoly,
@@ -13,7 +14,6 @@ from cluster_logcc import (
     diagonals_crossing,
     enumerate_exchange_graph,
     enumerate_t_paths,
-    enumerate_triangulations,
     expand_variable,
     fan,
     flip,
@@ -21,7 +21,6 @@ from cluster_logcc import (
     mutate,
     mutate_matrix,
     normalize_denominator,
-    principal_b_matrix,
     tpath_monomial,
     triangulation_from_json,
     triangulation_to_json,
@@ -139,16 +138,16 @@ def test_hexagon_boundary_products():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_zigzag_matches_standard_matrix(n):
-    assert principal_b_matrix(zigzag(n)) == a_n_matrix(n)
+    assert boundary_seed(zigzag(n)).B == a_n_matrix(n)
 
 
 def test_fan_matrix():
-    assert principal_b_matrix(fan(3)) == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+    assert boundary_seed(fan(3)).B == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_face_rule_matches_rotation_rule(n):
-    for tri in enumerate_triangulations(zigzag(n)):
+    for tri in plain_flip_graph(zigzag(n)):
         assert b_matrix_of(tri) == rotation_b_matrix(tri)
 
 
@@ -165,13 +164,12 @@ def test_flip_keeps_label_and_column_gives_exchange():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_flip_is_involutive_and_tracks_matrix_mutation(n):
-    for tri in enumerate_triangulations(zigzag(n)):
-        B = principal_b_matrix(tri)
+    for tri in plain_flip_graph(zigzag(n)):
         seed = boundary_seed(tri)
         for k in range(1, n + 1):
             out = flip(tri, k)
             assert flip(out, k) == tri
-            assert principal_b_matrix(out) == mutate_matrix(B, k)
+            assert boundary_seed(out).B == mutate_matrix(seed.B, k)
             # the boundary rows move with the flip too
             flipped, mutated = boundary_seed(out), mutate(seed, k)
             assert (flipped.B, flipped.y) == (mutated.B, mutated.y)
@@ -179,12 +177,13 @@ def test_flip_is_involutive_and_tracks_matrix_mutation(n):
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 14), (4, 42), (5, 132)])
 def test_flip_graph_size(n, count):
-    assert len(enumerate_triangulations(zigzag(n))) == count
+    assert len(plain_flip_graph(zigzag(n))) == count
 
 
-def test_flip_budget():
-    with pytest.raises(RuntimeError):
-        enumerate_triangulations(zigzag(4), budget=10)
+def _swept_triangulations(start, budget=None):
+    """start flipped along the history of each class of its coefficient-free sweep."""
+    sweep = enumerate_exchange_graph(coefficient_free_seed(boundary_seed(start).B), budget)
+    return [reduce(flip, s.history, start) for s in sweep]
 
 
 @pytest.mark.parametrize(
@@ -194,15 +193,16 @@ def test_flip_budget():
     + [f"hexagon{i}" for i in range(14)],
 )
 def test_triangulations_read_off_the_seed_sweep_match_the_flip_search(start):
-    # the seed sweep must reach the same triangulations, with the same
+    # flipping diagonal k is mutating in direction k, so start flipped along
+    # each class's history must give the same triangulations, with the same
     # labels, in the same order as a search that only flips
-    got = enumerate_triangulations(start)
+    got = _swept_triangulations(start)
     assert [t.edges for t in got] == [t.edges for t in plain_flip_graph(start)]
 
 
 def test_flip_budget_cut_matches_the_flip_search():
     with pytest.raises(RuntimeError) as got:
-        enumerate_triangulations(zigzag(4), budget=10)
+        _swept_triangulations(zigzag(4), budget=10)
     with pytest.raises(RuntimeError) as want:
         plain_flip_graph(zigzag(4), budget=10)
     assert str(got.value) == str(want.value) == "exchange graph not closed within budget"
@@ -225,7 +225,7 @@ def test_intersection_parameters_increase_along_chord():
 def test_label_order_matches_the_geometric_order(n):
     # the package reads the crossing order off vertex labels; the oracle
     # sorts on exact intersection points of a convex embedding
-    for tri in enumerate_triangulations(zigzag(n)):
+    for tri in plain_flip_graph(zigzag(n)):
         for a, b in chords(tri.size):
             for u, v in ((a, b), (b, a)):
                 assert diagonals_crossing(tri, u, v) == geometric_crossing_order(tri, u, v)
@@ -324,7 +324,7 @@ def test_hexagon_boundary_kept_expansion():
 def test_boundary_to_one_matches_the_free_path_sum(n):
     # the coefficient-free variable is read off the boundary-kept sum; the
     # oracle sums the paths directly, skipping boundary edges
-    for tri in enumerate_triangulations(zigzag(n)):
+    for tri in plain_flip_graph(zigzag(n)):
         for a in range(tri.size):
             for b in range(a + 2, tri.size):
                 if a == 0 and b == tri.size - 1:
@@ -364,7 +364,7 @@ def test_path_validation_rejects_bad_paths():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_emitted_paths_pass_independent_validation(n):
-    for tri in enumerate_triangulations(zigzag(n)):
+    for tri in plain_flip_graph(zigzag(n)):
         size = tri.size
         diag = set(tri.diagonal_pairs())
         for a in range(size):
@@ -387,14 +387,14 @@ def test_pentagon_fan_variables_match_mutation():
                 for a, b in [(1, 3), (1, 4), (2, 4)]}
     expanded |= {LaurentPoly.variable(2, 0).key(), LaurentPoly.variable(2, 1).key()}
     mutated = []
-    for s in enumerate_exchange_graph(coefficient_free_seed(principal_b_matrix(tri))):
+    for s in enumerate_exchange_graph(coefficient_free_seed(boundary_seed(tri).B)):
         per_variable(s, mutated, LaurentPoly.key)
     assert expanded == set(mutated)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_denominators_count_crossings(n):
-    for tri in enumerate_triangulations(zigzag(n)):
+    for tri in plain_flip_graph(zigzag(n)):
         size = tri.size
         diag = set(tri.diagonal_pairs())
         for a in range(size):
