@@ -17,7 +17,6 @@ from .poly import (
     LogConcavityResult,
     is_log_concave,
     normalize_denominator,
-    poly_from_json,
     poly_to_json,
 )
 from .pattern import (
@@ -36,7 +35,6 @@ from .pattern import (
     mutate_matrix,
     principal_seed,
     principal_state,
-    seed_from_json,
     seed_to_json,
     state_step,
 )

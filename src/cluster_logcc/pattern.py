@@ -20,19 +20,20 @@ Only this module labels seeds: enumerate_exchange_graph sets up each
 sweep's memo and table, names clusters and facets by sorted labels, and
 mutates only into classes it has not met; principal_states reads that
 sweep.  per_variable keys a caller's per-variable work on the same labels,
-so f_data, check_separation and the claims do it once per variable.
+in a dict the sweep's seeds fill in any order, so f_data, check_separation
+and the claims do it once per variable.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from math import gcd
 from operator import index
 
-from .poly import LaurentPoly, poly_from_json, poly_to_json
+from .poly import LaurentPoly, poly_to_json
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -425,28 +426,22 @@ def state_step(state: PatternState, k: int, seed: Optional[Seed] = None) -> Patt
     return PatternState(mutate(state.seed, k) if seed is None else seed, C2, G2, D2, state.B0)
 
 
-def per_variable(seed: Seed, memo: list, fn: Callable[[LaurentPoly], object]) -> list:
-    """fn of each cluster variable of a sweep's seed, computed once per variable.
+def per_variable(seed: Seed, memo: Optional[dict], fn: Callable[[LaurentPoly], object]) -> list:
+    """fn of each cluster variable of seed, computed once per variable of a sweep.
 
-    memo holds fn's value for each label the sweep has handed out so far,
-    at the label's index: labels come out as 0, 1, 2, ... in yield order,
-    so reading the sweep's seeds in that order with one memo grows it by
-    one entry per new variable.  After the sweep it holds one value per
-    distinct variable.  A seed without labels is read as the start of a
-    sweep of its own, labelled as that sweep would label it, so only an
-    empty memo takes it; a seed read out of order is a ValueError too.
+    With memo None fn runs on every variable.  Otherwise memo maps the
+    sweep's labels to fn's values, each filled the first time its label is
+    seen, so the sweep's seeds may be read in any order; a seed without
+    labels is then a ValueError.
     """
-    labels = seed.labels
-    if labels is None:
-        if memo:
-            raise ValueError("a seed outside a sweep needs an empty per-variable memo")
-        labels = _labelled(seed, {}).labels
-    for label, x in zip(labels, seed.cluster):
-        if label == len(memo):
-            memo.append(fn(x))
-        elif label > len(memo):
-            raise ValueError("per-variable memos read a sweep's seeds in yield order")
-    return [memo[label] for label in labels]
+    if memo is None:
+        return [fn(x) for x in seed.cluster]
+    if seed.labels is None:
+        raise ValueError("a per-variable memo needs a seed labelled by a sweep")
+    for label, x in zip(seed.labels, seed.cluster):
+        if label not in memo:
+            memo[label] = fn(x)
+    return [memo[label] for label in seed.labels]
 
 
 class FData(NamedTuple):
@@ -458,12 +453,12 @@ class FData(NamedTuple):
         return tuple(zip(*(fp.max_degrees() for fp in self.f_polynomials)))
 
 
-def f_data(seed: Seed, *, memo: Optional[list] = None) -> FData:
+def f_data(seed: Seed, *, memo: Optional[dict] = None) -> FData:
     """Specialize x -> 1: the coefficient polynomials, with their f-matrix.
 
     Only meaningful for seeds with one frozen variable per direction (the
-    principal setup).  A sweep's seeds, read in yield order, may share one
-    memo (per_variable): each variable is then specialized once.
+    principal setup).  A sweep's seeds may share one memo (per_variable):
+    each variable is then specialized once.
     """
     n = seed.n
     if seed.num_frozen != n:
@@ -472,8 +467,6 @@ def f_data(seed: Seed, *, memo: Optional[list] = None) -> FData:
     def specialize(x: LaurentPoly) -> LaurentPoly:
         return x.substitute_ones(range(n))
 
-    if memo is None:
-        return FData(tuple(map(specialize, seed.cluster)))
     return FData(tuple(per_variable(seed, memo, specialize)))
 
 
@@ -503,7 +496,7 @@ def _separation_mismatch(
 
 
 def check_separation(
-    seed: Seed, G: Matrix, B0: Matrix, *, memo: Optional[list] = None
+    seed: Seed, G: Matrix, B0: Matrix, *, memo: Optional[dict] = None
 ) -> List[Tuple[int, LaurentPoly, LaurentPoly]]:
     """Compare each coefficient-free variable with its monomial-times-F form.
 
@@ -516,15 +509,15 @@ def check_separation(
     at this seed.
 
     The verdict depends only on the variable, its column of G and B0.  A
-    sweep's seeds, read in yield order with one B0, may share one memo
-    (per_variable): each verdict is then reached once per (variable,
-    g-column), so a G that differs from seed to seed is still checked.
+    sweep's seeds, read with one B0, may share one memo (per_variable):
+    each verdict is then reached once per (variable, g-column), so a G
+    that differs from seed to seed is still checked.
     """
     n = seed.n
     if seed.num_frozen != n:
         raise ValueError("separation check needs a principal-coefficients seed")
     b0_rows = [[(t, b) for t, b in enumerate(row) if b] for row in B0]
-    verdicts = [{} for _ in range(n)] if memo is None else per_variable(seed, memo, lambda x: {})
+    verdicts = per_variable(seed, memo, lambda x: {})
     mismatches = []
     for i, (x, seen) in enumerate(zip(seed.cluster, verdicts)):
         g_col = tuple(row[i] for row in G)
@@ -636,27 +629,3 @@ def seed_to_json(seed: Seed) -> dict:
         "cluster": [poly_to_json(x) for x in seed.cluster],
         "history": list(seed.history),
     }
-
-
-def seed_from_json(obj: Mapping) -> Seed:
-    """Read seed_to_json's form: integer entries, agreeing shapes, a valid B."""
-    n = index(obj["n"])
-    num_frozen = index(obj["frozen"])
-    if num_frozen < 0:
-        raise ValueError(f"frozen must be nonnegative, got {num_frozen}")
-    B = _as_matrix(obj["B"])
-    y = _as_matrix(obj["y"])
-    cluster = tuple(poly_from_json(p) for p in obj["cluster"])
-    history = tuple(map(index, obj["history"]))
-    if len(B) != n or any(len(row) != n for row in B):
-        raise ValueError(f"B must be {n} by {n}")
-    if not is_skew_symmetrizable(B):
-        raise ValueError("exchange matrix is not skew-symmetrizable")
-    if len(y) != n or any(len(col) != num_frozen for col in y):
-        raise ValueError(f"y must hold {n} vectors of length {num_frozen}")
-    if len(cluster) != n or any(x.num_vars != n + num_frozen for x in cluster):
-        raise ValueError(f"cluster must hold {n} polynomials in {n + num_frozen} variables")
-    if not all(1 <= k <= n for k in history):
-        raise ValueError(f"history directions must lie in 1..{n}")
-    frozen = tuple(tuple(col[t] for col in y) for t in range(num_frozen))
-    return Seed(B, frozen, cluster, history)

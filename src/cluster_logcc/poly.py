@@ -388,17 +388,3 @@ def poly_to_json(p: LaurentPoly) -> dict:
             {"exp": list(e), "coeff": str(c)} for e, c in sorted(p.terms.items())
         ],
     }
-
-
-def poly_from_json(obj: Mapping) -> LaurentPoly:
-    """Read poly_to_json's form.  A coefficient is a decimal string, as
-    poly_to_json writes it, or an integer; every other entry is an integer.
-    Each exponent is listed once: a repeat is a ValueError."""
-    terms = {}
-    for t in obj["terms"]:
-        exp = tuple(t["exp"])
-        if exp in terms:
-            raise ValueError(f"exponent {list(exp)} listed twice")
-        c = t["coeff"]
-        terms[exp] = int(c) if isinstance(c, str) else c
-    return LaurentPoly(obj["num_vars"], terms)

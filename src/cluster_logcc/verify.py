@@ -164,11 +164,11 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         by_key[p.key()] = p
 
     num_seeds = 0
-    variables: List[LaurentPoly] = []
+    variables: Dict[int, LaurentPoly] = {}
     for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget):
         num_seeds += 1
         per_variable(s, variables, lambda x: x)
-    mutated = {x.key(): x for x in variables}
+    mutated = {x.key(): x for x in variables.values()}
     _check_counts(report, n, num_seeds, paths=len(by_key), mutation=len(mutated))
     for route, mine, other in (("paths-only", by_key, mutated), ("mutation-only", mutated, by_key)):
         for key in sorted(set(mine) - set(other)):
@@ -256,7 +256,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     def fd_vectors(x: LaurentPoly) -> Tuple[tuple, tuple]:  # (f-vector, d-vector)
         return x.substitute_ones(range(n)).max_degrees(), normalize_denominator(x, n).d_vector
 
-    facts: List[Tuple[tuple, tuple]] = []
+    facts: Dict[int, Tuple[tuple, tuple]] = {}
     for idx, st in enumerate(principal_states(n, budget)):
         num_seeds += 1
         seed = st.seed
@@ -319,7 +319,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     """
     report = Report("fpoly", {"rank": n})
     num_seeds = 0
-    memo: List[LaurentPoly] = []
+    memo: Dict[int, LaurentPoly] = {}
     fpolys: Dict[tuple, LaurentPoly] = {}
     for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n)), budget):
         num_seeds += 1
@@ -347,7 +347,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
     """
     report = Report("separation", {"rank": n})
     num_seeds = 0
-    memo: list = []
+    memo: dict = {}
     for idx, st in enumerate(principal_states(n, budget)):
         num_seeds += 1
         for i, lhs, rhs in check_separation(st.seed, st.G, st.B0, memo=memo):

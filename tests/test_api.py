@@ -29,13 +29,11 @@ PUBLIC = {
     "LogConcavityResult",
     "is_log_concave",
     "normalize_denominator",
-    "poly_from_json",
     "poly_to_json",
     # pattern
     "DEFAULT_BUDGET",
     "Seed",
     "a_n_matrix",
-    "boundary_seed",
     "cg_step",
     "check_separation",
     "coefficient_free_seed",
@@ -48,13 +46,13 @@ PUBLIC = {
     "mutate_matrix",
     "principal_seed",
     "principal_state",
-    "seed_from_json",
     "seed_to_json",
     "state_step",
     # polygon
     "TPath",
     "Triangulation",
     "b_matrix_of",
+    "boundary_seed",
     "crosses",
     "crossing_d_vector",
     "diagonals_crossing",

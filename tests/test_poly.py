@@ -13,7 +13,6 @@ from cluster_logcc import (
     enumerate_exchange_graph,
     is_log_concave,
     normalize_denominator,
-    poly_from_json,
     poly_to_json,
     principal_seed,
 )
@@ -430,46 +429,31 @@ def test_log_concave_forbids_pinched_zeros(p):
 # ---- serialization ----
 
 
+def _assert_lists_terms(obj, p):
+    """obj is p's JSON: p.terms, each exponent once in lex order, coefficients as strings."""
+    terms = obj["terms"]
+    assert obj["num_vars"] == p.num_vars
+    assert [t["exp"] for t in terms] == sorted(map(list, p.terms))
+    assert all(type(t["coeff"]) is str for t in terms)
+    assert {tuple(t["exp"]): int(t["coeff"]) for t in terms} == p.terms
+
+
 def test_json_roundtrip_and_order():
     p = P(2, {(1, -1): 3, (-1, 2): 1, (0, 0): -2})
     obj = poly_to_json(p)
     assert obj["num_vars"] == 2
     assert [t["exp"] for t in obj["terms"]] == [[-1, 2], [0, 0], [1, -1]]  # lex order
-    assert all(isinstance(t["coeff"], str) for t in obj["terms"])
-    assert poly_from_json(obj) == p
+    _assert_lists_terms(obj, p)
 
 
 def test_json_handles_big_coefficients():
     big = 10 ** 40
     p = P(1, {(0,): big})
-    assert poly_from_json(poly_to_json(p)).terms == {(0,): big}
-
-
-def test_json_reads_string_and_integer_coefficients():
-    obj = {"num_vars": 1, "terms": [{"exp": [0], "coeff": "-3"}, {"exp": [1], "coeff": 2}]}
-    assert poly_from_json(obj) == P(1, {(0,): -3, (1,): 2})
-
-
-@pytest.mark.parametrize(
-    "term,error",
-    [
-        ({"exp": [0], "coeff": 2.9}, TypeError),
-        ({"exp": [0.5], "coeff": "1"}, TypeError),
-        ({"exp": [0], "coeff": "2.9"}, ValueError),
-    ],
-)
-def test_json_non_integral_entries_rejected(term, error):
-    with pytest.raises(error):
-        poly_from_json({"num_vars": 1, "terms": [term]})
-
-
-def test_json_repeated_exponent_rejected():
-    # a dict keyed on the exponent would keep only the last coefficient
-    obj = {"num_vars": 1, "terms": [{"exp": [0], "coeff": "1"}, {"exp": [0], "coeff": "2"}]}
-    with pytest.raises(ValueError, match="listed twice"):
-        poly_from_json(obj)
+    obj = poly_to_json(p)
+    assert obj["terms"] == [{"exp": [0], "coeff": str(big)}]
+    _assert_lists_terms(obj, p)
 
 
 @given(polys(2))
 def test_json_roundtrip_property(p):
-    assert poly_from_json(poly_to_json(p)) == p
+    _assert_lists_terms(poly_to_json(p), p)

@@ -386,10 +386,10 @@ def test_pentagon_fan_variables_match_mutation():
     expanded = {boundary_to_one(tri, expand_variable(tri, a, b)).key()
                 for a, b in [(1, 3), (1, 4), (2, 4)]}
     expanded |= {LaurentPoly.variable(2, 0).key(), LaurentPoly.variable(2, 1).key()}
-    mutated = []
+    mutated = {}
     for s in enumerate_exchange_graph(coefficient_free_seed(boundary_seed(tri).B)):
         per_variable(s, mutated, LaurentPoly.key)
-    assert expanded == set(mutated)
+    assert expanded == set(mutated.values())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -761,10 +761,16 @@ def test_planted_repeated_variable_gives_main1_a_count_witness(capsys, monkeypat
 def test_sweep_that_stops_at_its_start_gives_main1_a_mutation_count_witness(
     capsys, monkeypatch
 ):
+    import cluster_logcc.pattern as pattern
     import cluster_logcc.verify as verify
 
-    # the sweep yields only its start, so mutation finds x1, x2, x3 of the 9
-    monkeypatch.setattr(verify, "enumerate_exchange_graph", lambda seed, budget=None: iter([seed]))
+    # the sweep yields only its start, labelled as a real sweep labels it, so
+    # mutation finds x1, x2, x3 of the 9
+    monkeypatch.setattr(
+        verify,
+        "enumerate_exchange_graph",
+        lambda seed, budget=None: iter([pattern._labelled(seed, {})]),
+    )
     report = _falsified_report(capsys, "main1")
     witnesses = report["witnesses"]
     assert witnesses[0] == {"kind": "seed-count", "expected": 14, "got": 1}
