@@ -41,8 +41,6 @@ from .pattern import (
 from .polygon import (
     TPath,
     Triangulation,
-    b_matrix_of,
-    boundary_seed,
     crosses,
     crossing_d_vector,
     diagonals_crossing,

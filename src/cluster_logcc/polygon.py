@@ -11,19 +11,12 @@ Conventions used throughout (and by the CLI file formats):
   intersection points of a convex embedding (tests/oracles.py).
 * Flipping diagonal k keeps the label k on the new diagonal, so mutation
   directions and diagonal labels stay aligned.
-
-Exchange-matrix signs are read off the faces: in a triangle p < q < r the
-sides {p, q}, {p, r}, {q, r} follow one another clockwise, and b_ij = +1 when
-side j follows side i, -1 when side i follows side j, and 0 for edges that
-share no face.  The flip of diagonal k exchanges along column k of that
-matrix, so flip itself only moves the diagonal.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .pattern import Seed, geometric_seed
 from .poly import LaurentPoly, poly_to_json
 
 Pair = Tuple[int, int]
@@ -144,56 +137,10 @@ def fan(n: int) -> Triangulation:
     return from_diagonals(n, [(0, i + 1) for i in range(1, n + 1)])
 
 
-def _faces(tri: Triangulation) -> List[Tuple[int, int, int]]:
-    edge_set = set(tri.edges)
-    size = tri.size
-    out = []
-    for p in range(size):
-        for q in range(p + 1, size):
-            if (p, q) not in edge_set:
-                continue
-            for r in range(q + 1, size):
-                if (p, r) in edge_set and (q, r) in edge_set:
-                    out.append((p, q, r))
-    return out
-
-
-def b_matrix_of(tri: Triangulation) -> List[List[int]]:
-    """Extended exchange matrix: 2n+3 rows (all edges) by n columns (diagonals).
-
-    Each face p < q < r gives b[{p,q}][{p,r}] = b[{p,r}][{q,r}] =
-    b[{q,r}][{p,q}] = +1 and the transposed entries -1 (the clockwise rule);
-    only the columns of diagonals are kept.
-    """
-    n = tri.n
-    B = [[0] * n for _ in range(tri.num_edges)]
-    for p, q, r in _faces(tri):
-        pq, pr, qr = (tri.label_of(side) - 1 for side in ((p, q), (p, r), (q, r)))
-        for i, j in ((pq, pr), (pr, qr), (qr, pq)):
-            if j < n:
-                B[i][j] = 1
-            if i < n:
-                B[j][i] = -1
-    return B
-
-
-def boundary_seed(tri: Triangulation) -> Seed:
-    """Seed of a triangulation with its boundary edges as frozen variables.
-
-    The ambient ring has 2n+3 variables indexed by edge label minus one, so
-    cluster variables computed by mutation are directly comparable with
-    path expansions.
-    """
-    ext = b_matrix_of(tri)
-    return geometric_seed(ext[: tri.n], ext[tri.n :])
-
-
 def flip(tri: Triangulation, k: int) -> Triangulation:
     """Replace diagonal k by the other diagonal of its quadrilateral.
 
-    The new diagonal keeps label k.  The flip's exchange relation is column k
-    of b_matrix_of(tri): x_k x_k' is the product of the sides with a +1
-    entry plus the product of the sides with a -1 entry.
+    The new diagonal keeps label k.
     """
     if not 1 <= k <= tri.n:
         raise IndexError(f"can only flip diagonals 1..{tri.n}, got {k}")

@@ -18,7 +18,11 @@ each shares with the package only what its docstring names:
 - geometric_crossing_order and assert_valid_t_path share only crosses
   with the package.  The package reads the order in which a chord crosses
   the diagonals from vertex labels; these read it from exact intersection
-  points of a convex embedding (intersection_parameter, in Fractions).
+  points of a convex embedding (intersection_parameter, in Fractions);
+- rotation_b_matrix is the tests' only exchange-matrix rule for a
+  triangulation: the package has none, since its path expansion never
+  reads a seed.  boundary_seed shares only geometric_seed with the
+  package, which turns that matrix into a seed.
 
 The searches key seeds with plain_seed_key, never with the package's
 canonical_seed_key, and share no stepping code with the sweep they check.
@@ -39,7 +43,7 @@ from cluster_logcc import (
     principal_state,
     state_step,
 )
-from cluster_logcc.pattern import DEFAULT_BUDGET
+from cluster_logcc.pattern import DEFAULT_BUDGET, geometric_seed
 from cluster_logcc.poly import LogConcavityResult
 
 
@@ -577,3 +581,10 @@ def rotation_b_matrix(tri):
             before = (far_i - v - 1) % size < (far_j - v - 1) % size
             B[tri.label_of(e_i) - 1][j - 1] = 1 if before else -1
     return B
+
+
+def boundary_seed(tri):
+    """The triangulation's seed, its 2n+3 variables indexed by edge label - 1:
+    the diagonals form the cluster and the boundary edges are frozen."""
+    ext = rotation_b_matrix(tri)
+    return geometric_seed(ext[: tri.n], ext[tri.n :])

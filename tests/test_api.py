@@ -51,8 +51,6 @@ PUBLIC = {
     # polygon
     "TPath",
     "Triangulation",
-    "b_matrix_of",
-    "boundary_seed",
     "crosses",
     "crossing_d_vector",
     "diagonals_crossing",

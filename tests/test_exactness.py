@@ -13,8 +13,10 @@ Nor do they pass state between calls by a side channel: no ContextVar
 and no global statement.  A sweep hands its exchange memo and intern table
 to each step as arguments.
 
-Every import sits at module level.  The module graph runs one way, poly ->
-pattern -> polygon -> verify; an import inside a function is how a cycle
+Every import sits at module level.  The module graph runs one way: pattern
+and polygon each import only poly, so the mutation route and the path route
+to a cluster variable share nothing but the Laurent ring; verify imports
+all three and the CLI all four.  An import inside a function is how a cycle
 against that order would hide.  Importing the package and its CLI loads no
 dataclasses module, which would bring inspect, ast and dis to every start;
 the one check here that starts an interpreter holds that.
@@ -111,11 +113,33 @@ def test_module_stays_exact(module):
         "memo = ContextVar('memo', default=None)",
         "memo = cv.ContextVar('memo')",
         "def f():\n    global memo\n    memo = {}",
-        "def f():\n    def g():\n        from .polygon import b_matrix_of",
+        "def f():\n    def g():\n        from .polygon import flip",
     ],
 )
 def test_guard_sees_each_breach(source):
     assert len(list(_breaches(ast.parse(source)))) == 1
+
+
+def _package_imports(tree: ast.AST):
+    """The modules a module's relative imports name; `from . import x` gives None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield node.module
+
+
+@pytest.mark.parametrize(
+    "module,imports",
+    [
+        ("poly.py", set()),
+        ("pattern.py", {"poly"}),
+        ("polygon.py", {"poly"}),
+        ("verify.py", {"poly", "pattern", "polygon"}),
+        ("cli.py", {"poly", "pattern", "polygon", "verify"}),
+    ],
+)
+def test_module_graph(module, imports):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert set(_package_imports(tree)) == imports
 
 
 def test_import_loads_no_dataclasses():

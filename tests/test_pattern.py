@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    boundary_seed,
     dense_cg_step,
     dense_d_vector_step,
     dense_mutate_matrix,
@@ -32,7 +33,6 @@ from cluster_logcc import (
     LaurentPoly,
     Seed,
     a_n_matrix,
-    boundary_seed,
     cg_step,
     check_separation,
     coefficient_free_seed,

