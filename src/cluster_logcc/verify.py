@@ -31,8 +31,8 @@ Claim identifiers accepted by run_claim, each with the scope flags it reads
 
 The seed sweeps come from pattern.py.  fpoly reads the principal one's
 seeds; gyo21 and separation read them with companions (principal_states).
-main1, gyo21, fpoly and separation each also count the sweep's seeds
-against Catalan(n + 1) and its variables against n(n + 3)/2.
+main1, gyo21, fpoly and separation each also count seeds and variables
+(_check_counts).
 """
 
 from __future__ import annotations
@@ -103,20 +103,24 @@ class Report:
         }
 
 
-def _logcc_witness(p: LaurentPoly, **extra) -> Optional[dict]:
-    """A witness unless p is log-concave.  A negative coefficient is a finding,
-    not an input error: it gives a negative-coefficient witness, never
-    is_log_concave's ValueError."""
+def _logcc_witness(p: LaurentPoly, n: int, **extra) -> Optional[dict]:
+    """A witness unless p is log-concave; a negative coefficient gives a
+    negative-coefficient witness, never is_log_concave's ValueError.  p is
+    scanned in place (a shift keeps the scan order); a witness gives point
+    and poly for the numerator over the first n variables."""
     out = {"kind": "not-log-concave", **extra}
-    if any(c < 0 for c in p.coefficients()):
+    res = None
+    if min(p.coefficients(), default=0) < 0:
         out["kind"] = "negative-coefficient"
     else:
         res = is_log_concave(p)
         if res.ok:
             return None
+    d = [-e for e in p.min_degrees()[:n]] + [0] * (p.num_vars - n)
+    if res is not None:
         out["axis"] = res.axis
-        out["point"] = list(res.point)
-    out["poly"] = poly_to_json(p)
+        out["point"] = [a + b for a, b in zip(res.point, d)]
+    out["poly"] = poly_to_json(p.shift(d))
     return out
 
 
@@ -176,11 +180,11 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 
     max_coeff = 0
     for key in sorted(by_key):
-        if not by_key[key]:
+        p = by_key[key]
+        if not p:
             continue  # the zero polynomial is witnessed by the route comparison alone
-        numerator = normalize_denominator(by_key[key], n).numerator
-        max_coeff = max(max_coeff, max(numerator.coefficients()))
-        w = _logcc_witness(numerator)
+        max_coeff = max(max_coeff, *p.coefficients())
+        w = _logcc_witness(p, n)
         if w is not None:
             report.add(w)
 
@@ -245,9 +249,8 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     denominators of the actual variables; coefficient exponent vectors match
     the columns of the coefficient companion matrix.
 
-    The facts that read only the variable, its x->1 degree vector and its
-    normalized denominator vector, are computed once per distinct variable
-    (per_variable).  The comparisons with seed data run per seed, in the
+    A variable's x->1 degree vector and d-vector are computed once per
+    distinct variable (per_variable); the comparisons run per seed, in the
     order above.
     """
     report = Report("gyo21", {"rank": n})
@@ -328,7 +331,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     _check_counts(report, n, num_seeds, mutation=len(memo))
     for key in sorted(fpolys):
         fp = fpolys[key]
-        w = _logcc_witness(fp)
+        w = _logcc_witness(fp, 0)  # an F-polynomial is checked as it is
         if w is not None:
             report.add(w)
         fvec = fp.max_degrees()
@@ -384,14 +387,6 @@ def a2_charts() -> Tuple[Tuple[LaurentPoly, LaurentPoly], ...]:
     return ((x1, x2), (v, x2), (v, u), (w, u), (w, x1))
 
 
-def _powers(z: LaurentPoly, deg: int) -> List[LaurentPoly]:
-    """z^0, ..., z^deg, one multiplication per step."""
-    table = [LaurentPoly.const(z.num_vars, 1)]
-    for _ in range(deg):
-        table.append(table[-1] * z)
-    return table
-
-
 def _exponent_vectors(n: int, deg: int) -> List[Tuple[int, ...]]:
     """The exponent vectors of length n with sum at most deg, in ascending
     lexicographic order: one extension step per coordinate, none discarded."""
@@ -408,13 +403,11 @@ def _cluster_monomials(
     each product of two or more variables formed in one cluster only.
 
     Yields (cluster index, exponents, value): clusters in sequence, then
-    exponent vectors in ascending lexicographic order.  Each distinct
-    variable's powers come from one _powers table per call, keyed on its
-    key(), so clusters that share a variable share its table; only nonzero
-    factors are multiplied.  Each distinct variable also gets one bit, and a
-    product of two or more variables whose variable set an earlier cluster
-    also held is skipped before any multiplication: that cluster already
-    yielded the same polynomial.  The constant and the powers of a single
+    exponent vectors in ascending lexicographic order.  Clusters that share
+    a variable share its one power table (keyed on key()); only nonzero
+    factors are multiplied.  Each distinct variable gets one bit, and a
+    product of two or more variables whose set an earlier cluster held is
+    skipped before any multiplication.  The constant and the powers of one
     variable are yielded in every cluster, so rank-2 aliases stay whole.
     A negative deg is a ValueError, raised before any cluster is read.
     """
@@ -427,7 +420,10 @@ def _cluster_monomials(
         for x in cluster:
             entry = powers.get(x.key())
             if entry is None:
-                entry = powers[x.key()] = (1 << len(powers), _powers(x, deg))
+                table = [LaurentPoly.const(x.num_vars, 1)]
+                for _ in range(deg):
+                    table.append(table[-1] * x)
+                entry = powers[x.key()] = (1 << len(powers), table)
             bits.append(entry[0])
             tables.append(entry[1])
         met = []
@@ -446,14 +442,6 @@ def _cluster_monomials(
                     value = table[e] if value is None else value * table[e]
             yield idx, m, tables[0][0] if value is None else value
         held.update(met)
-
-
-def _graded_lex_key(exp: Tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
-
-
-def _leading_exponent(terms: Dict[tuple, int]) -> Tuple[int, ...]:
-    return max(terms, key=_graded_lex_key)
 
 
 class BasisElement(NamedTuple):
@@ -496,11 +484,11 @@ def a2_basis(deg: int) -> List[BasisElement]:
             entry[2].append((idx + 1, m))
     elements = []
     for value, degree, aliases in merged.values():
-        lead = _leading_exponent(value.terms)
+        lead = max((sum(e),) + e for e in value.terms)[1:]
         if value.terms[lead] != 1:
             raise RuntimeError("basis leading coefficient is not 1")
         elements.append(BasisElement(value, degree, lead, tuple(aliases)))
-    elements.sort(key=lambda e: _graded_lex_key(e.leading))
+    elements.sort(key=lambda e: (sum(e.leading), e.leading))
     if len({e.leading for e in elements}) != len(elements):
         raise RuntimeError("leading exponents collide; greedy expansion is ambiguous")
     return elements
@@ -510,14 +498,14 @@ _ELIMINATION_GUARD = 1_000_000
 
 
 def _eliminate(
-    prod: LaurentPoly, basis: List[BasisElement], lead_index: Dict[tuple, int]
+    prod: LaurentPoly, basis: List[LaurentPoly], lead_index: Dict[tuple, int]
 ) -> Tuple[Dict[int, int], LaurentPoly]:
     """Greedy elimination of prod over the basis on graded-lex leading terms.
 
-    Each step cancels the current leading term against the unique basis
-    element carrying it, subtracting in place from one term dict.  Returns
-    the nonzero constants by basis index and the residual, which is nonzero
-    when some leading term has no basis element.
+    Exponents (e1, e2) are stored as (e1 + e2, e1), so the graded-lex lead
+    is max(rem).  Each step cancels it against the one basis value carrying
+    it, in place.  Returns the nonzero constants by basis index and the
+    residual in (e1, e2), nonzero when some lead has no basis element.
     """
     coeffs: Dict[int, int] = {}
     rem = dict(prod.terms)
@@ -526,19 +514,20 @@ def _eliminate(
         steps += 1
         if steps > _ELIMINATION_GUARD:
             raise RuntimeError("expansion did not terminate within the step guard")
-        lead = _leading_exponent(rem)
+        lead = max(rem)
         i = lead_index.get(lead)
         if i is None:
             break
         c = rem[lead]
         coeffs[i] = coeffs.get(i, 0) + c
-        for e, b in basis[i].value.terms.items():
+        for e, b in basis[i].terms.items():
             acc = rem.get(e, 0) - c * b
             if acc:
                 rem[e] = acc
             else:
                 del rem[e]
-    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, LaurentPoly(prod.num_vars, rem)
+    residual = LaurentPoly(2, {(a, s - a): c for (s, a), c in rem.items()})
+    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, residual
 
 
 def _chart_tables(
@@ -546,10 +535,9 @@ def _chart_tables(
 ) -> Dict[int, LaurentPoly]:
     """Arrange expansion constants as one exponent-indexed table per chart.
 
-    One pass over the constants fills every chart's entries, in index order
-    within each chart; the tables come back in ascending chart order.  The
-    constants are the nonzero ints _eliminate returns, so each table's term
-    dict is clean as built.
+    One pass fills every chart's entries in index order; the tables come
+    back in ascending chart order, clean as built from _eliminate's nonzero
+    constants.
     """
     entries: Dict[int, Dict[tuple, int]] = {}
     for idx, coeff in coefficients.items():
@@ -570,27 +558,35 @@ def verify_a2_monomials(deg: int) -> Report:
     """
     report = Report("a2-monomials", {"deg": deg})
     num_monomials = 0
+    verdicts: dict = {}
     for idx, (m1, m2), value in _cluster_monomials(a2_charts(), deg):
         chart = idx + 1
         num_monomials += 1
-        nd = normalize_denominator(value, 2)
-        w = _logcc_witness(nd.numerator, chart=chart, exponents=[m1, m2])
+        extra = {"chart": chart, "exponents": [m1, m2]}
+        if m1 and m2:
+            w = _logcc_witness(value, 2, **extra)
+        else:  # a power of one variable recurs: one verdict per value
+            key = value.key()
+            if key not in verdicts:
+                verdicts[key] = _logcc_witness(value, 2, **extra)
+            w = verdicts[key] and {**verdicts[key], **extra}
         if w is not None:
             report.add(w)
         if chart == 3:
-            expected_terms = {  # positive binomials: clean as built
-                (k, l): math.comb(m2, k) * math.comb(m1 + m2 - k, l)
+            s = m1 + m2
+            expected = {  # positive binomials, keys less (s, m2)
+                (k - s, l - m2): math.comb(m2, k) * math.comb(s - k, l)
                 for k in range(m2 + 1)
-                for l in range(m1 + m2 - k + 1)
+                for l in range(s - k + 1)
             }
-            if nd.numerator.terms != expected_terms or nd.d_vector != (m1 + m2, m2):
+            if value.terms != expected:
+                nd = normalize_denominator(value, 2)
                 report.add(
                     {
                         "kind": "closed-form-mismatch",
-                        "chart": chart,
-                        "exponents": [m1, m2],
+                        **extra,
                         "numerator": poly_to_json(nd.numerator),
-                        "expected": poly_to_json(LaurentPoly(2, expected_terms)),
+                        "expected": poly_to_json(LaurentPoly(2, expected).shift((s, m2))),
                         "d_vector": list(nd.d_vector),
                     }
                 )
@@ -631,9 +627,8 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
                 continue
             powers_seen.add(key)
         num_monomials += 1
-        numerator = normalize_denominator(value, n).numerator
-        max_coeff = max(max_coeff, max(numerator.coefficients()))
-        w = _logcc_witness(numerator, seed_index=idx, exponents=list(m))
+        max_coeff = max(max_coeff, *value.coefficients())
+        w = _logcc_witness(value, n, seed_index=idx, exponents=list(m))
         if w is not None:
             report.add(w)
     report.stats = {
@@ -655,17 +650,21 @@ def explore_a2_structure_constants(deg: int) -> Report:
     """
     report = Report("conj1-a2", {"deg": deg}, exploratory=True)
     basis = a2_basis(deg)
-    lead_index = {e.leading: i for i, e in enumerate(basis)}
+    graded = [  # in _eliminate's keys
+        LaurentPoly._trusted(2, {(a + b, a): c for (a, b), c in e.value.terms.items()}) for e in basis
+    ]
+    lead_index = {(sum(e.leading), e.leading[0]): i for i, e in enumerate(basis)}
     nonconstant = [i for i, e in enumerate(basis) if e.degree > 0]
     num_pairs = 0
     max_constant = 0
     num_unresolved = 0
     for ai, i in enumerate(nonconstant):
+        room = deg - basis[i].degree
         for j in nonconstant[ai:]:
-            if basis[i].degree + basis[j].degree > deg:
+            if basis[j].degree > room:
                 continue
             num_pairs += 1
-            coeffs, residual = _eliminate(basis[i].value * basis[j].value, basis, lead_index)
+            coeffs, residual = _eliminate(graded[i] * graded[j], graded, lead_index)
             if residual:
                 num_unresolved += 1
                 report.add(
@@ -690,7 +689,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
             if coeffs:
                 max_constant = max(max_constant, max(coeffs.values()))
             for chart, table in _chart_tables(basis, coeffs).items():
-                if any(c <= 0 for c in table.coefficients()):
+                if min(table.coefficients()) <= 0:
                     continue  # already witnessed above
                 res = is_log_concave(table)
                 if not res.ok:

@@ -22,7 +22,10 @@ each shares with the package only what its docstring names:
 - rotation_b_matrix is the tests' only exchange-matrix rule for a
   triangulation: the package has none, since its path expansion never
   reads a seed.  boundary_seed shares only geometric_seed with the
-  package, which turns that matrix into a seed.
+  package, which turns that matrix into a seed;
+- plain_logcc_witness forms the numerator with normalize_denominator and
+  scans it with is_log_concave.  The package scans the Laurent polynomial
+  where it lies and forms the numerator only for a witness.
 
 The searches key seeds with plain_seed_key, never with the package's
 canonical_seed_key, and share no stepping code with the sweep they check.
@@ -40,6 +43,9 @@ from cluster_logcc import (
     crosses,
     enumerate_t_paths,
     flip,
+    is_log_concave,
+    normalize_denominator,
+    poly_to_json,
     principal_state,
     state_step,
 )
@@ -105,6 +111,24 @@ def scan_log_concave(p: LaurentPoly) -> LogConcavityResult:
                 if mid * mid < vals.get(i - 1, 0) * vals.get(i + 1, 0):
                     return LogConcavityResult(False, axis, rest[:axis] + (i,) + rest[axis:])
     return LogConcavityResult(True, None, None)
+
+
+def plain_logcc_witness(p: LaurentPoly, n: int, **extra):
+    """The log-concavity witness of p's numerator over the first n variables,
+    or None: normalise first, then check the numerator's signs and scan it.
+    The kind comes first, then extra, then axis and point, then the poly."""
+    numerator = normalize_denominator(p, n).numerator
+    out = {"kind": "not-log-concave", **extra}
+    if any(c < 0 for c in numerator.coefficients()):
+        out["kind"] = "negative-coefficient"
+    else:
+        res = is_log_concave(numerator)
+        if res.ok:
+            return None
+        out["axis"] = res.axis
+        out["point"] = list(res.point)
+    out["poly"] = poly_to_json(numerator)
+    return out
 
 
 def plain_cluster_monomials(clusters, deg):

@@ -383,6 +383,23 @@ def test_log_concavity_matches_line_scan(p):
     assert (got.ok, got.axis, got.point) == (want.ok, want.axis, want.point)
 
 
+@given(
+    st.one_of(sparse_positive, gapped_boxes()).filter(bool),
+    st.tuples(*([st.integers(min_value=-5, max_value=5)] * 4)),
+)
+@settings(max_examples=300)
+def test_log_concavity_moves_with_a_shift(p, offsets):
+    # a shift moves no coefficient and keeps the scan order, so the shifted
+    # polynomial fails at p's point moved by v, or passes with p
+    v = offsets[: p.num_vars]
+    got, want = is_log_concave(p.shift(v)), is_log_concave(p)
+    assert (got.ok, got.axis) == (want.ok, want.axis)
+    if want.ok:
+        assert got.point is None
+    else:
+        assert got.point == tuple(a + b for a, b in zip(want.point, v))
+
+
 def test_log_concavity_witness_is_least_in_scan_order():
     # two failing lines on axis 0; the scan meets (3, 1)'s line (rest (1,)) first
     p = P(2, {(0, 5): 1, (2, 5): 1, (2, 1): 1, (4, 1): 1, (0, 0): 1, (1, 0): 1})

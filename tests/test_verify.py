@@ -11,6 +11,7 @@ from cluster_logcc import (
     explore_a2_structure_constants,
     explore_an_monomials,
     normalize_denominator,
+    poly_to_json,
     run_claim,
     verify_a2_monomials,
     verify_coeff_bounds,
@@ -20,7 +21,49 @@ from cluster_logcc import (
     verify_separation,
 )
 
-from oracles import plain_cluster_monomials, plain_eliminate
+from oracles import plain_cluster_monomials, plain_eliminate, plain_logcc_witness
+
+
+# ---- log-concavity witnesses ----
+
+
+def _witness_cases(rng, n, num_vars):
+    """Nonzero polynomials in num_vars variables, negative exponents only on
+    the first n: four lines along the first axis, then random ones with
+    positive coefficients, then with coefficients of both signs."""
+    low = -3 if n else 0
+
+    def line(*coeffs):  # the coefficients of x_1^low, x_1^(low + 1), ...
+        rest = (0,) * (num_vars - 1)
+        return LaurentPoly(num_vars, {(low + i,) + rest: c for i, c in enumerate(coeffs) if c})
+
+    yield line(1, 0, 1)  # x^-3 + x^-1 when n > 0: an internal zero
+    yield line(1, 1, 5)
+    yield line(1, 2, 1)
+    yield line(1, -2, 1)
+    for coeffs in ((1, 2, 3, 9), (-3, -1, 1, 2, 6)):
+        for _ in range(150):
+            terms = {
+                tuple(rng.randint(low if j < n else 0, 2) for j in range(num_vars)): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 6))
+            }
+            yield LaurentPoly(num_vars, terms)
+
+
+@pytest.mark.parametrize("n,num_vars", [(1, 1), (2, 2), (3, 3), (0, 2), (1, 3)])
+def test_in_place_log_concavity_witness_matches_the_normalised_scan(n, num_vars):
+    import random
+
+    import cluster_logcc.verify as verify
+
+    rng = random.Random(20261020 + 10 * n + num_vars)
+    kinds = set()
+    for p in _witness_cases(rng, n, num_vars):
+        got = verify._logcc_witness(p, n, chart=3, exponents=[1, 2])
+        want = plain_logcc_witness(p, n, chart=3, exponents=[1, 2])
+        assert json.dumps(got) == json.dumps(want)  # values and key order
+        kinds.add(None if got is None else got["kind"])
+    assert kinds == {None, "not-log-concave", "negative-coefficient"}
 
 
 # ---- rank-2 charts ----
@@ -105,6 +148,37 @@ def test_a2_monomials_builds_each_power_once(monkeypatch):
     # share one), then per chart one product per (m1, m2), m1, m2 >= 1,
     # m1 + m2 <= 8
     assert calls == 5 * 8 + 5 * math.comb(8, 2)
+
+
+@pytest.mark.parametrize(
+    "claim,scope,calls",
+    [
+        # one scan per distinct value: a power of one variable is scanned once
+        # however many charts hold it, so the count is len(a2_basis(8))
+        ("a2-monomials", {"deg": 8}, 181),
+        ("conj-an", {"rank": 4, "deg": 4}, 770),  # num_monomials
+        ("conj1-a2", {"deg": 8}, 4190),  # chart tables
+    ],
+)
+def test_each_monomial_claim_makes_its_log_concavity_checks(monkeypatch, claim, scope, calls):
+    import cluster_logcc.verify as verify
+
+    seen = 0
+    honest = verify.is_log_concave
+
+    def counting(p):
+        nonlocal seen
+        seen += 1
+        return honest(p)
+
+    monkeypatch.setattr(verify, "is_log_concave", counting)
+    report = run_claim(claim, **scope)
+    assert seen == calls
+    if claim == "a2-monomials":
+        assert report.ok and seen == len(a2_basis(8))
+        assert report.stats["num_monomials"] == 5 * math.comb(10, 2)  # each alias still counted
+    if claim == "conj-an":
+        assert report.stats["num_monomials"] == calls
 
 
 def test_exponent_vectors_match_filtered_product():
@@ -239,13 +313,31 @@ def test_basis_leading_exponents_distinct():
 # ---- structure constants ----
 
 
+def _degree_first(e):
+    """The exponent (e1, e2) as _eliminate stores it: (e1 + e2, e1)."""
+    return (e[0] + e[1], e[0])
+
+
+def _keyed_eliminate(prod, basis, lead_index):
+    """verify._eliminate on degree-first copies of prod, the basis values and
+    the lead index; arguments and results as plain_eliminate's."""
+    import cluster_logcc.verify as verify
+
+    def copy(p):
+        return LaurentPoly(2, {_degree_first(e): c for e, c in p.terms.items()})
+
+    return verify._eliminate(
+        copy(prod),
+        [copy(e.value) for e in basis],
+        {_degree_first(lead): i for lead, i in lead_index.items()},
+    )
+
+
 def _expand(prod, deg):
     """_eliminate over a2_basis(deg), which must agree with plain_eliminate."""
-    from cluster_logcc.verify import _eliminate
-
     basis = a2_basis(deg)
     lead_index = {e.leading: i for i, e in enumerate(basis)}
-    coeffs, residual = _eliminate(prod, basis, lead_index)
+    coeffs, residual = _keyed_eliminate(prod, basis, lead_index)
     assert (coeffs, residual) == plain_eliminate(prod, basis, lead_index)
     return basis, coeffs, residual
 
@@ -295,12 +387,10 @@ def test_in_place_elimination_matches_plain_loop(monkeypatch):
         if a.degree + b.degree <= 6
     ]
     for prod in products:
-        assert verify._eliminate(prod, basis, lead_index) == plain_eliminate(
-            prod, basis, lead_index
-        )
+        assert _keyed_eliminate(prod, basis, lead_index) == plain_eliminate(prod, basis, lead_index)
     planted = _monomial(2, 2, 1) * _monomial(4, 1, 1) + LaurentPoly.monomial(2, (-5, -5))
     assert (-5, -5) not in lead_index
-    coeffs, residual = verify._eliminate(planted, basis, lead_index)
+    coeffs, residual = _keyed_eliminate(planted, basis, lead_index)
     assert coeffs and residual == LaurentPoly.monomial(2, (-5, -5))
     assert (coeffs, residual) == plain_eliminate(planted, basis, lead_index)
 
@@ -330,7 +420,7 @@ def test_chart_tables_match_per_chart_scan():
         for b in basis[ai:]:
             if a.degree + b.degree > 6:
                 continue
-            coeffs, _ = verify._eliminate(a.value * b.value, basis, lead_index)
+            coeffs, _ = _keyed_eliminate(a.value * b.value, basis, lead_index)
             got = verify._chart_tables(basis, coeffs)
             want = plain_chart_tables(basis, coeffs)
             assert list(got.items()) == list(want.items())
@@ -519,6 +609,23 @@ def test_always_failing_log_concavity_caps_a2_monomial_witnesses(capsys, monkeyp
     assert {w["kind"] for w in report["witnesses"]} == {"not-log-concave"}
 
 
+def test_a2_monomial_witnesses_keep_every_alias(monkeypatch):
+    import cluster_logcc.verify as verify
+    from cluster_logcc import LogConcavityResult
+
+    # a reused verdict still names its own chart and exponents
+    monkeypatch.setattr(verify, "is_log_concave", lambda p: LogConcavityResult(False, 0, (0, 0)))
+    monkeypatch.setattr(verify, "WITNESS_CAP", 100)
+    witnesses = verify_a2_monomials(4).witnesses
+    assert [(w["chart"], w["exponents"]) for w in witnesses] == [
+        (chart, [m1, m2]) for chart in range(1, 6) for m1 in range(5) for m2 in range(5 - m1)
+    ]
+    for w in witnesses:
+        nd = normalize_denominator(_monomial(w["chart"], *w["exponents"]), 2)
+        assert w["poly"] == poly_to_json(nd.numerator)
+        assert w["point"] == list(nd.d_vector)
+
+
 def test_planted_chart_variable_defect_falsifies_a2_monomials(capsys, monkeypatch):
     import cluster_logcc.verify as verify
 
@@ -530,7 +637,23 @@ def test_planted_chart_variable_defect_falsifies_a2_monomials(capsys, monkeypatc
 
     monkeypatch.setattr(verify, "_a2_variables", doubled_corner)
     report = _falsified_report(capsys, "a2-monomials", "--deg", "4")
-    assert "closed-form-mismatch" in {w["kind"] for w in report["witnesses"]}
+    mismatches = [w for w in report["witnesses"] if w["kind"] == "closed-form-mismatch"]
+    assert mismatches
+    # the witness speaks in numerator coordinates, as normalize_denominator
+    # gives them for the planted value, though the check compares in place
+    _, _, v, u, _ = doubled_corner()
+    for w in mismatches:
+        m1, m2 = w["exponents"]
+        nd = normalize_denominator(v ** m1 * u ** m2, 2)
+        expected = {
+            (k, l): math.comb(m2, k) * math.comb(m1 + m2 - k, l)
+            for k in range(m2 + 1)
+            for l in range(m1 + m2 - k + 1)
+        }
+        assert w["chart"] == 3 and m2 > 0
+        assert w["numerator"] == poly_to_json(nd.numerator)
+        assert w["expected"] == poly_to_json(LaurentPoly(2, expected))
+        assert w["d_vector"] == list(nd.d_vector) == [m1 + m2, m2]
 
 
 def test_planted_basis_defect_leaves_conj1_a2_residuals(capsys, monkeypatch):
@@ -550,6 +673,21 @@ def test_planted_basis_defect_leaves_conj1_a2_residuals(capsys, monkeypatch):
     assert report["status"] == "exploratory"
     assert report["stats"]["num_unresolved"] > 0
     assert "unresolved-residual" in {w["kind"] for w in report["witnesses"]}
+    # the residual is reported in the basis's exponents (e1, e2), not in
+    # the (e1 + e2, e1) keys the elimination runs on
+    (residual,) = [
+        w["residual"]
+        for w in report["witnesses"]
+        if w["kind"] == "unresolved-residual"
+        and w["left"]["aliases"] == [[3, [1, 1]]]
+        and w["right"]["aliases"] == [[4, [1, 1]]]
+    ]
+    assert residual == poly_to_json(
+        LaurentPoly(
+            2,
+            {(-4, -1): 1, (-4, 0): 4, (-4, 1): 6, (-4, 2): 4, (-4, 3): 1, (-1, -1): 1},
+        )
+    )
 
 
 def test_planted_per_variable_denominator_defect_falsifies_every_slot(capsys, monkeypatch):
