@@ -31,8 +31,8 @@ Claim identifiers accepted by run_claim, each with the scope flags it reads
 
 The seed sweeps come from pattern.py.  fpoly reads the principal one's
 seeds; gyo21 and separation read them with companions (principal_states).
-main1, gyo21, fpoly and separation each also count seeds and variables
-(_check_counts).
+main1, gyo21, fpoly and separation each also count the sweep's seeds
+against Catalan(n + 1) and its variables against n(n + 3)/2.
 """
 
 from __future__ import annotations
@@ -104,13 +104,18 @@ class Report:
 
 
 def _logcc_witness(p: LaurentPoly, n: int, **extra) -> Optional[dict]:
-    """A witness unless p is log-concave; a negative coefficient gives a
-    negative-coefficient witness, never is_log_concave's ValueError.  p is
-    scanned in place (a shift keeps the scan order); a witness gives point
-    and poly for the numerator over the first n variables."""
+    """A witness unless p is log-concave.  A negative coefficient is a finding,
+    not an input error: it gives a negative-coefficient witness, never
+    is_log_concave's ValueError.
+
+    p is scanned where it lies: a shift by a monomial moves no coefficient
+    and keeps the scan order.  Only a witness forms the numerator over the
+    first n variables, and its point and poly are in those coordinates: the
+    in-place point plus the shift.
+    """
     out = {"kind": "not-log-concave", **extra}
     res = None
-    if min(p.coefficients(), default=0) < 0:
+    if any(c < 0 for c in p.coefficients()):
         out["kind"] = "negative-coefficient"
     else:
         res = is_log_concave(p)
@@ -183,7 +188,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
         p = by_key[key]
         if not p:
             continue  # the zero polynomial is witnessed by the route comparison alone
-        max_coeff = max(max_coeff, *p.coefficients())
+        max_coeff = max(max_coeff, max(p.coefficients()))
         w = _logcc_witness(p, n)
         if w is not None:
             report.add(w)
@@ -249,8 +254,9 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     denominators of the actual variables; coefficient exponent vectors match
     the columns of the coefficient companion matrix.
 
-    A variable's x->1 degree vector and d-vector are computed once per
-    distinct variable (per_variable); the comparisons run per seed, in the
+    The facts that read only the variable, its x->1 degree vector and its
+    normalized denominator vector, are computed once per distinct variable
+    (per_variable).  The comparisons with seed data run per seed, in the
     order above.
     """
     report = Report("gyo21", {"rank": n})
@@ -387,6 +393,14 @@ def a2_charts() -> Tuple[Tuple[LaurentPoly, LaurentPoly], ...]:
     return ((x1, x2), (v, x2), (v, u), (w, u), (w, x1))
 
 
+def _powers(z: LaurentPoly, deg: int) -> List[LaurentPoly]:
+    """z^0, ..., z^deg, one multiplication per step."""
+    table = [LaurentPoly.const(z.num_vars, 1)]
+    for _ in range(deg):
+        table.append(table[-1] * z)
+    return table
+
+
 def _exponent_vectors(n: int, deg: int) -> List[Tuple[int, ...]]:
     """The exponent vectors of length n with sum at most deg, in ascending
     lexicographic order: one extension step per coordinate, none discarded."""
@@ -403,11 +417,13 @@ def _cluster_monomials(
     each product of two or more variables formed in one cluster only.
 
     Yields (cluster index, exponents, value): clusters in sequence, then
-    exponent vectors in ascending lexicographic order.  Clusters that share
-    a variable share its one power table (keyed on key()); only nonzero
-    factors are multiplied.  Each distinct variable gets one bit, and a
-    product of two or more variables whose set an earlier cluster held is
-    skipped before any multiplication.  The constant and the powers of one
+    exponent vectors in ascending lexicographic order.  Each distinct
+    variable's powers come from one _powers table per call, keyed on its
+    key(), so clusters that share a variable share its table; only nonzero
+    factors are multiplied.  Each distinct variable also gets one bit, and a
+    product of two or more variables whose variable set an earlier cluster
+    also held is skipped before any multiplication: that cluster already
+    yielded the same polynomial.  The constant and the powers of a single
     variable are yielded in every cluster, so rank-2 aliases stay whole.
     A negative deg is a ValueError, raised before any cluster is read.
     """
@@ -420,10 +436,7 @@ def _cluster_monomials(
         for x in cluster:
             entry = powers.get(x.key())
             if entry is None:
-                table = [LaurentPoly.const(x.num_vars, 1)]
-                for _ in range(deg):
-                    table.append(table[-1] * x)
-                entry = powers[x.key()] = (1 << len(powers), table)
+                entry = powers[x.key()] = (1 << len(powers), _powers(x, deg))
             bits.append(entry[0])
             tables.append(entry[1])
         met = []
@@ -442,6 +455,16 @@ def _cluster_monomials(
                     value = table[e] if value is None else value * table[e]
             yield idx, m, tables[0][0] if value is None else value
         held.update(met)
+
+
+def _degree_first(exp: Tuple[int, ...]) -> Tuple[int, ...]:
+    """exp = (e1, ..., en) as (e1 + ... + en, e1, ..., e(n-1)).
+
+    The total degree comes first and en is the total less the rest, so these
+    keys compare in graded-lex order: the leading exponent of a dict of
+    such keys is plain max().  k maps back as k[1:] + (k[0] - sum(k[1:]),).
+    """
+    return (sum(exp),) + exp[:-1]
 
 
 class BasisElement(NamedTuple):
@@ -484,11 +507,11 @@ def a2_basis(deg: int) -> List[BasisElement]:
             entry[2].append((idx + 1, m))
     elements = []
     for value, degree, aliases in merged.values():
-        lead = max((sum(e),) + e for e in value.terms)[1:]
+        lead = max(value.terms, key=_degree_first)
         if value.terms[lead] != 1:
             raise RuntimeError("basis leading coefficient is not 1")
         elements.append(BasisElement(value, degree, lead, tuple(aliases)))
-    elements.sort(key=lambda e: (sum(e.leading), e.leading))
+    elements.sort(key=lambda e: _degree_first(e.leading))
     if len({e.leading for e in elements}) != len(elements):
         raise RuntimeError("leading exponents collide; greedy expansion is ambiguous")
     return elements
@@ -500,12 +523,13 @@ _ELIMINATION_GUARD = 1_000_000
 def _eliminate(
     prod: LaurentPoly, basis: List[LaurentPoly], lead_index: Dict[tuple, int]
 ) -> Tuple[Dict[int, int], LaurentPoly]:
-    """Greedy elimination of prod over the basis on graded-lex leading terms.
+    """Greedy elimination of prod over the basis values on leading terms.
 
-    Exponents (e1, e2) are stored as (e1 + e2, e1), so the graded-lex lead
-    is max(rem).  Each step cancels it against the one basis value carrying
-    it, in place.  Returns the nonzero constants by basis index and the
-    residual in (e1, e2), nonzero when some lead has no basis element.
+    The leading term is the largest exponent; on _degree_first keys that is
+    the graded-lex lead.  Each step cancels it against the unique basis value
+    carrying it, subtracting in place from one term dict.  Returns the
+    nonzero constants by basis index and the residual, in prod's exponents,
+    which is nonzero when some leading term has no basis element.
     """
     coeffs: Dict[int, int] = {}
     rem = dict(prod.terms)
@@ -526,8 +550,7 @@ def _eliminate(
                 rem[e] = acc
             else:
                 del rem[e]
-    residual = LaurentPoly(2, {(a, s - a): c for (s, a), c in rem.items()})
-    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, residual
+    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, LaurentPoly(prod.num_vars, rem)
 
 
 def _chart_tables(
@@ -535,9 +558,10 @@ def _chart_tables(
 ) -> Dict[int, LaurentPoly]:
     """Arrange expansion constants as one exponent-indexed table per chart.
 
-    One pass fills every chart's entries in index order; the tables come
-    back in ascending chart order, clean as built from _eliminate's nonzero
-    constants.
+    One pass over the constants fills every chart's entries, in index order
+    within each chart; the tables come back in ascending chart order.  The
+    constants are the nonzero ints _eliminate returns, so each table's term
+    dict is clean as built.
     """
     entries: Dict[int, Dict[tuple, int]] = {}
     for idx, coeff in coefficients.items():
@@ -558,35 +582,27 @@ def verify_a2_monomials(deg: int) -> Report:
     """
     report = Report("a2-monomials", {"deg": deg})
     num_monomials = 0
-    verdicts: dict = {}
     for idx, (m1, m2), value in _cluster_monomials(a2_charts(), deg):
         chart = idx + 1
         num_monomials += 1
-        extra = {"chart": chart, "exponents": [m1, m2]}
-        if m1 and m2:
-            w = _logcc_witness(value, 2, **extra)
-        else:  # a power of one variable recurs: one verdict per value
-            key = value.key()
-            if key not in verdicts:
-                verdicts[key] = _logcc_witness(value, 2, **extra)
-            w = verdicts[key] and {**verdicts[key], **extra}
+        w = _logcc_witness(value, 2, chart=chart, exponents=[m1, m2])
         if w is not None:
             report.add(w)
         if chart == 3:
-            s = m1 + m2
-            expected = {  # positive binomials, keys less (s, m2)
-                (k - s, l - m2): math.comb(m2, k) * math.comb(s - k, l)
+            nd = normalize_denominator(value, 2)
+            expected_terms = {  # positive binomials: clean as built
+                (k, l): math.comb(m2, k) * math.comb(m1 + m2 - k, l)
                 for k in range(m2 + 1)
-                for l in range(s - k + 1)
+                for l in range(m1 + m2 - k + 1)
             }
-            if value.terms != expected:
-                nd = normalize_denominator(value, 2)
+            if nd.numerator.terms != expected_terms or nd.d_vector != (m1 + m2, m2):
                 report.add(
                     {
                         "kind": "closed-form-mismatch",
-                        **extra,
+                        "chart": chart,
+                        "exponents": [m1, m2],
                         "numerator": poly_to_json(nd.numerator),
-                        "expected": poly_to_json(LaurentPoly(2, expected).shift((s, m2))),
+                        "expected": poly_to_json(LaurentPoly(2, expected_terms)),
                         "d_vector": list(nd.d_vector),
                     }
                 )
@@ -627,7 +643,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
                 continue
             powers_seen.add(key)
         num_monomials += 1
-        max_coeff = max(max_coeff, *value.coefficients())
+        max_coeff = max(max_coeff, max(value.coefficients()))
         w = _logcc_witness(value, n, seed_index=idx, exponents=list(m))
         if w is not None:
             report.add(w)
@@ -650,23 +666,26 @@ def explore_a2_structure_constants(deg: int) -> Report:
     """
     report = Report("conj1-a2", {"deg": deg}, exploratory=True)
     basis = a2_basis(deg)
-    graded = [  # in _eliminate's keys
-        LaurentPoly._trusted(2, {(a + b, a): c for (a, b), c in e.value.terms.items()}) for e in basis
+    graded = [  # the values on _degree_first keys, which _eliminate runs on
+        LaurentPoly._trusted(2, {_degree_first(k): c for k, c in e.value.terms.items()})
+        for e in basis
     ]
-    lead_index = {(sum(e.leading), e.leading[0]): i for i, e in enumerate(basis)}
+    lead_index = {_degree_first(e.leading): i for i, e in enumerate(basis)}
     nonconstant = [i for i, e in enumerate(basis) if e.degree > 0]
     num_pairs = 0
     max_constant = 0
     num_unresolved = 0
     for ai, i in enumerate(nonconstant):
-        room = deg - basis[i].degree
         for j in nonconstant[ai:]:
-            if basis[j].degree > room:
+            if basis[i].degree + basis[j].degree > deg:
                 continue
             num_pairs += 1
             coeffs, residual = _eliminate(graded[i] * graded[j], graded, lead_index)
             if residual:
                 num_unresolved += 1
+                residual = LaurentPoly(  # back to the basis's exponents (e1, e2)
+                    2, {k[1:] + (k[0] - sum(k[1:]),): c for k, c in residual.terms.items()}
+                )
                 report.add(
                     {
                         "kind": "unresolved-residual",
@@ -689,7 +708,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
             if coeffs:
                 max_constant = max(max_constant, max(coeffs.values()))
             for chart, table in _chart_tables(basis, coeffs).items():
-                if min(table.coefficients()) <= 0:
+                if any(c <= 0 for c in table.coefficients()):
                     continue  # already witnessed above
                 res = is_log_concave(table)
                 if not res.ok:
