@@ -20,7 +20,6 @@ from .poly import (
     poly_to_json,
 )
 from .pattern import (
-    DEFAULT_BUDGET,
     Seed,
     a_n_matrix,
     cg_step,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -43,21 +42,6 @@ from .polygon import (
 )
 from .poly import InexactDivisionError, poly_to_json
 from .verify import CLAIM_IDS, run_claim
-
-BUDGET_ENV = "CLUSTER_LOGCC_BUDGET"
-
-
-def _budget_from_env() -> Optional[int]:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV} must be positive, got {value}")
-    return value
 
 
 def _emit(obj: dict, out_path: Optional[str]) -> None:
@@ -145,9 +129,8 @@ def cmd_tpaths(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = _budget_from_env()
     started = time.monotonic()
-    report = run_claim(args.claim, rank=args.rank, deg=args.deg, budget=budget)
+    report = run_claim(args.claim, rank=args.rank, deg=args.deg)
     elapsed = time.monotonic() - started
     print(f"verify {args.claim}: {report.status} in {elapsed:.2f}s", file=sys.stderr)
     _emit(report.to_json_dict(), args.out)

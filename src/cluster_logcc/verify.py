@@ -32,7 +32,10 @@ Claim identifiers accepted by run_claim, each with the scope flags it reads
 The seed sweeps come from pattern.py.  fpoly reads the principal one's
 seeds; gyo21 and separation read them with companions (principal_states).
 main1, gyo21, fpoly and separation each also count the sweep's seeds
-against Catalan(n + 1) and its variables against n(n + 3)/2.
+against Catalan(n + 1) and its variables against n(n + 3)/2.  The same
+Catalan(n + 1) bounds every type-A sweep, conj-an's too: a sweep that meets
+more classes stops with pattern's "exchange graph not closed within budget"
+error, never with a truncated report.
 """
 
 from __future__ import annotations
@@ -141,10 +144,19 @@ def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
+def _a_n_seeds(n: int) -> int:
+    """Catalan(n + 1), the number of seeds of type A_n: each type-A sweep's
+    budget and the seed count _check_counts expects.  A rank below 1 is the
+    same ValueError a_n_matrix raises, not math.comb's."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    return math.comb(2 * n + 2, n + 1) // (n + 2)
+
+
 def _check_counts(report: Report, n: int, num_seeds: int, **num_vars: int) -> None:
     """Witnesses unless the sweep met the Catalan(n + 1) seeds and each route
     (keyword) the n(n + 3)/2 variables of type A_n."""
-    expected = math.comb(2 * n + 2, n + 1) // (n + 2)
+    expected = _a_n_seeds(n)
     if num_seeds != expected:
         report.add({"kind": "seed-count", "expected": expected, "got": num_seeds})
     expected = n * (n + 3) // 2
@@ -156,7 +168,7 @@ def _check_counts(report: Report, n: int, num_seeds: int, **num_vars: int) -> No
 # ---- claim checkers ----
 
 
-def verify_main1(n: int, budget: Optional[int] = None) -> Report:
+def verify_main1(n: int) -> Report:
     """Numerator log-concavity for all variables over the snake triangulation.
 
     The variables are produced twice: by admissible-path expansion of every
@@ -174,7 +186,7 @@ def verify_main1(n: int, budget: Optional[int] = None) -> Report:
 
     num_seeds = 0
     variables: Dict[int, LaurentPoly] = {}
-    for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget):
+    for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), _a_n_seeds(n)):
         num_seeds += 1
         per_variable(s, variables, lambda x: x)
     mutated = {x.key(): x for x in variables.values()}
@@ -245,7 +257,7 @@ def verify_coeff_bounds(n: int) -> Report:
     return report
 
 
-def verify_fd(n: int, budget: Optional[int] = None) -> Report:
+def verify_fd(n: int) -> Report:
     """Degree matrix vs denominator matrix at every principal seed.
 
     Checks, seed by seed: the x->1 degree matrix equals the entrywise
@@ -266,7 +278,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
         return x.substitute_ones(range(n)).max_degrees(), normalize_denominator(x, n).d_vector
 
     facts: Dict[int, Tuple[tuple, tuple]] = {}
-    for idx, st in enumerate(principal_states(n, budget)):
+    for idx, st in enumerate(principal_states(n, _a_n_seeds(n))):
         num_seeds += 1
         seed = st.seed
         cols = per_variable(seed, facts, fd_vectors)
@@ -320,7 +332,7 @@ def verify_fd(n: int, budget: Optional[int] = None) -> Report:
     return report
 
 
-def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
+def verify_fpoly_logcc(n: int) -> Report:
     """Log-concavity and 0/1 degrees of all x->1 specializations.
 
     The F-polynomials read only the cluster variables, so this reads the
@@ -330,7 +342,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     num_seeds = 0
     memo: Dict[int, LaurentPoly] = {}
     fpolys: Dict[tuple, LaurentPoly] = {}
-    for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n)), budget):
+    for seed in enumerate_exchange_graph(principal_seed(a_n_matrix(n)), _a_n_seeds(n)):
         num_seeds += 1
         for fp in f_data(seed, memo=memo).f_polynomials:
             fpolys.setdefault(fp.key(), fp)
@@ -349,7 +361,7 @@ def verify_fpoly_logcc(n: int, budget: Optional[int] = None) -> Report:
     return report
 
 
-def verify_separation(n: int, budget: Optional[int] = None) -> Report:
+def verify_separation(n: int) -> Report:
     """Monomial-times-specialization factorization at every principal seed.
 
     num_variables_checked counts the (seed, position) pairs covered.
@@ -357,7 +369,7 @@ def verify_separation(n: int, budget: Optional[int] = None) -> Report:
     report = Report("separation", {"rank": n})
     num_seeds = 0
     memo: dict = {}
-    for idx, st in enumerate(principal_states(n, budget)):
+    for idx, st in enumerate(principal_states(n, _a_n_seeds(n))):
         num_seeds += 1
         for i, lhs, rhs in check_separation(st.seed, st.G, st.B0, memo=memo):
             report.add(
@@ -619,7 +631,7 @@ def verify_a2_monomials(deg: int) -> Report:
     return report
 
 
-def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Report:
+def explore_an_monomials(n: int, deg: int) -> Report:
     """Exploratory: numerator log-concavity of cluster monomials in rank n.
 
     Enumerates every cluster, every monomial in its variables up to total
@@ -629,7 +641,7 @@ def explore_an_monomials(n: int, deg: int, budget: Optional[int] = None) -> Repo
     power of one variable recurs there, so only those keys are kept.
     """
     report = Report("conj-an", {"rank": n, "deg": deg}, exploratory=True)
-    seeds = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), budget)
+    seeds = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), _a_n_seeds(n))
     num_clusters = num_monomials = 0
     powers_seen = set()
     max_coeff = 0
@@ -732,24 +744,21 @@ def explore_a2_structure_constants(deg: int) -> Report:
 
 
 # Claim identifier -> (the scope flags it reads, its checker), in the order
-# the CLI lists them.  A checker takes those flags' values in order, then
-# the budget.
+# the CLI lists them.  A checker takes those flags' values in order.
 _CHECKERS = {
     "main1": (("rank",), verify_main1),
-    "coeff012": (("rank",), lambda rank, budget: verify_coeff_bounds(rank)),
+    "coeff012": (("rank",), verify_coeff_bounds),
     "gyo21": (("rank",), verify_fd),
     "fpoly": (("rank",), verify_fpoly_logcc),
     "separation": (("rank",), verify_separation),
-    "a2-monomials": (("deg",), lambda deg, budget: verify_a2_monomials(deg)),
+    "a2-monomials": (("deg",), verify_a2_monomials),
     "conj-an": (("rank", "deg"), explore_an_monomials),
-    "conj1-a2": (("deg",), lambda deg, budget: explore_a2_structure_constants(deg)),
+    "conj1-a2": (("deg",), explore_a2_structure_constants),
 }
 CLAIM_IDS = tuple(_CHECKERS)
 
 
-def run_claim(
-    claim: str, rank: Optional[int] = None, deg: Optional[int] = None, budget: Optional[int] = None
-) -> Report:
+def run_claim(claim: str, rank: Optional[int] = None, deg: Optional[int] = None) -> Report:
     """Dispatch a claim identifier to its checker with the given scope.
 
     The scope flags the claim reads default to rank 3 and deg 6.  A flag it
@@ -763,4 +772,4 @@ def run_claim(
     if unread:
         raise ValueError(f"claim {claim} does not read {', '.join(unread)}")
     defaults = {"rank": 3, "deg": 6}
-    return checker(*(defaults[f] if scope[f] is None else scope[f] for f in reads), budget)
+    return checker(*(defaults[f] if scope[f] is None else scope[f] for f in reads))

@@ -20,6 +20,7 @@ import types
 from pathlib import Path
 
 import cluster_logcc
+from cluster_logcc.verify import _CHECKERS
 
 PUBLIC = {
     # poly
@@ -31,7 +32,6 @@ PUBLIC = {
     "normalize_denominator",
     "poly_to_json",
     # pattern
-    "DEFAULT_BUDGET",
     "Seed",
     "a_n_matrix",
     "cg_step",
@@ -91,6 +91,16 @@ def test_seed_sweep_takes_no_plug_ins():
     # one search, over seeds: no step or key to swap in
     params = inspect.signature(cluster_logcc.enumerate_exchange_graph).parameters
     assert tuple(params) == ("seed", "budget")
+
+
+def test_each_checker_takes_exactly_its_scope_flags():
+    # run_claim passes a claim's scope values in order and nothing more, to
+    # the exported checker itself: no adapter sits between.  The checkers
+    # call the rank n, as in A_n.
+    for claim, (reads, checker) in _CHECKERS.items():
+        assert getattr(cluster_logcc, checker.__name__, None) is checker, claim
+        params = tuple(inspect.signature(checker).parameters)
+        assert params == tuple("n" if flag == "rank" else flag for flag in reads), claim
 
 
 def test_import_leaves_rational_number_modules_unloaded():

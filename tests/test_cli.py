@@ -110,23 +110,45 @@ def test_readme_scope_flags_column_is_the_checker_table():
     assert documented == {claim: reads for claim, (reads, _) in _CHECKERS.items()}
 
 
-def test_budget_env_var(capsys, monkeypatch):
+def test_the_retired_budget_variable_changes_nothing(capsys, monkeypatch):
+    # the sweep is bounded by the seed count it checks, not by the environment
+    monkeypatch.delenv("CLUSTER_LOGCC_BUDGET", raising=False)
+    code, want, _ = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
+    assert code == 0
     monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "2")
-    code, _, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
-    assert code == 2
-    assert "budget" in err
-    monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "not-a-number")
-    code, _, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "2")
-    assert code == 2
-    assert "CLUSTER_LOGCC_BUDGET" in err
+    code, got, _ = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
+    assert code == 0
+    assert got == want
 
 
-def test_budget_env_var_zero_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "0")
-    code, out, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "2")
+def test_rank_9_closes_without_a_budget_setting(capsys, monkeypatch):
+    # 16,796 seeds: past the sweep's own DEFAULT_BUDGET of 10,000
+    monkeypatch.delenv("CLUSTER_LOGCC_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--claim", "main1", "--rank", "9")
+    assert code == 0
+    assert json.loads(out)["stats"]["num_seeds"] == 16796
+
+
+def test_a_sweep_past_its_seed_count_is_a_usage_error(capsys, monkeypatch):
+    # rank 3 has 14 seed classes: a count of 13 stops the sweep, exit 2
+    import cluster_logcc.verify as verify
+
+    monkeypatch.setattr(verify, "_a_n_seeds", lambda n: 13)
+    code, out, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
     assert code == 2
     assert out == ""
-    assert err == "error: CLUSTER_LOGCC_BUDGET must be positive, got 0\n"
+    assert err == "error: exchange graph not closed within budget\n"
+
+
+@pytest.mark.parametrize("rank", ["0", "-2"])
+@pytest.mark.parametrize(
+    "claim", [claim for claim, (reads, _) in _CHECKERS.items() if "rank" in reads]
+)
+def test_a_rank_below_one_is_a_usage_error(capsys, claim, rank):
+    code, out, err = run_cli(capsys, "verify", "--claim", claim, "--rank", rank)
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank must be at least 1\n"
 
 
 def test_jobs_is_not_an_option(capsys):
@@ -134,18 +156,6 @@ def test_jobs_is_not_an_option(capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --jobs 2" in err
-
-
-def test_budget_env_var_one_below_the_class_count(capsys, monkeypatch):
-    # rank 3 has 14 seed classes: a budget of 14 closes, 13 is a usage error
-    monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "14")
-    code, out, _ = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
-    assert code == 0 and json.loads(out)["stats"]["num_seeds"] == 14
-    monkeypatch.setenv("CLUSTER_LOGCC_BUDGET", "13")
-    code, out, err = run_cli(capsys, "verify", "--claim", "main1", "--rank", "3")
-    assert code == 2
-    assert out == ""
-    assert err == "error: exchange graph not closed within budget\n"
 
 
 def test_inexact_division_is_an_error_not_a_finding(capsys, monkeypatch):

@@ -33,6 +33,10 @@ name from another: a helper private to one module is not another's to
 call, so what a module needs from its neighbour is public there.  The
 CLI's only exemptions are the float and except rules.  The tests' reference
 routes in oracles.py import no such name either.
+
+No module of the package, the CLI included, reads the environment: a run is
+fixed by its arguments, so no report depends on a variable its caller did
+not pass.
 """
 
 import ast
@@ -255,3 +259,33 @@ def test_reference_routes_import_no_private_name():
 )
 def test_private_import_guard_sees_each_breach(source, private):
     assert [name for _, name in _private_imports(ast.parse(source))] == private
+
+
+def _environment_reads(tree: ast.AST):
+    """Lines reading os.environ or os.getenv, by attribute or by import."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in ("environ", "getenv") for alias in node.names)
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert list(_environment_reads(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "raw = os.environ.get('X')",
+        "raw = os.environ['X']",
+        "raw = os.getenv('X')",
+        "from os import environ",
+        "from os import getenv as g",
+    ],
+)
+def test_environment_guard_sees_each_read(source):
+    assert len(list(_environment_reads(ast.parse(source)))) == 1

@@ -551,27 +551,29 @@ def test_exchange_graph_budget():
     assert len(got) == 5
 
 
-# Every search goes through enumerate_exchange_graph, so each one closes with
-# a budget of exactly its class count (14 at rank 3) and fails one below with
-# one message.
+# Every search goes through enumerate_exchange_graph with verify._a_n_seeds
+# as its budget, so each one closes at exactly its class count (14 at rank 3)
+# and fails one below, with one message, once that count reads 13.
 _SEARCHES = {
-    "main1": lambda b: verify.run_claim("main1", rank=3, budget=b),
-    "gyo21": lambda b: verify.run_claim("gyo21", rank=3, budget=b),
-    "fpoly": lambda b: verify.run_claim("fpoly", rank=3, budget=b),
-    "separation": lambda b: verify.run_claim("separation", rank=3, budget=b),
-    "conj-an": lambda b: verify.run_claim("conj-an", rank=3, deg=2, budget=b),
+    "main1": lambda: verify.run_claim("main1", rank=3),
+    "gyo21": lambda: verify.run_claim("gyo21", rank=3),
+    "fpoly": lambda: verify.run_claim("fpoly", rank=3),
+    "separation": lambda: verify.run_claim("separation", rank=3),
+    "conj-an": lambda: verify.run_claim("conj-an", rank=3, deg=2),
 }
 
 
 @pytest.mark.parametrize("search", list(_SEARCHES))
-def test_every_search_closes_at_its_class_count_and_fails_one_below(search):
-    result = _SEARCHES[search](14)
+def test_every_search_closes_at_its_class_count_and_fails_one_below(monkeypatch, search):
+    assert verify._a_n_seeds(3) == 14
+    result = _SEARCHES[search]()
     if search == "conj-an":
         assert result.status == "exploratory" and result.stats["num_clusters"] == 14
     else:
         assert result.status == "verified" and result.stats["num_seeds"] == 14
+    monkeypatch.setattr(verify, "_a_n_seeds", lambda n: 13)
     with pytest.raises(RuntimeError, match="^exchange graph not closed within budget$"):
-        _SEARCHES[search](13)
+        _SEARCHES[search]()
 
 
 def test_exceeded_budget_stops_at_the_first_new_class(monkeypatch):

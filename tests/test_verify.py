@@ -274,11 +274,15 @@ def test_basis_matches_plain_enumerator_grouped_by_polynomial(d):
     assert len(got) == 5 * d * (d + 1) // 2 + 1
 
 
-def test_negative_degree_is_refused_before_any_sweep_step():
+def test_negative_degree_is_refused_before_any_sweep_step(monkeypatch):
+    import cluster_logcc.verify as verify
+
+    # a one-class budget: any sweep step past the start raises
+    monkeypatch.setattr(verify, "_a_n_seeds", lambda n: 1)
     with pytest.raises(RuntimeError, match="not closed within budget"):
-        explore_an_monomials(3, 0, budget=1)
+        explore_an_monomials(3, 0)
     with pytest.raises(ValueError, match="^degree bound must be nonnegative$"):
-        explore_an_monomials(3, -1, budget=1)
+        explore_an_monomials(3, -1)
     for check in (a2_basis, verify_a2_monomials):
         with pytest.raises(ValueError, match="^degree bound must be nonnegative$"):
             check(-1)
@@ -528,11 +532,40 @@ def test_run_claim_dispatch_and_json():
         run_claim("nonsense")
 
 
-def test_budget_propagates():
+def test_budget_propagates(monkeypatch):
+    import cluster_logcc.verify as verify
+
+    monkeypatch.setattr(verify, "_a_n_seeds", lambda n: 3)
     with pytest.raises(RuntimeError):
-        verify_main1(3, budget=3)
+        verify_main1(3)
     with pytest.raises(RuntimeError):
-        verify_fd(3, budget=3)
+        verify_fd(3)
+
+
+_SWEEP_CLAIMS = {  # claim -> the sweep it calls, its scope beside the rank
+    "main1": ("enumerate_exchange_graph", {}),
+    "gyo21": ("principal_states", {}),
+    "fpoly": ("enumerate_exchange_graph", {}),
+    "separation": ("principal_states", {}),
+    "conj-an": ("enumerate_exchange_graph", {"deg": 1}),
+}
+
+
+@pytest.mark.parametrize("n,catalan", [(1, 2), (2, 5), (3, 14), (4, 42), (5, 132)])
+@pytest.mark.parametrize("claim", list(_SWEEP_CLAIMS))
+def test_each_sweep_claim_bounds_its_sweep_by_the_catalan_count(monkeypatch, claim, n, catalan):
+    import cluster_logcc.verify as verify
+
+    sweep, scope = _SWEEP_CLAIMS[claim]
+    honest, budgets = getattr(verify, sweep), []
+
+    def spy(start, budget):
+        budgets.append(budget)
+        return honest(start, budget)
+
+    monkeypatch.setattr(verify, sweep, spy)
+    run_claim(claim, rank=n, **scope)
+    assert budgets == [catalan]
 
 
 # ---- planted defects: each checker must be seen to fail ----
