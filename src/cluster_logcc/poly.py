@@ -14,7 +14,14 @@ Only the public constructor validates its input (exponent lengths, integer
 exponents and coefficients, merging and dropping zeros); it reads integers
 through operator.index, so a float is a TypeError, never truncated.  The
 ring operations build a fresh term dict that is clean by construction and
-hand it to the result unchecked, through LaurentPoly._trusted.
+hand it to the result unchecked, through LaurentPoly._trusted; the integers
+they take (a factor, offsets, indices, a power) are read through
+operator.index too.
+
+Two-variable products and log-concavity scans, all the rank-2 work, unpack
+each exponent as (a, b) and build their keys directly instead of through
+the general loops' tuple arithmetic.  Results and scan order are the
+general loops'.
 """
 
 from __future__ import annotations
@@ -153,6 +160,18 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_dims(other)
         out: dict = {}
+        if self.num_vars == 2:  # the rank-2 claims: unpacked keys, same loop
+            get = out.get
+            pairs = other.terms.items()
+            for (a, b), c1 in self.terms.items():
+                for (p, q), c2 in pairs:
+                    exp = (a + p, b + q)
+                    acc = get(exp, 0) + c1 * c2
+                    if acc:
+                        out[exp] = acc
+                    else:
+                        del out[exp]
+            return LaurentPoly._trusted(2, out)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))
@@ -173,12 +192,13 @@ class LaurentPoly:
         """Multiply by the monomial x^offsets (exact, always invertible)."""
         if len(offsets) != self.num_vars:
             raise DimensionMismatchError("offset length must equal num_vars")
-        off = tuple(offsets)
+        off = tuple(map(index, offsets))
         return LaurentPoly._trusted(
             self.num_vars, {tuple(map(add, e, off)): c for e, c in self.terms.items()}
         )
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
+        exponent = index(exponent)
         if exponent < 0:
             raise ValueError("negative powers are not defined")
         if exponent == 0:
@@ -270,7 +290,7 @@ class LaurentPoly:
         The result lives in the remaining variables (ambient dimension
         shrinks by len(indices)); their relative order is preserved.
         """
-        drop = set(indices)
+        drop = set(map(index, indices))
         for j in drop:
             if not 0 <= j < self.num_vars:
                 raise IndexError(f"variable index {j} out of range")
@@ -362,6 +382,25 @@ def is_log_concave(p: LaurentPoly) -> LogConcavityResult:
         if c < 0:
             raise ValueError(f"negative coefficient {c} at {e}")
     get = terms.get
+    if p.num_vars == 2:  # the general loop below with unpacked keys
+        first = None  # least failing (remaining coordinate, position), as below
+        for (a, b), right in terms.items():
+            left = get((a - 2, b))
+            if left is not None:
+                mid = get((a - 1, b), 0)
+                if mid * mid < left * right and (first is None or (b, a - 1) < first):
+                    first = (b, a - 1)
+        if first is not None:
+            return LogConcavityResult(False, 0, (first[1], first[0]))
+        for (a, b), right in terms.items():
+            left = get((a, b - 2))
+            if left is not None:
+                mid = get((a, b - 1), 0)
+                if mid * mid < left * right and (first is None or (a, b - 1) < first):
+                    first = (a, b - 1)
+        if first is not None:
+            return LogConcavityResult(False, 1, first)
+        return LogConcavityResult(True, None, None)
     for axis in range(p.num_vars):
         first = None  # least failing (remaining coordinates, position)
         for e, right in terms.items():

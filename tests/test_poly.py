@@ -109,14 +109,39 @@ def test_ring_axioms(p, q, r):
     assert p - p == LaurentPoly.zero(2)
 
 
-@given(polys(3, max_terms=4), polys(3, max_terms=4))
-def test_mul_matches_schoolbook(p, q):
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.tuples(polys(m, max_terms=4), polys(m, max_terms=4))
+    )
+)
+def test_mul_matches_schoolbook(pq):
+    # one to four variables: the two-variable loop and the general one
+    p, q = pq
     assert p * q == slow_poly_mul(p, q)
 
 
 def test_scale_rejects_inexact_factors():
     with pytest.raises(TypeError):
         P(1, {(0,): 3}).scale(0.5)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p: p.shift([0.5, 0]),
+        lambda p: p.shift([1.0, 0]),
+        lambda p: p.substitute_ones([1.5]),
+        lambda p: p.substitute_ones([0.0]),
+        lambda p: p ** 0.0,
+        lambda p: p ** 2.0,
+    ],
+    ids=["shift-half", "shift-float-one", "drop-1.5", "drop-float-zero", "pow-0.0", "pow-2.0"],
+)
+def test_ring_operations_reject_inexact_arguments(op):
+    # as scale does: a float offset, index or power is a TypeError, never
+    # an exponent 1.5 in a result that skipped the constructor's checks
+    with pytest.raises(TypeError):
+        op(P(2, {(1, 0): 1, (0, 1): 2}))
 
 
 @given(
@@ -132,7 +157,10 @@ def test_ring_results_are_clean_fresh_and_leave_operands_alone(p, q, k, offsets,
     # must already be what the constructor would build.
     pq = p * q
     before = [dict(x.terms) for x in (p, q, pq)]
+    x_plus_y, x_minus_y = P(2, {(1, 0): 1, (0, 1): 1}), P(2, {(1, 0): 1, (0, 1): -1})
+    assert (x_plus_y * x_minus_y).terms == {(2, 0): 1, (0, 2): -1}  # the xy terms cancel
     results = [
+        (x_plus_y * x_minus_y, (x_plus_y, x_minus_y)),
         (p + q, (p, q)),
         (p - q, (p, q)),
         (-p, (p,)),
