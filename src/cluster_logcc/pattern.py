@@ -20,8 +20,9 @@ Only this module labels seeds: enumerate_exchange_graph sets up each
 sweep's memo and table, names clusters and facets by sorted labels, and
 mutates only into classes it has not met; principal_states reads that
 sweep.  per_variable keys a caller's per-variable work on the same labels,
-in a dict the sweep's seeds fill in any order, so f_data, check_separation
-and the claims do it once per variable.
+in a dict from each label to one value that the sweep's seeds fill in any
+order, so f_data, check_separation (one separation form per variable) and
+the claims do it once per variable.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from math import gcd
-from operator import index
+from operator import index, sub
 
 from .poly import LaurentPoly, poly_to_json
 
@@ -470,31 +471,6 @@ def f_data(seed: Seed, *, memo: Optional[dict] = None) -> FData:
     return FData(tuple(per_variable(seed, memo, specialize)))
 
 
-def _separation_mismatch(
-    x: LaurentPoly, g_col: Tuple[int, ...], b0_rows: list
-) -> Optional[Tuple[LaurentPoly, LaurentPoly]]:
-    """(specialized variable, reconstructed form) unless x = x^g F(y-hat)."""
-    n = len(g_col)
-    lhs_terms: Dict[tuple, int] = {}
-    f_terms: Dict[tuple, int] = {}
-    for e, c in x.terms.items():
-        xe, ye = e[:n], e[n:]
-        lhs_terms[xe] = lhs_terms.get(xe, 0) + c
-        f_terms[ye] = f_terms.get(ye, 0) + c
-    hat_terms: Dict[tuple, int] = {}
-    for ye, c in f_terms.items():
-        hat = []
-        for g, row in zip(g_col, b0_rows):
-            for t, b in row:
-                g += ye[t] * b
-            hat.append(g)
-        exp = tuple(hat)
-        hat_terms[exp] = hat_terms.get(exp, 0) + c
-    lhs = LaurentPoly._trusted(n, {e: c for e, c in lhs_terms.items() if c})
-    rhs = LaurentPoly._trusted(n, {e: c for e, c in hat_terms.items() if c})
-    return None if lhs == rhs else (lhs, rhs)
-
-
 def check_separation(
     seed: Seed, G: Matrix, B0: Matrix, *, memo: Optional[dict] = None
 ) -> List[Tuple[int, LaurentPoly, LaurentPoly]]:
@@ -502,31 +478,40 @@ def check_separation(
 
     Variable i, with the frozen variables set to 1, must equal
     x^{g_i} F_i(y-hat): F_i is the variable with the exchangeable ones set to
-    1, and y-hat_t = prod_j x_j^{b0_jt}.  One pass over the terms reads both
-    specializations; the hatted exponents are summed over the nonzero
-    entries of each row of B0.  Returns mismatches as (index, specialized
-    variable, reconstructed form); empty means the separation identity holds
-    at this seed.
+    1, and y-hat_t = prod_j x_j^{b0_jt}.  Returns mismatches as (index,
+    specialized variable, reconstructed form); empty means the separation
+    identity holds at this seed.
 
-    The verdict depends only on the variable, its column of G and B0.  A
-    sweep's seeds, read with one B0, may share one memo (per_variable):
-    each verdict is then reached once per (variable, g-column), so a G
-    that differs from seed to seed is still checked.
+    Each variable's form is (lhs, F(y-hat), g*): its specialization, its
+    F-polynomial at y-hat, and the one shift g* with F(y-hat).shift(g*) ==
+    lhs, or None if either side is 0 or no shift matches.  A G column equal
+    to g* passes; any other is shifted onto F(y-hat) and compared with lhs.
+    A form reads only the variable and B0, so a sweep's seeds, read with one
+    B0, may share one memo (per_variable): each form is built once per
+    variable, and a G that differs from seed to seed is still checked.
     """
     n = seed.n
     if seed.num_frozen != n:
         raise ValueError("separation check needs a principal-coefficients seed")
-    b0_rows = [[(t, b) for t, b in enumerate(row) if b] for row in B0]
-    verdicts = per_variable(seed, memo, lambda x: {})
+
+    def form(x: LaurentPoly) -> tuple:
+        lhs = x.substitute_ones(range(n, 2 * n))
+        b0_rows = [[(t, b) for t, b in enumerate(row) if b] for row in B0]
+        hat_terms: Dict[tuple, int] = {}
+        for ye, c in x.substitute_ones(range(n)).terms.items():
+            exp = tuple(sum(ye[t] * b for t, b in row) for row in b0_rows)
+            hat_terms[exp] = hat_terms.get(exp, 0) + c
+        f_hat = LaurentPoly._trusted(n, {e: c for e, c in hat_terms.items() if c})
+        if not (lhs and f_hat):  # min_degrees is undefined on 0
+            return lhs, f_hat, None
+        g = tuple(map(sub, lhs.min_degrees(), f_hat.min_degrees()))
+        return lhs, f_hat, g if f_hat.shift(g) == lhs else None
+
     mismatches = []
-    for i, (x, seen) in enumerate(zip(seed.cluster, verdicts)):
+    for i, (lhs, f_hat, g) in enumerate(per_variable(seed, memo, form)):
         g_col = tuple(row[i] for row in G)
-        if g_col in seen:
-            found = seen[g_col]
-        else:
-            found = seen[g_col] = _separation_mismatch(x, g_col, b0_rows)
-        if found is not None:
-            mismatches.append((i, *found))
+        if g_col != g and (rhs := f_hat.shift(g_col)) != lhs:
+            mismatches.append((i, lhs, rhs))
     return mismatches
 
 

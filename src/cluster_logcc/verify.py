@@ -269,7 +269,7 @@ def verify_fd(n: int) -> Report:
     The facts that read only the variable, its x->1 degree vector and its
     normalized denominator vector, are computed once per distinct variable
     (per_variable).  The comparisons with seed data run per seed, in the
-    order above.
+    order above, on columns of D, C and the frozen rows split once per seed.
     """
     report = Report("gyo21", {"rank": n})
     num_seeds = 0
@@ -282,14 +282,14 @@ def verify_fd(n: int) -> Report:
         num_seeds += 1
         seed = st.seed
         cols = per_variable(seed, facts, fd_vectors)
-        fm = tuple(tuple(f[j] for f, _ in cols) for j in range(n))
-        if fm != tuple(tuple(max(d, 0) for d in row) for row in st.D):
+        d_cols = list(zip(*st.D))
+        if any(f != tuple(max(d, 0) for d in d_col) for (f, _), d_col in zip(cols, d_cols)):
             report.add(
                 {
                     "kind": "degree-vs-denominator",
                     "seed_index": idx,
                     "history": list(seed.history),
-                    "f_matrix": [list(r) for r in fm],
+                    "f_matrix": [[f[j] for f, _ in cols] for j in range(n)],
                     "d_matrix": [list(r) for r in st.D],
                 }
             )
@@ -303,8 +303,8 @@ def verify_fd(n: int) -> Report:
                     "G": [list(r) for r in st.G],
                 }
             )
-        for i, (_, d_vector) in enumerate(cols):
-            d_col = tuple(st.D[j][i] for j in range(n))
+        columns = zip(cols, d_cols, zip(*st.C), zip(*seed.frozen))
+        for i, ((_, d_vector), d_col, c_col, y_col) in enumerate(columns):
             if d_vector != d_col:
                 report.add(
                     {
@@ -315,8 +315,6 @@ def verify_fd(n: int) -> Report:
                         "got": list(d_col),
                     }
                 )
-            c_col = tuple(st.C[j][i] for j in range(n))
-            y_col = tuple(row[i] for row in seed.frozen)
             if y_col != c_col:
                 report.add(
                     {

@@ -244,3 +244,55 @@ def test_planted_defect_reports_at_rank_4(monkeypatch, step, plant, claim, diges
     report = run_claim(claim, rank=4)
     assert report.status == "falsified"
     assert _digest(report.to_json_dict()) == digest
+
+
+def _bumped_c(honest):
+    def planted(C, G, B_t, B0, k):
+        C2, G2 = honest(C, G, B_t, B0, k)
+        out = [list(row) for row in C2]
+        out[0][k - 1] += 1
+        return tuple(tuple(row) for row in out), G2
+
+    return planted
+
+
+# Uncapped falsified reports at ranks 3..5 under planted companion-step
+# defects: every witness, in scan order, with its uncapped count.
+PLANTED_UNCAPPED = [
+    ("d_vector_step", _off_by_one_d, "gyo21", [41, 161, 626], [
+        "c50281bd3ee12f68985a88bd4d42c9f8d492f570f8f1bd62bb2a3573c83cd2f5",
+        "6c04c43c38407c0dfaadb9e0948430f509a1132fcf7cc36032484a13a285ec2b",
+        "3e015f4827e3af6d5ce0cd77b2299f2c6c40efb24b67af89199edb7478506242",
+    ]),
+    ("cg_step", _negated_g_kk, "gyo21", [13, 41, 131], [
+        "340c9cf4c9d33acc488f8f4a7113119bd40e527845c2581fc8bc3a7aaf55fa9f",
+        "37fb4ccd4eccf08cbe9108ecc961d9e9b22f5b459c40401a9ab5ba175fb12b90",
+        "467c866ae824e4433b62c36cd17e52aa2a9c4f2cebdda2dffa028117674e0a61",
+    ]),
+    ("cg_step", _bumped_c, "gyo21", [40, 154, 590], [
+        "4bf50f2672191e22fb4809372856e05976b045b8a6949dc75ebe3a0aa7540ea6",
+        "27a8002f1fa96f50d0e6892ea50d5e38c60b67cb0601937a2e5cfcad0fb1900a",
+        "80781d5dce3e8adb304ddec590f28195f3bff39d3540cb5864864ca99a184dbf",
+    ]),
+    ("cg_step", _negated_g_kk, "separation", [24, 98, 414], [
+        "8c76b391c11a7b9c49c2ad10782c27f08b274e3977029277c02645c524c9a37d",
+        "6ae35915287398b59805a1cca358652e2e01c09e6fb05f88fa56a1e57ad7e0c2",
+        "3df9746ec50e63be9681256d8af3ff80882fac68f9e18b26d85cf742c90fd0be",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "step,plant,claim,counts,digests",
+    PLANTED_UNCAPPED,
+    ids=["gyo21-d-off-by-one", "gyo21-g-negated", "gyo21-c-bumped", "separation-g-negated"],
+)
+def test_planted_defect_reports_uncapped(monkeypatch, step, plant, claim, counts, digests):
+    import cluster_logcc.pattern as pattern
+    import cluster_logcc.verify as verify
+
+    monkeypatch.setattr(pattern, step, plant(getattr(pattern, step)))
+    monkeypatch.setattr(verify, "WITNESS_CAP", 10**9)
+    reports = [run_claim(claim, rank=n) for n in range(3, 6)]
+    assert [r.found for r in reports] == [len(r.witnesses) for r in reports] == counts
+    assert [_digest(r.to_json_dict()) for r in reports] == digests

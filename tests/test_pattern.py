@@ -456,24 +456,66 @@ def test_per_variable_memos_agree_with_uncached_checks_seed_by_seed(n):
         assert f_data(seed, memo=memo) == f_data(seed)
     assert len(memo) == num_variables
     # gyo21: (f-vector, d-vector) facts once per variable
-    facts, checks, verdicts = {}, [], {}
+    facts, checks, forms = {}, [], {}
     for state in principal_states(n, None):
         seed, G, B0 = state.seed, state.G, state.B0
         fd = [_fd_vectors(x, n) for x in seed.cluster]
         assert per_variable(seed, facts, lambda x: _fd_vectors(x, n)) == fd
-        # separation: the honest G, then a wrong one through the same memo, so
-        # a verdict met for (variable, g-column) is not reused for another column
-        honest = check_separation(seed, G, B0, memo=verdicts)
+        # separation: the honest G, then a wrong one through the same memo; the
+        # memo holds one form per variable, and a G column other than the
+        # form's shift is still shifted onto F(y-hat) and compared
+        honest = check_separation(seed, G, B0, memo=forms)
         assert honest == plain_check_separation(seed, G, B0) == []
         bad = _negated_first_entry(G)
-        mismatches = check_separation(seed, bad, B0, memo=verdicts)
+        mismatches = check_separation(seed, bad, B0, memo=forms)
         assert mismatches and mismatches == plain_check_separation(seed, bad, B0)
         checks.append(mismatches)
-    assert len(facts) == len(verdicts) == num_variables
-    # a second pass, every verdict now memoised, lists the same mismatches
+    assert len(facts) == len(forms) == num_variables
+    # a second pass, every form now memoised, lists the same mismatches
     for state, mismatches in zip(principal_states(n, None), checks):
         bad = _negated_first_entry(state.G)
-        assert check_separation(state.seed, bad, state.B0, memo=verdicts) == mismatches
+        assert check_separation(state.seed, bad, state.B0, memo=forms) == mismatches
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_separation_shift_is_a_property_of_the_variable(n):
+    memo = {}
+    for state in principal_states(n, None):
+        check_separation(state.seed, state.G, state.B0, memo=memo)
+        for i, label in enumerate(state.seed.labels):
+            _, _, g_star = memo[label]  # never None: it equals a column of G
+            assert g_star == tuple(row[i] for row in state.G)
+    assert len(memo) == n * (n + 3) // 2
+
+
+@pytest.mark.parametrize(
+    "terms,x_fails",
+    [
+        ({(1, 0, 1, 0): 1, (1, 0, 0, 0): -1}, True),  # x1*y1 - x1: 0 with y -> 1
+        ({(1, 0, 1, 0): 1, (0, 1, 1, 0): -1}, True),  # x1*y1 - x2*y1: 0 with x -> 1
+        # (x1 - x2)(y1 - 1): 0 on both sides, so every shift fits
+        ({(1, 0, 1, 0): 1, (1, 0, 0, 0): -1, (0, 1, 1, 0): -1, (0, 1, 0, 0): 1}, False),
+        # x1*y1 + x2: x1 + x2 against F(y-hat) = 1 + 1/x2, which no shift
+        # carries onto it, though their least degrees differ by (0, 1)
+        ({(1, 0, 1, 0): 1, (0, 1, 0, 0): 1}, True),
+    ],
+    ids=["lhs-cancels", "f-cancels", "both-cancel", "no-shift"],
+)
+def test_separation_on_hand_made_rank_2_variables(terms, x_fails):
+    # the rank-2 principal seed with x in position 0, labelled for a memo
+    s = principal_seed(a_n_matrix(2))
+    seed = Seed(s.B, s.frozen, (LaurentPoly(4, terms), s.cluster[1]), labels=(0, 1))
+    B0 = s.B
+    identity = ((1, 0), (0, 1))
+    negated = ((1, 0), (0, -1))  # x2 = x^(0, 1) fails here only
+    shared = ((0, 0), (1, 1))  # x2's g-vector (0, 1) in both columns
+    memo = {}
+    for G, x2_fails in [(identity, 0), (negated, 1), (shared, 0), (identity, 0)]:
+        plain = plain_check_separation(seed, G, B0)
+        assert len(plain) == x_fails + x2_fails
+        assert check_separation(seed, G, B0) == plain
+        assert check_separation(seed, G, B0, memo=memo) == plain
+    assert len(memo) == 2
 
 
 def test_per_variable_memo_reads_a_sweep_in_any_order():
