@@ -18,17 +18,35 @@ hand it to the result unchecked, through LaurentPoly._trusted; the integers
 they take (a factor, offsets, indices, a power) are read through
 operator.index too.
 
-Two-variable products and log-concavity scans, all the rank-2 work, unpack
-each exponent as (a, b) and build their keys directly instead of through
-the general loops' tuple arithmetic.  Results and scan order are the
-general loops'.
+Two-variable log-concavity scans, which conj1-a2's chart tables run,
+unpack each exponent as (a, b) and build their neighbours' keys directly
+instead of through the general loop's tuple arithmetic.  Results and scan
+order are the general loop's.
+
+ExponentCodec packs a ring's exponent vectors into ints, for claims that
+form many products of a few polynomials and keep them as term dicts
+{key: coefficient}.  The layout is degree first: with W = 2**s, the key of
+(e_0, ..., e_{m-1}) is  d W^(m-1) + e_0 W^(m-2) + ... + e_{m-2},  d the total
+degree, and e_{m-1} = d - (e_0 + ... + e_{m-2}).  Each lower digit has
+magnitude at most the codec's bound, and W/2 is at least the bound plus 2
+(a key's digits are read in [-W/2, W/2)), so:
+  - keys add when monomials multiply, and a product whose digits stay within
+    the bound decodes to the true exponent;
+  - int order is graded-lex order, (d, e_0, ..., e_{m-2}) compared as a
+    tuple, so the graded-lex lead of a term dict is max() of its keys;
+  - the neighbours a scan reads, two steps down any axis, never alias
+    another key.
+pack raises on a digit beyond the bound, so no key aliases silently.  A
+claim sizes the bound from its own inputs (ExponentCodec.for_products):
+deg times the largest |exponent| among the polynomials it multiplies bounds
+every digit of every product of at most deg of them.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import add, index, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 Exponent = tuple  # tuple[int, ...], one entry per ambient variable
 
@@ -160,18 +178,6 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_dims(other)
         out: dict = {}
-        if self.num_vars == 2:  # the rank-2 claims: unpacked keys, same loop
-            get = out.get
-            pairs = other.terms.items()
-            for (a, b), c1 in self.terms.items():
-                for (p, q), c2 in pairs:
-                    exp = (a + p, b + q)
-                    acc = get(exp, 0) + c1 * c2
-                    if acc:
-                        out[exp] = acc
-                    else:
-                        del out[exp]
-            return LaurentPoly._trusted(2, out)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))
@@ -417,6 +423,122 @@ def is_log_concave(p: LaurentPoly) -> LogConcavityResult:
             rest, i = first
             return LogConcavityResult(False, axis, rest[:axis] + (i,) + rest[axis:])
     return LogConcavityResult(True, None, None)
+
+
+class ExponentCodec:
+    """Exponent vectors of one ring packed into ints, degree first.
+
+    See the module docstring for the layout.  Term dicts on these keys are
+    plain {key: coefficient} dicts with nonzero coefficients: pack makes
+    them, mul multiplies them, scan checks their log-concavity and unpack
+    turns one back into a LaurentPoly.
+    """
+
+    __slots__ = ("num_vars", "bound", "_shift", "_half", "_steps")
+
+    def __init__(self, num_vars: int, bound: int) -> None:
+        num_vars, bound = index(num_vars), index(bound)
+        if num_vars < 1:
+            raise ValueError("an exponent codec needs at least one variable")
+        if bound < 0:
+            raise ValueError("digit bound must be nonnegative")
+        self.num_vars, self.bound = num_vars, bound
+        self._shift = shift = (bound + 1).bit_length() + 1
+        self._half = 1 << shift - 1  # the least power of two >= bound + 2
+        top = 1 << shift * (num_vars - 1)
+        # one step up axis j raises the degree and, below the last axis, e_j
+        self._steps = tuple(top + (1 << shift * (num_vars - 2 - j)) for j in range(num_vars - 1))
+        self._steps += (top,)
+
+    @classmethod
+    def for_products(cls, factors: Sequence[LaurentPoly], deg: int) -> "ExponentCodec":
+        """The codec for every product of at most deg of the factors (a
+        nonempty sequence in one ring): its bound is deg times their largest
+        |exponent|."""
+        if index(deg) < 0:
+            raise ValueError("degree bound must be nonnegative")
+        width = max((abs(e) for p in factors for exp in p.terms for e in exp), default=0)
+        return cls(factors[0].num_vars, deg * width)
+
+    def encode(self, exp: Exponent) -> int:
+        """The key of one exponent vector; ValueError on a digit beyond the bound."""
+        if len(exp) != self.num_vars:
+            raise DimensionMismatchError(f"exponent {exp!r} has length {len(exp)}")
+        bound, shift = self.bound, self._shift
+        key = sum(exp)
+        for e in exp[:-1]:
+            if e > bound or e < -bound:
+                raise ValueError(f"exponent {exp!r} has a digit beyond the bound {bound}")
+            key = (key << shift) + e
+        return key
+
+    def decode(self, key: int) -> Exponent:
+        """The exponent vector of a key whose digits are within the bound."""
+        shift, half = self._shift, self._half
+        mask = half + half - 1
+        digits = []
+        for _ in range(self.num_vars - 1):
+            e = ((key + half) & mask) - half  # the signed low digit
+            digits.append(e)
+            key = (key - e) >> shift
+        digits.reverse()
+        digits.append(key - sum(digits))
+        return tuple(digits)
+
+    def pack(self, p: LaurentPoly) -> Dict[int, int]:
+        """p's terms on keys; ValueError on a digit beyond the bound, and
+        DimensionMismatchError on an exponent of another length."""
+        encode = self.encode
+        return {encode(e): c for e, c in p.terms.items()}
+
+    def unpack(self, terms: Mapping[int, int]) -> LaurentPoly:
+        decode = self.decode
+        return LaurentPoly._trusted(self.num_vars, {decode(k): c for k, c in terms.items()})
+
+    def mul(self, a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
+        """The product of two packed term dicts: keys add.  The product's
+        digits must stay within the bound, as for_products sizes it."""
+        out: dict = {}
+        get = out.get
+        pairs = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                acc = get(k, 0) + c1 * c2
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+        return out
+
+    def scan(self, terms: Mapping[int, int]) -> LogConcavityResult:
+        """is_log_concave(self.unpack(terms)), on the keys.
+
+        The coefficients must be positive; the caller checks their signs.
+        Each axis is one fixed step between keys, so a term's neighbours
+        below it are two int lookups.  Only failing points are decoded, and
+        the least (remaining coordinates, position) among them is returned:
+        is_log_concave's (ok, axis, point) exactly.
+        """
+        if not terms:
+            raise ValueError("log-concavity is undefined for the zero polynomial")
+        get = terms.get
+        items = terms.items()
+        for axis, step in enumerate(self._steps):
+            two = step + step
+            fails = []
+            for k, right in items:
+                left = get(k - two)
+                if left is not None:
+                    mid = get(k - step, 0)
+                    if mid * mid < left * right:
+                        fails.append(k - step)
+            if fails:
+                point = min(
+                    map(self.decode, fails), key=lambda e: (e[:axis] + e[axis + 1 :], e[axis])
+                )
+                return LogConcavityResult(False, axis, point)
+        return LogConcavityResult(True, None, None)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

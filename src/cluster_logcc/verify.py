@@ -44,6 +44,7 @@ import math
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import (
+    ExponentCodec,
     LaurentPoly,
     is_log_concave,
     normalize_denominator,
@@ -106,24 +107,24 @@ class Report:
         }
 
 
-def _logcc_witness(p: LaurentPoly, n: int, **extra) -> Optional[dict]:
-    """A witness unless p is log-concave.  A negative coefficient is a finding,
-    not an input error: it gives a negative-coefficient witness, never
-    is_log_concave's ValueError.
-
-    p is scanned where it lies: a shift by a monomial moves no coefficient
-    and keeps the scan order.  Only a witness forms the numerator over the
-    first n variables, and its point and poly are in those coordinates: the
-    in-place point plus the shift.
+def _logcc_witness(p, n: int, codec: Optional[ExponentCodec] = None, **extra) -> Optional[dict]:
+    """A witness unless p is log-concave; a negative coefficient gives a
+    negative-coefficient witness, never is_log_concave's ValueError.  With a
+    codec, p is its packed terms: codec.scan checks them, only a witness
+    unpacks them.  p is scanned where it lies (a shift moves no coefficient
+    and keeps the scan order); only a witness forms the numerator over the
+    first n variables, and its point and poly are in those coordinates.
     """
     out = {"kind": "not-log-concave", **extra}
     res = None
-    if any(c < 0 for c in p.coefficients()):
+    if any(c < 0 for c in (p.values() if codec else p.coefficients())):
         out["kind"] = "negative-coefficient"
     else:
-        res = is_log_concave(p)
+        res = codec.scan(p) if codec else is_log_concave(p)
         if res.ok:
             return None
+    if codec:
+        p = codec.unpack(p)
     d = [-e for e in p.min_degrees()[:n]] + [0] * (p.num_vars - n)
     if res is not None:
         out["axis"] = res.axis
@@ -422,59 +423,53 @@ def _exponent_vectors(n: int, deg: int) -> List[Tuple[int, ...]]:
 
 def _cluster_monomials(
     clusters: Iterable[Sequence[LaurentPoly]], deg: int
-) -> Iterator[Tuple[int, Tuple[int, ...], LaurentPoly]]:
+) -> Tuple[ExponentCodec, Iterator[Tuple[int, Tuple[int, ...], Dict[int, int]]]]:
     """The monomials of total degree at most deg in each cluster's variables,
     each product of two or more variables formed in one cluster only.
 
-    Yields (cluster index, exponents, value): clusters in sequence, then
-    exponent vectors in ascending lexicographic order.  Each distinct
-    variable's powers come from one _powers table per call, keyed on its
-    key(), so clusters that share a variable share its table; only nonzero
-    factors are multiplied.  Each distinct variable also gets one bit, and a
+    Returns the codec for the clusters' variables, and an iterator of
+    (cluster index, exponents, value packed with it): clusters in sequence,
+    then exponent vectors in ascending lexicographic order.  Each distinct
+    variable (by key()) has one _powers table, packed once, and one bit.
+    Products are formed on packed keys, of nonzero factors only, and a
     product of two or more variables whose variable set an earlier cluster
-    also held is skipped before any multiplication: that cluster already
-    yielded the same polynomial.  The constant and the powers of a single
-    variable are yielded in every cluster, so rank-2 aliases stay whole.
-    A negative deg is a ValueError, raised before any cluster is read.
+    held is skipped before any product: that cluster yielded it.  The
+    constant and single-variable powers are yielded in every cluster, so
+    rank-2 aliases stay whole.  A negative deg is a ValueError, raised
+    before any cluster is read.
     """
     if deg < 0:
         raise ValueError("degree bound must be nonnegative")
-    powers: Dict[tuple, Tuple[int, List[LaurentPoly]]] = {}
-    held = set()  # variable sets of two or more that earlier clusters held
-    for idx, cluster in enumerate(clusters):
-        bits, tables = [], []
-        for x in cluster:
-            entry = powers.get(x.key())
-            if entry is None:
-                entry = powers[x.key()] = (1 << len(powers), _powers(x, deg))
-            bits.append(entry[0])
-            tables.append(entry[1])
-        met = []
-        for m in _exponent_vectors(len(tables), deg):
-            mask = 0
-            for bit, e in zip(bits, m):
-                if e:
-                    mask |= bit
-            if mask & (mask - 1):  # two or more variables
-                if mask in held:
-                    continue
-                met.append(mask)
-            value = None
-            for table, e in zip(tables, m):
-                if e:
-                    value = table[e] if value is None else value * table[e]
-            yield idx, m, tables[0][0] if value is None else value
-        held.update(met)
+    clusters = list(clusters)  # the codec's bound reads every variable
+    distinct = {x.key(): x for cluster in clusters for x in cluster}
+    codec = ExponentCodec.for_products(list(distinct.values()), deg)
+    powers = {  # key() -> (bit, packed powers)
+        key: (1 << i, [codec.pack(z) for z in _powers(x, deg)])
+        for i, (key, x) in enumerate(distinct.items())
+    }
 
+    def monomials():
+        held = set()  # variable sets of two or more that earlier clusters held
+        for idx, cluster in enumerate(clusters):
+            bits, tables = zip(*(powers[x.key()] for x in cluster))
+            met = []
+            for m in _exponent_vectors(len(tables), deg):
+                mask = 0
+                for bit, e in zip(bits, m):
+                    if e:
+                        mask |= bit
+                if mask & (mask - 1):  # two or more variables
+                    if mask in held:
+                        continue
+                    met.append(mask)
+                value = None
+                for table, e in zip(tables, m):
+                    if e:
+                        value = table[e] if value is None else codec.mul(value, table[e])
+                yield idx, m, tables[0][0] if value is None else value
+            held.update(met)
 
-def _degree_first(exp: Tuple[int, ...]) -> Tuple[int, ...]:
-    """exp = (e1, ..., en) as (e1 + ... + en, e1, ..., e(n-1)).
-
-    The total degree comes first and en is the total less the rest, so these
-    keys compare in graded-lex order: the leading exponent of a dict of
-    such keys is plain max().  k maps back as k[1:] + (k[0] - sum(k[1:]),).
-    """
-    return (sum(exp),) + exp[:-1]
+    return codec, monomials()
 
 
 class BasisElement(NamedTuple):
@@ -500,14 +495,15 @@ def a2_basis(deg: int) -> List[BasisElement]:
     """All rank-2 cluster monomials of total degree at most deg, deduplicated.
 
     Monomials supported on a variable shared by two charts coincide as
-    polynomials and are merged, keeping every (chart, exponents) alias.
-    Elements are sorted by graded-lex leading exponent; leading exponents
-    are pairwise distinct and carry coefficient 1, which is what makes the
-    greedy expansion in _eliminate well defined.
+    polynomials and are merged, keeping every (chart, exponents) alias; each
+    is unpacked once.  Elements are sorted by graded-lex leading exponent
+    (the largest packed key); leads are distinct and carry coefficient 1,
+    which makes the greedy expansion in _eliminate well defined.
     """
-    merged: Dict[tuple, List] = {}
-    for idx, m, value in _cluster_monomials(a2_charts(), deg):
-        degree, key = sum(m), value.key()
+    codec, monomials = _cluster_monomials(a2_charts(), deg)
+    merged: Dict[frozenset, List] = {}
+    for idx, m, value in monomials:
+        degree, key = sum(m), frozenset(value.items())
         entry = merged.get(key)
         if entry is None:
             merged[key] = [value, degree, [(idx + 1, m)]]
@@ -516,12 +512,13 @@ def a2_basis(deg: int) -> List[BasisElement]:
                 raise RuntimeError("inconsistent degree among aliases")
             entry[2].append((idx + 1, m))
     elements = []
-    for value, degree, aliases in merged.values():
-        lead = max(value.terms, key=_degree_first)
-        if value.terms[lead] != 1:
+    for terms, degree, aliases in merged.values():
+        lead = max(terms)
+        if terms[lead] != 1:
             raise RuntimeError("basis leading coefficient is not 1")
+        value, lead = codec.unpack(terms), codec.decode(lead)
         elements.append(BasisElement(value, degree, lead, tuple(aliases)))
-    elements.sort(key=lambda e: _degree_first(e.leading))
+    elements.sort(key=lambda e: (sum(e.leading), e.leading))
     if len({e.leading for e in elements}) != len(elements):
         raise RuntimeError("leading exponents collide; greedy expansion is ambiguous")
     return elements
@@ -531,18 +528,18 @@ _ELIMINATION_GUARD = 1_000_000
 
 
 def _eliminate(
-    prod: LaurentPoly, basis: List[LaurentPoly], lead_index: Dict[tuple, int]
-) -> Tuple[Dict[int, int], LaurentPoly]:
+    prod: Dict[int, int], basis: List[Dict[int, int]], lead_index: Dict[int, int]
+) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Greedy elimination of prod over the basis values on leading terms.
 
-    The leading term is the largest exponent; on _degree_first keys that is
-    the graded-lex lead.  Each step cancels it against the unique basis value
-    carrying it, subtracting in place from one term dict.  Returns the
-    nonzero constants by basis index and the residual, in prod's exponents,
-    which is nonzero when some leading term has no basis element.
+    All are on one ExponentCodec's keys, whose order is graded-lex, so the
+    lead is the largest key.  Each step cancels it against the unique basis
+    value carrying it, subtracting in place from prod (the caller gives it
+    up).  Returns the nonzero constants by basis index and the residual, on
+    the same keys, nonzero when some lead has no basis element.
     """
     coeffs: Dict[int, int] = {}
-    rem = dict(prod.terms)
+    rem = prod
     steps = 0
     while rem:
         steps += 1
@@ -554,13 +551,13 @@ def _eliminate(
             break
         c = rem[lead]
         coeffs[i] = coeffs.get(i, 0) + c
-        for e, b in basis[i].terms.items():
+        for e, b in basis[i].items():
             acc = rem.get(e, 0) - c * b
             if acc:
                 rem[e] = acc
             else:
                 del rem[e]
-    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, LaurentPoly(prod.num_vars, rem)
+    return {i: c for i, c in sorted(coeffs.items()) if c != 0}, rem
 
 
 def _chart_tables(
@@ -592,14 +589,15 @@ def verify_a2_monomials(deg: int) -> Report:
     """
     report = Report("a2-monomials", {"deg": deg})
     num_monomials = 0
-    for idx, (m1, m2), value in _cluster_monomials(a2_charts(), deg):
+    codec, monomials = _cluster_monomials(a2_charts(), deg)
+    for idx, (m1, m2), value in monomials:
         chart = idx + 1
         num_monomials += 1
-        w = _logcc_witness(value, 2, chart=chart, exponents=[m1, m2])
+        w = _logcc_witness(value, 2, codec, chart=chart, exponents=[m1, m2])
         if w is not None:
             report.add(w)
         if chart == 3:
-            nd = normalize_denominator(value, 2)
+            nd = normalize_denominator(codec.unpack(value), 2)
             expected_terms = {  # positive binomials: clean as built
                 (k, l): math.comb(m2, k) * math.comb(m1 + m2 - k, l)
                 for k in range(m2 + 1)
@@ -635,26 +633,27 @@ def explore_an_monomials(n: int, deg: int) -> Report:
     Enumerates every cluster, every monomial in its variables up to total
     degree deg.  Violations are recorded as witnesses; none is expected, but
     the claim is open, so the report stays exploratory either way.  The
-    monomials come from _cluster_monomials; the constant is skipped.  Only a
-    power of one variable recurs there, so only those keys are kept.
+    monomials come packed from _cluster_monomials; the constant is skipped.
+    Only a power of one variable recurs there, so only those are kept.
     """
     report = Report("conj-an", {"rank": n, "deg": deg}, exploratory=True)
     seeds = enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)), _a_n_seeds(n))
     num_clusters = num_monomials = 0
     powers_seen = set()
     max_coeff = 0
-    for idx, m, value in _cluster_monomials((s.cluster for s in seeds), deg):
+    codec, monomials = _cluster_monomials((s.cluster for s in seeds), deg)
+    for idx, m, value in monomials:
         num_clusters = idx + 1  # every cluster yields its constant monomial first
         if not any(m):
             continue
         if len(m) - m.count(0) == 1:
-            key = value.key()
+            key = frozenset(value.items())
             if key in powers_seen:
                 continue
             powers_seen.add(key)
         num_monomials += 1
-        max_coeff = max(max_coeff, max(value.coefficients()))
-        w = _logcc_witness(value, n, seed_index=idx, exponents=list(m))
+        max_coeff = max(max_coeff, max(value.values()))
+        w = _logcc_witness(value, n, codec, seed_index=idx, exponents=list(m))
         if w is not None:
             report.add(w)
     report.stats = {
@@ -676,11 +675,9 @@ def explore_a2_structure_constants(deg: int) -> Report:
     """
     report = Report("conj1-a2", {"deg": deg}, exploratory=True)
     basis = a2_basis(deg)
-    graded = [  # the values on _degree_first keys, which _eliminate runs on
-        LaurentPoly._trusted(2, {_degree_first(k): c for k, c in e.value.terms.items()})
-        for e in basis
-    ]
-    lead_index = {_degree_first(e.leading): i for i, e in enumerate(basis)}
+    codec = ExponentCodec.for_products(_a2_variables(), deg)
+    packed = [codec.pack(e.value) for e in basis]
+    lead_index = {codec.encode(e.leading): i for i, e in enumerate(basis)}
     nonconstant = [i for i, e in enumerate(basis) if e.degree > 0]
     num_pairs = 0
     max_constant = 0
@@ -690,16 +687,13 @@ def explore_a2_structure_constants(deg: int) -> Report:
             if basis[i].degree + basis[j].degree > deg:
                 continue
             num_pairs += 1
-            coeffs, residual = _eliminate(graded[i] * graded[j], graded, lead_index)
+            coeffs, residual = _eliminate(codec.mul(packed[i], packed[j]), packed, lead_index)
             if residual:
                 num_unresolved += 1
-                residual = LaurentPoly(  # back to the basis's exponents (e1, e2)
-                    2, {k[1:] + (k[0] - sum(k[1:]),): c for k, c in residual.terms.items()}
-                )
                 report.add(
                     {
                         "kind": "unresolved-residual",
-                        "residual": poly_to_json(residual),
+                        "residual": poly_to_json(codec.unpack(residual)),
                         **_pair_json(basis, i, j),
                     }
                 )

@@ -17,6 +17,8 @@ from cluster_logcc import (
     principal_seed,
 )
 
+from cluster_logcc.poly import ExponentCodec
+
 from oracles import dense_log_concave, plain_div_exact, scan_log_concave, slow_poly_mul
 
 
@@ -115,7 +117,7 @@ def test_ring_axioms(p, q, r):
     )
 )
 def test_mul_matches_schoolbook(pq):
-    # one to four variables: the two-variable loop and the general one
+    # one to four variables
     p, q = pq
     assert p * q == slow_poly_mul(p, q)
 
@@ -469,6 +471,127 @@ def test_log_concave_forbids_pinched_zeros(p):
                 and p.terms.get(tuple(right), 0) > 0
             )
             assert not pinched
+
+
+# ---- packed exponents ----
+
+some_vars = st.integers(min_value=1, max_value=5)
+
+
+@st.composite
+def planted_lines(draw):
+    """Positive polynomials in 1-5 variables with one three-point axis line
+    planted, its middle possibly absent, among a few random terms."""
+    m = draw(some_vars)
+    axis = draw(st.integers(min_value=0, max_value=m - 1))
+    base = draw(st.tuples(*([st.integers(min_value=-3, max_value=3)] * m)))
+    terms = dict(draw(st.lists(st.tuples(st.tuples(*([exponents] * m)), positive), max_size=5)))
+    for i, c in enumerate(draw(st.tuples(positive, st.integers(0, 9), positive))):
+        e = base[:axis] + (base[axis] + i,) + base[axis + 1 :]
+        terms.pop(e, None)
+        if c:
+            terms[e] = c
+    return LaurentPoly(m, terms)
+
+
+@given(some_vars.flatmap(polys))
+def test_unpack_inverts_pack(p):
+    codec = ExponentCodec(p.num_vars, 3)
+    assert codec.unpack(codec.pack(p)) == p
+
+
+@given(some_vars.flatmap(lambda m: st.tuples(polys(m), polys(m))))
+def test_packed_product_matches_mul(pq):
+    # every digit of a product of two is within twice the largest |exponent|
+    p, q = pq
+    codec = ExponentCodec.for_products([p, q], 2)
+    assert codec.unpack(codec.mul(codec.pack(p), codec.pack(q))) == p * q
+
+
+@given(st.one_of(planted_lines(), sparse_positive, gapped_boxes()).filter(bool))
+@settings(max_examples=400)
+def test_packed_scan_matches_is_log_concave(p):
+    # bound = the largest |exponent| exactly: neighbours two steps below a
+    # digit at the bound still decode, so none aliases another term
+    codec = ExponentCodec.for_products([p], 1)
+    assert tuple(codec.scan(codec.pack(p))) == tuple(is_log_concave(p))
+
+
+def test_packed_scan_finds_failing_lines_and_absent_middles():
+    # failures on the last axis, which steps the degree digit alone, and on
+    # a lower axis whose middle is absent, least (rest, position) first
+    cases = [
+        P(3, {(0, 0, 0): 1, (0, 0, 1): 1, (0, 0, 2): 4}),
+        P(3, {(2, 1, 0): 1, (2, 1, 2): 1, (1, -1, 0): 1, (1, 1, 0): 2, (1, 3, 0): 1}),
+        P(5, {(0, 0, 0, -3, 1): 1, (0, 0, 0, -1, 1): 1}),
+        P(1, {(-3,): 1, (-1,): 1}),
+    ]
+    for p in cases:
+        codec = ExponentCodec.for_products([p], 1)
+        got = codec.scan(codec.pack(p))
+        assert not got.ok
+        assert tuple(got) == tuple(is_log_concave(p)) == tuple(scan_log_concave(p))
+
+
+@pytest.mark.parametrize("bound", range(5))
+def test_scan_neighbours_of_a_digit_at_the_bound_never_alias(bound):
+    # two terms, one with its digit at the least values the bound allows:
+    # the scan's neighbours two steps below it fall beyond the bound, and
+    # must match no other term's key (the last exponent is no digit, so it
+    # ranges wider)
+    codec = ExponentCodec(2, bound)
+    wide = range(-3 * bound - 4, 3 * bound + 5)
+    others = [(a, b) for a in range(-bound, bound + 1) for b in wide]
+    for e in [(a, b) for a in range(-bound, min(1 - bound, bound) + 1) for b in wide]:
+        for f in others:
+            if f != e:
+                p = P(2, {e: 1, f: 1})
+                assert tuple(codec.scan(codec.pack(p))) == tuple(is_log_concave(p))
+
+
+@given(some_vars.flatmap(lambda m: st.lists(st.tuples(*([exponents] * m)), unique=True)))
+def test_packed_keys_order_exponents_graded_lex(exps):
+    codec = ExponentCodec(len(exps[0]) if exps else 1, 3)
+    keys = {e: codec.encode(e) for e in exps}
+    assert sorted(exps, key=keys.get) == sorted(exps, key=lambda e: (sum(e), e))
+    assert len(set(keys.values())) == len(exps)
+    assert all(codec.decode(k) == e for e, k in keys.items())
+
+
+def test_digit_beyond_the_bound_raises():
+    codec = ExponentCodec(3, 4)
+    # the last exponent is no digit: the degree digit carries it unbounded
+    for e in [(4, -4, 100), (-4, 4, -100)]:
+        assert codec.decode(codec.encode(e)) == e
+    for e in [(5, 0, 0), (0, -5, 0), (-5, 5, 0)]:
+        with pytest.raises(ValueError, match="beyond the bound 4"):
+            codec.encode(e)
+        with pytest.raises(ValueError, match="beyond the bound 4"):
+            codec.pack(P(3, {e: 1}))
+    with pytest.raises(DimensionMismatchError):
+        codec.pack(P(2, {(0, 0): 1}))
+    with pytest.raises(DimensionMismatchError):
+        codec.encode((0, 0))
+    # for_products: deg times the factors' largest |exponent|
+    assert ExponentCodec.for_products([P(2, {(-3, 1): 1}), P(2, {(2, 2): 1})], 5).bound == 15
+
+
+def test_codec_in_one_variable_and_at_degree_zero():
+    one = ExponentCodec(1, 0)
+    assert [one.encode((e,)) for e in (-7, 0, 9)] == [-7, 0, 9]  # the degree alone
+    p = P(1, {(-9,): 1, (-8,): 1, (-7,): 5})
+    assert one.unpack(one.pack(p)) == p
+    assert tuple(one.scan(one.pack(p))) == tuple(is_log_concave(p))
+    const = ExponentCodec.for_products([P(2, {(1, -1): 1}), P(2, {(0, 1): 2})], 0)
+    assert const.bound == 0
+    assert const.mul(const.pack(P(2, {(0, 0): 3})), const.pack(P(2, {(0, 0): -2}))) == {0: -6}
+    with pytest.raises(ValueError, match="beyond the bound 0"):
+        const.pack(P(2, {(1, -1): 1}))
+    for bad in [(0, 3), (2, -1)]:
+        with pytest.raises(ValueError):
+            ExponentCodec(*bad)
+    with pytest.raises(ValueError, match="^degree bound must be nonnegative$"):
+        ExponentCodec.for_products([P(2, {(0, 0): 1})], -1)
 
 
 # ---- serialization ----

@@ -21,6 +21,8 @@ from cluster_logcc import (
     verify_separation,
 )
 
+from cluster_logcc.poly import ExponentCodec
+
 from oracles import plain_cluster_monomials, plain_eliminate, plain_logcc_witness
 
 
@@ -59,9 +61,13 @@ def test_in_place_log_concavity_witness_matches_the_normalised_scan(n, num_vars)
     rng = random.Random(20261020 + 10 * n + num_vars)
     kinds = set()
     for p in _witness_cases(rng, n, num_vars):
+        want = json.dumps(plain_logcc_witness(p, n, chart=3, exponents=[1, 2]))
         got = verify._logcc_witness(p, n, chart=3, exponents=[1, 2])
-        want = plain_logcc_witness(p, n, chart=3, exponents=[1, 2])
-        assert json.dumps(got) == json.dumps(want)  # values and key order
+        assert json.dumps(got) == want  # values and key order
+        # the packed route: scanned on int keys, unpacked only for a witness
+        codec = ExponentCodec.for_products([p], 1)
+        packed = verify._logcc_witness(codec.pack(p), n, codec, chart=3, exponents=[1, 2])
+        assert json.dumps(packed) == want
         kinds.add(None if got is None else got["kind"])
     assert kinds == {None, "not-log-concave", "negative-coefficient"}
 
@@ -102,16 +108,22 @@ def test_cluster_monomial_values():
     assert elem.value == vu
 
 
-def test_power_tables_match_repeated_squaring():
+def _unpacked_monomials(clusters, deg):
+    """verify._cluster_monomials with each value unpacked."""
     from cluster_logcc.verify import _cluster_monomials
 
+    codec, monomials = _cluster_monomials(clusters, deg)
+    return [(idx, m, codec.unpack(value)) for idx, m, value in monomials]
+
+
+def test_power_tables_match_repeated_squaring():
     want = [
         (chart - 1, (m1, m2), _monomial(chart, m1, m2))
         for chart in range(1, 6)
         for m1 in range(13)
         for m2 in range(13 - m1)
     ]
-    assert list(_cluster_monomials(a2_charts(), 12)) == want
+    assert _unpacked_monomials(a2_charts(), 12) == want
 
 
 def test_conj_an_power_tables_match_repeated_squaring():
@@ -133,21 +145,31 @@ def test_conj_an_power_tables_match_repeated_squaring():
     )
 
 
+def _count_products(monkeypatch):
+    """Counts of LaurentPoly products and of packed products, as they are made."""
+    calls = {"poly": 0, "packed": 0}
+
+    def counting(cls, name, kind):
+        honest = getattr(cls, name)
+
+        def counted(*args):
+            calls[kind] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(LaurentPoly, "__mul__", "poly")
+    counting(ExponentCodec, "mul", "packed")
+    return calls
+
+
 def test_a2_monomials_builds_each_power_once(monkeypatch):
-    calls = 0
-    honest = LaurentPoly.__mul__
-
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return honest(self, other)
-
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    calls = _count_products(monkeypatch)
     assert run_claim("a2-monomials", deg=8).ok
     # 8 power steps for each of the 5 distinct variables (adjacent charts
-    # share one), then per chart one product per (m1, m2), m1, m2 >= 1,
+    # share one), then per chart one packed product per (m1, m2), m1, m2 >= 1,
     # m1 + m2 <= 8
-    assert calls == 5 * 8 + 5 * math.comb(8, 2)
+    assert calls == {"poly": 5 * 8, "packed": 5 * math.comb(8, 2)}
 
 
 @pytest.mark.parametrize(
@@ -161,18 +183,25 @@ def test_a2_monomials_builds_each_power_once(monkeypatch):
 def test_each_monomial_claim_makes_its_log_concavity_checks(monkeypatch, claim, scope, calls):
     import cluster_logcc.verify as verify
 
-    seen = 0
-    honest = verify.is_log_concave
+    # the cluster monomials are scanned packed, conj1-a2's tables unpacked
+    seen = {"poly": 0, "packed": 0}
+    honest_poly, honest_packed = verify.is_log_concave, ExponentCodec.scan
 
-    def counting(p):
-        nonlocal seen
-        seen += 1
-        return honest(p)
+    def counting_poly(p):
+        seen["poly"] += 1
+        return honest_poly(p)
 
-    monkeypatch.setattr(verify, "is_log_concave", counting)
+    def counting_packed(codec, terms):
+        seen["packed"] += 1
+        return honest_packed(codec, terms)
+
+    monkeypatch.setattr(verify, "is_log_concave", counting_poly)
+    monkeypatch.setattr(ExponentCodec, "scan", counting_packed)
     report = run_claim(claim, **scope)
-    assert seen == calls
-    if claim != "conj1-a2":
+    if claim == "conj1-a2":
+        assert seen == {"poly": calls, "packed": 0}
+    else:
+        assert seen == {"poly": 0, "packed": calls}
         assert report.stats["num_monomials"] == calls
 
 
@@ -198,14 +227,13 @@ def _first_occurrences(triples):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_cluster_monomials_match_plain_enumerator(n):
     from cluster_logcc import a_n_matrix, coefficient_free_seed, enumerate_exchange_graph
-    from cluster_logcc.verify import _cluster_monomials
 
     clusters = [
         s.cluster for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)))
     ]
     for deg in range(4 if n == 5 else 5):
         plain = list(plain_cluster_monomials(clusters, deg))
-        fast = list(_cluster_monomials(clusters, deg))
+        fast = _unpacked_monomials(clusters, deg)
         # the skipped products are copies of earlier ones: the same
         # distinct monomials, met first at the same (index, exponents)
         assert _first_occurrences(fast) == _first_occurrences(plain)
@@ -215,38 +243,61 @@ def test_cluster_monomials_match_plain_enumerator(n):
 
 
 def test_conj_an_multiplies_each_monomial_once(monkeypatch):
-    calls = 0
-    honest = LaurentPoly.__mul__
-
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return honest(self, other)
-
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    calls = _count_products(monkeypatch)
     report = run_claim("conj-an", rank=5, deg=3)
     assert report.stats == {
         "num_clusters": 132,
         "num_monomials": 720,
         "max_numerator_coefficient": 60,
     }
-    # 640 in the sweep's exchange relations, 3 power steps for each of the
-    # 20 variables, and 960 for the 660 distinct monomials of two or more
-    # variables, one per further factor: 1,660.  Multiplying every
-    # cluster's products afresh takes 7,300.
-    assert calls <= 1660
+    # 640 in the sweep's exchange relations and 3 power steps for each of
+    # the 20 variables, then 960 packed ones for the 660 distinct monomials
+    # of two or more variables, one per further factor.  Multiplying every
+    # cluster's products afresh takes 6,600 packed products.
+    assert calls["poly"] <= 700 and calls["packed"] == 960
+
+
+@pytest.mark.parametrize("n,deg", [(1, 2), (3, 4), (5, 3)])
+def test_conj_an_report_matches_the_tuple_route(n, deg):
+    # the claim forms and scans its monomials on packed keys; this route
+    # forms every product as a LaurentPoly on exponent tuples, keeps each
+    # distinct one where it is first met, and witnesses its numerator
+    from cluster_logcc import a_n_matrix, coefficient_free_seed, enumerate_exchange_graph
+
+    clusters = [
+        s.cluster for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n)))
+    ]
+    seen, witnesses, max_coeff = set(), [], 0
+    for idx, m, value in plain_cluster_monomials(clusters, deg):
+        if any(m) and value.key() not in seen:
+            seen.add(value.key())
+            max_coeff = max(max_coeff, max(value.coefficients()))
+            w = plain_logcc_witness(value, n, seed_index=idx, exponents=list(m))
+            witnesses += [w] if w else []
+    want = {
+        "claim": "conj-an",
+        "scope": {"rank": n, "deg": deg},
+        "status": "exploratory",
+        "witnesses": witnesses,
+        "stats": {
+            "num_clusters": len(clusters),
+            "num_monomials": len(seen),
+            "max_numerator_coefficient": max_coeff,
+        },
+    }
+    got = run_claim("conj-an", rank=n, deg=deg).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_conj_an_products_of_several_variables_never_recur():
     # explore_an_monomials keeps keys only for powers of one variable, on
     # the ground that every product of two or more is met once
     from cluster_logcc import a_n_matrix, coefficient_free_seed, enumerate_exchange_graph
-    from cluster_logcc.verify import _cluster_monomials
 
     n, deg = 4, 4
     clusters = (s.cluster for s in enumerate_exchange_graph(coefficient_free_seed(a_n_matrix(n))))
     keys = [
-        value.key() for _, m, value in _cluster_monomials(clusters, deg) if len(m) - m.count(0) > 1
+        value.key() for _, m, value in _unpacked_monomials(clusters, deg) if len(m) - m.count(0) > 1
     ]
     assert len(keys) == len(set(keys)) > 0
 
@@ -313,31 +364,17 @@ def test_basis_leading_exponents_distinct():
 
 
 def _keyed_eliminate(prod, basis, lead_index):
-    """verify._eliminate on _degree_first copies of prod, the basis values
-    and the lead index; arguments and results as plain_eliminate's."""
-    from cluster_logcc.verify import _degree_first, _eliminate
+    """verify._eliminate on packed copies of prod, the basis values and the
+    lead index; arguments and results as plain_eliminate's."""
+    from cluster_logcc.verify import _eliminate
 
-    def copy(p):
-        return LaurentPoly(2, {_degree_first(e): c for e, c in p.terms.items()})
-
+    codec = ExponentCodec.for_products([prod, *(e.value for e in basis)], 1)
     coeffs, residual = _eliminate(
-        copy(prod),
-        [copy(e.value) for e in basis],
-        {_degree_first(lead): i for lead, i in lead_index.items()},
+        codec.pack(prod),
+        [codec.pack(e.value) for e in basis],
+        {codec.encode(lead): i for lead, i in lead_index.items()},
     )
-    back = {(k[1], k[0] - k[1]): c for k, c in residual.terms.items()}
-    return coeffs, LaurentPoly(2, back)
-
-
-def test_degree_first_keys_order_exponents_graded_lex():
-    from cluster_logcc.verify import _degree_first
-
-    exps = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
-    assert sorted(exps, key=_degree_first) == sorted(exps, key=lambda e: (sum(e), e))
-    assert len({_degree_first(e) for e in exps}) == len(exps)
-    for e in [(2, -1, 4), (0, 0, 0), (-3, 5, 1)]:
-        k = _degree_first(e)
-        assert k[1:] + (k[0] - sum(k[1:]),) == e
+    return coeffs, codec.unpack(residual)
 
 
 def _expand(prod, deg):
@@ -630,12 +667,18 @@ def test_planted_g_matrix_defect_falsifies(capsys, monkeypatch, claim, kind):
     assert kind in _falsified_kinds(capsys, claim)
 
 
-def test_always_failing_log_concavity_caps_a2_monomial_witnesses(capsys, monkeypatch):
-    import cluster_logcc.verify as verify
+def _always_failing_packed_scan(monkeypatch):
     from cluster_logcc import LogConcavityResult
+
+    monkeypatch.setattr(
+        ExponentCodec, "scan", lambda codec, terms: LogConcavityResult(False, 0, (0, 0))
+    )
+
+
+def test_always_failing_log_concavity_caps_a2_monomial_witnesses(capsys, monkeypatch):
     from cluster_logcc.cli import main
 
-    monkeypatch.setattr(verify, "is_log_concave", lambda p: LogConcavityResult(False, 0, (0, 0)))
+    _always_failing_packed_scan(monkeypatch)
     code = main(["verify", "--claim", "a2-monomials", "--deg", "4"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["status"] == "falsified"
@@ -647,10 +690,9 @@ def test_always_failing_log_concavity_caps_a2_monomial_witnesses(capsys, monkeyp
 
 def test_a2_monomial_witnesses_keep_every_alias(monkeypatch):
     import cluster_logcc.verify as verify
-    from cluster_logcc import LogConcavityResult
 
     # every alias gets its own witness, in numerator coordinates
-    monkeypatch.setattr(verify, "is_log_concave", lambda p: LogConcavityResult(False, 0, (0, 0)))
+    _always_failing_packed_scan(monkeypatch)
     monkeypatch.setattr(verify, "WITNESS_CAP", 100)
     witnesses = verify_a2_monomials(4).witnesses
     assert [(w["chart"], w["exponents"]) for w in witnesses] == [
@@ -710,7 +752,7 @@ def test_planted_basis_defect_leaves_conj1_a2_residuals(capsys, monkeypatch):
     assert report["stats"]["num_unresolved"] > 0
     assert "unresolved-residual" in {w["kind"] for w in report["witnesses"]}
     # the residual is reported in the basis's exponents (e1, e2), not in
-    # the (e1 + e2, e1) keys the elimination runs on
+    # the packed int keys the elimination runs on
     (residual,) = [
         w["residual"]
         for w in report["witnesses"]
@@ -795,17 +837,25 @@ def test_planted_negative_f_coefficient_falsifies_fpoly(capsys, monkeypatch):
 
 
 def _fail_log_concavity_from_three_terms(monkeypatch):
+    """Both scans the claims call fail on three or more terms: is_log_concave
+    (main1, fpoly, conj1-a2's tables) and the packed one (conj-an)."""
     import cluster_logcc.verify as verify
     from cluster_logcc import LogConcavityResult
 
-    honest = verify.is_log_concave
+    honest, honest_packed = verify.is_log_concave, ExponentCodec.scan
 
     def fails_from_three_terms(p):
         if len(p.terms) >= 3:
             return LogConcavityResult(False, 0, (0,) * p.num_vars)
         return honest(p)
 
+    def packed_fails_from_three_terms(codec, terms):
+        if len(terms) >= 3:
+            return LogConcavityResult(False, 0, (0,) * codec.num_vars)
+        return honest_packed(codec, terms)
+
     monkeypatch.setattr(verify, "is_log_concave", fails_from_three_terms)
+    monkeypatch.setattr(ExponentCodec, "scan", packed_fails_from_three_terms)
 
 
 def test_planted_log_concavity_failure_falsifies_fpoly(capsys, monkeypatch):
