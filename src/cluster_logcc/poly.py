@@ -18,11 +18,6 @@ hand it to the result unchecked, through LaurentPoly._trusted; the integers
 they take (a factor, offsets, indices, a power) are read through
 operator.index too.
 
-Two-variable log-concavity scans, which conj1-a2's chart tables run,
-unpack each exponent as (a, b) and build their neighbours' keys directly
-instead of through the general loop's tuple arithmetic.  Results and scan
-order are the general loop's.
-
 ExponentCodec packs a ring's exponent vectors into ints, for claims that
 form many products of a few polynomials and keep them as term dicts
 {key: coefficient}.  The layout is degree first: with W = 2**s, the key of
@@ -36,6 +31,8 @@ magnitude at most the codec's bound, and W/2 is at least the bound plus 2
     tuple, so the graded-lex lead of a term dict is max() of its keys;
   - the neighbours a scan reads, two steps down any axis, never alias
     another key.
+is_log_concave is the one log-concavity scan, on these keys: a claim's
+term dicts are scanned as they are, and a LaurentPoly is packed first.
 pack raises on a digit beyond the bound, so no key aliases silently.  A
 claim sizes the bound from its own inputs (ExponentCodec.for_products):
 deg times the largest |exponent| among the polynomials it multiplies bounds
@@ -364,74 +361,13 @@ def normalize_denominator(p: LaurentPoly, n: int) -> DenominatorForm:
     return DenominatorForm(p.shift(offsets), d)
 
 
-def is_log_concave(p: LaurentPoly) -> LogConcavityResult:
-    """Axis-aligned log-concavity over the support's bounding box.
-
-    Requires a nonzero polynomial with nonnegative coefficients.  For every
-    axis j and every lattice point i of the bounding box, checks
-    a_i^2 >= a_{i - e_j} * a_{i + e_j}, with absent coefficients read as 0.
-    Returns the first violated (axis, point) in a deterministic scan order:
-    axes ascending, then lines sorted by their remaining coordinates, then
-    positions ascending.
-
-    With positive coefficients the right side is nonzero only when both
-    neighbours are terms, so a point can fail only one step above a term
-    that has another term two steps above it on the same axis.  One pass
-    over the terms per axis checks exactly those points, reading the middle
-    coefficient as 0 when it is absent, and keeps the least failing
-    (remaining coordinates, position): the scan order above is unchanged.
-    """
-    if not p:
-        raise ValueError("log-concavity is undefined for the zero polynomial")
-    terms = p.terms
-    for e, c in terms.items():
-        if c < 0:
-            raise ValueError(f"negative coefficient {c} at {e}")
-    get = terms.get
-    if p.num_vars == 2:  # the general loop below with unpacked keys
-        first = None  # least failing (remaining coordinate, position), as below
-        for (a, b), right in terms.items():
-            left = get((a - 2, b))
-            if left is not None:
-                mid = get((a - 1, b), 0)
-                if mid * mid < left * right and (first is None or (b, a - 1) < first):
-                    first = (b, a - 1)
-        if first is not None:
-            return LogConcavityResult(False, 0, (first[1], first[0]))
-        for (a, b), right in terms.items():
-            left = get((a, b - 2))
-            if left is not None:
-                mid = get((a, b - 1), 0)
-                if mid * mid < left * right and (first is None or (a, b - 1) < first):
-                    first = (a, b - 1)
-        if first is not None:
-            return LogConcavityResult(False, 1, first)
-        return LogConcavityResult(True, None, None)
-    for axis in range(p.num_vars):
-        first = None  # least failing (remaining coordinates, position)
-        for e, right in terms.items():
-            head, i, tail = e[:axis], e[axis], e[axis + 1 :]
-            left = get(head + (i - 2,) + tail)
-            if left is None:
-                continue
-            mid = get(head + (i - 1,) + tail, 0)
-            if mid * mid < left * right:
-                fail = (head + tail, i - 1)
-                if first is None or fail < first:
-                    first = fail
-        if first is not None:
-            rest, i = first
-            return LogConcavityResult(False, axis, rest[:axis] + (i,) + rest[axis:])
-    return LogConcavityResult(True, None, None)
-
-
 class ExponentCodec:
     """Exponent vectors of one ring packed into ints, degree first.
 
     See the module docstring for the layout.  Term dicts on these keys are
     plain {key: coefficient} dicts with nonzero coefficients: pack makes
-    them, mul multiplies them, scan checks their log-concavity and unpack
-    turns one back into a LaurentPoly.
+    them, mul multiplies them, is_log_concave(terms, codec) scans them and
+    unpack turns one back into a LaurentPoly.
     """
 
     __slots__ = ("num_vars", "bound", "_shift", "_half", "_steps")
@@ -511,34 +447,57 @@ class ExponentCodec:
                     del out[k]
         return out
 
-    def scan(self, terms: Mapping[int, int]) -> LogConcavityResult:
-        """is_log_concave(self.unpack(terms)), on the keys.
 
-        The coefficients must be positive; the caller checks their signs.
-        Each axis is one fixed step between keys, so a term's neighbours
-        below it are two int lookups.  Only failing points are decoded, and
-        the least (remaining coordinates, position) among them is returned:
-        is_log_concave's (ok, axis, point) exactly.
-        """
-        if not terms:
-            raise ValueError("log-concavity is undefined for the zero polynomial")
-        get = terms.get
-        items = terms.items()
-        for axis, step in enumerate(self._steps):
-            two = step + step
-            fails = []
-            for k, right in items:
-                left = get(k - two)
-                if left is not None:
-                    mid = get(k - step, 0)
-                    if mid * mid < left * right:
-                        fails.append(k - step)
-            if fails:
-                point = min(
-                    map(self.decode, fails), key=lambda e: (e[:axis] + e[axis + 1 :], e[axis])
-                )
-                return LogConcavityResult(False, axis, point)
-        return LogConcavityResult(True, None, None)
+def is_log_concave(p, codec: Optional[ExponentCodec] = None) -> LogConcavityResult:
+    """Axis-aligned log-concavity over the support's bounding box.
+
+    p is a LaurentPoly, or with a codec a term dict that codec packed; the
+    codec says how p is stored and changes no result.  p must be nonzero
+    with nonnegative coefficients.  For every axis j and every lattice
+    point i of the bounding box, checks a_i^2 >= a_{i - e_j} * a_{i + e_j},
+    with absent coefficients read as 0.  Returns the first violated
+    (axis, point) in a deterministic scan order: axes ascending, then lines
+    sorted by their remaining coordinates, then positions ascending.
+
+    With positive coefficients the right side is nonzero only when both
+    neighbours are terms, so a point can fail only one step above a term
+    that has another term two steps above it on the same axis.  A
+    LaurentPoly is packed once (a ring of no variables has only its signs
+    to check); then each axis is one fixed step between keys, and one pass
+    over the terms per axis reads a term's two neighbours below it, the
+    middle one as 0 when absent.  Only failing points are decoded, and the
+    least (remaining coordinates, position) among them is returned.  A
+    negative coefficient raises ValueError from the first axis's pass.
+    """
+    if not p:
+        raise ValueError("log-concavity is undefined for the zero polynomial")
+    if codec is None:
+        if not p.num_vars:
+            for e, c in p.terms.items():
+                if c < 0:
+                    raise ValueError(f"negative coefficient {c} at {e}")
+            return LogConcavityResult(True, None, None)
+        codec = ExponentCodec.for_products([p], 1)
+        p = codec.pack(p)
+    get = p.get
+    items = p.items()
+    for axis, step in enumerate(codec._steps):
+        two = step + step
+        fails = []
+        for k, right in items:
+            if right < 0:
+                raise ValueError(f"negative coefficient {right} at {codec.decode(k)}")
+            left = get(k - two)
+            if left is not None:
+                mid = get(k - step, 0)
+                if mid * mid < left * right:
+                    fails.append(k - step)
+        if fails:
+            point = min(
+                map(codec.decode, fails), key=lambda e: (e[:axis] + e[axis + 1 :], e[axis])
+            )
+            return LogConcavityResult(False, axis, point)
+    return LogConcavityResult(True, None, None)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

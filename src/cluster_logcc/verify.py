@@ -110,8 +110,8 @@ class Report:
 def _logcc_witness(p, n: int, codec: Optional[ExponentCodec] = None, **extra) -> Optional[dict]:
     """A witness unless p is log-concave; a negative coefficient gives a
     negative-coefficient witness, never is_log_concave's ValueError.  With a
-    codec, p is its packed terms: codec.scan checks them, only a witness
-    unpacks them.  p is scanned where it lies (a shift moves no coefficient
+    codec, p is its packed terms, scanned as they are and unpacked only for
+    a witness.  p is scanned where it lies (a shift moves no coefficient
     and keeps the scan order); only a witness forms the numerator over the
     first n variables, and its point and poly are in those coordinates.
     """
@@ -120,7 +120,7 @@ def _logcc_witness(p, n: int, codec: Optional[ExponentCodec] = None, **extra) ->
     if any(c < 0 for c in (p.values() if codec else p.coefficients())):
         out["kind"] = "negative-coefficient"
     else:
-        res = codec.scan(p) if codec else is_log_concave(p)
+        res = is_log_concave(p, codec)
         if res.ok:
             return None
     if codec:
@@ -561,20 +561,20 @@ def _eliminate(
 
 
 def _chart_tables(
-    basis: List[BasisElement], coefficients: Dict[int, int]
-) -> Dict[int, LaurentPoly]:
+    aliases: List[Tuple[Tuple[int, int], ...]], coefficients: Dict[int, int]
+) -> Dict[int, Dict[int, int]]:
     """Arrange expansion constants as one exponent-indexed table per chart.
 
-    One pass over the constants fills every chart's entries, in index order
-    within each chart; the tables come back in ascending chart order.  The
-    constants are the nonzero ints _eliminate returns, so each table's term
-    dict is clean as built.
+    aliases[i] holds basis element i's (chart, packed exponents) pairs.  One
+    pass over the constants fills every chart's entries, in index order
+    within each chart; the tables come back as term dicts on those keys, in
+    ascending chart order.
     """
-    entries: Dict[int, Dict[tuple, int]] = {}
+    entries: Dict[int, Dict[int, int]] = {}
     for idx, coeff in coefficients.items():
-        for chart, m in basis[idx].aliases:
-            entries.setdefault(chart, {})[m] = coeff
-    return {chart: LaurentPoly._trusted(2, entries[chart]) for chart in sorted(entries)}
+        for chart, key in aliases[idx]:
+            entries.setdefault(chart, {})[key] = coeff
+    return {chart: entries[chart] for chart in sorted(entries)}
 
 
 def verify_a2_monomials(deg: int) -> Report:
@@ -671,13 +671,16 @@ def explore_a2_structure_constants(deg: int) -> Report:
     to at most deg, the product is expanded over the cluster monomial basis.
     Expected (and recorded as witnesses when violated): the expansion has no
     residual, every constant is nonnegative, and each chart's table of
-    constants is log-concave.
+    constants is log-concave.  The tables are packed with one codec for
+    exponents (m1, m2) of degree at most deg, each alias encoded once.
     """
     report = Report("conj1-a2", {"deg": deg}, exploratory=True)
     basis = a2_basis(deg)
     codec = ExponentCodec.for_products(_a2_variables(), deg)
     packed = [codec.pack(e.value) for e in basis]
     lead_index = {codec.encode(e.leading): i for i, e in enumerate(basis)}
+    tables = ExponentCodec(2, deg)
+    aliases = [tuple((chart, tables.encode(m)) for chart, m in e.aliases) for e in basis]
     nonconstant = [i for i, e in enumerate(basis) if e.degree > 0]
     num_pairs = 0
     max_constant = 0
@@ -711,10 +714,10 @@ def explore_a2_structure_constants(deg: int) -> Report:
                 )
             if coeffs:
                 max_constant = max(max_constant, max(coeffs.values()))
-            for chart, table in _chart_tables(basis, coeffs).items():
-                if any(c <= 0 for c in table.coefficients()):
+            for chart, table in _chart_tables(aliases, coeffs).items():
+                if any(c <= 0 for c in table.values()):
                     continue  # already witnessed above
-                res = is_log_concave(table)
+                res = is_log_concave(table, tables)
                 if not res.ok:
                     report.add(
                         {
@@ -722,7 +725,7 @@ def explore_a2_structure_constants(deg: int) -> Report:
                             "chart": chart,
                             "axis": res.axis,
                             "point": list(res.point),
-                            "table": poly_to_json(table),
+                            "table": poly_to_json(tables.unpack(table)),
                             **_pair_json(basis, i, j),
                         }
                     )

@@ -24,8 +24,9 @@ each shares with the package only what its docstring names:
   reads a seed.  boundary_seed shares only geometric_seed with the
   package, which turns that matrix into a seed;
 - plain_logcc_witness forms the numerator with normalize_denominator and
-  scans it with is_log_concave.  The package scans the Laurent polynomial
-  where it lies and forms the numerator only for a witness.
+  scans it with scan_log_concave, so it shares no scan code with the
+  package, which scans the Laurent polynomial where it lies, on packed
+  keys, and forms the numerator only for a witness.
 
 The searches key seeds with plain_seed_key, never with the package's
 canonical_seed_key, and share no stepping code with the sweep they check.
@@ -43,7 +44,6 @@ from cluster_logcc import (
     crosses,
     enumerate_t_paths,
     flip,
-    is_log_concave,
     normalize_denominator,
     poly_to_json,
     principal_state,
@@ -122,7 +122,7 @@ def plain_logcc_witness(p: LaurentPoly, n: int, **extra):
     if any(c < 0 for c in numerator.coefficients()):
         out["kind"] = "negative-coefficient"
     else:
-        res = is_log_concave(numerator)
+        res = scan_log_concave(numerator)
         if res.ok:
             return None
         out["axis"] = res.axis

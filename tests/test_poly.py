@@ -437,6 +437,15 @@ def test_log_concavity_witness_is_least_in_scan_order():
     # axis 0 passes, so axis 1's failure is the witness, lowest position first
     q = P(2, {(0, -3): 1, (0, -1): 4, (0, 1): 9})
     assert tuple(is_log_concave(q)) == (False, 1, (0, -2)) == tuple(scan_log_concave(q))
+    # axis 1 fails on the lines a = 3 and a = 0; a = 3 comes first in dict
+    # order, and its failing point has the smaller packed key
+    r = P(2, {(3, 0): 1, (3, 2): 1, (0, 4): 1, (0, 6): 1})
+    codec = ExponentCodec.for_products([r], 1)
+    assert tuple(is_log_concave(codec.pack(r), codec)) == (False, 1, (0, 5))
+    assert tuple(is_log_concave(r)) == (False, 1, (0, 5)) == tuple(scan_log_concave(r))
+    # two failures on one line: the lower position, met last
+    t = P(2, {(1, 7): 1, (1, 9): 1, (1, 2): 1, (1, 4): 1})
+    assert tuple(is_log_concave(t)) == (False, 1, (1, 3)) == tuple(scan_log_concave(t))
 
 
 @pytest.mark.parametrize("p", [LaurentPoly.zero(2), P(2, {(0, 0): 1, (1, 1): -2})])
@@ -514,7 +523,7 @@ def test_packed_scan_matches_is_log_concave(p):
     # bound = the largest |exponent| exactly: neighbours two steps below a
     # digit at the bound still decode, so none aliases another term
     codec = ExponentCodec.for_products([p], 1)
-    assert tuple(codec.scan(codec.pack(p))) == tuple(is_log_concave(p))
+    assert tuple(is_log_concave(codec.pack(p), codec)) == tuple(scan_log_concave(p))
 
 
 def test_packed_scan_finds_failing_lines_and_absent_middles():
@@ -528,9 +537,27 @@ def test_packed_scan_finds_failing_lines_and_absent_middles():
     ]
     for p in cases:
         codec = ExponentCodec.for_products([p], 1)
-        got = codec.scan(codec.pack(p))
+        got = is_log_concave(codec.pack(p), codec)
         assert not got.ok
-        assert tuple(got) == tuple(is_log_concave(p)) == tuple(scan_log_concave(p))
+        assert tuple(got) == tuple(scan_log_concave(p))
+
+
+@given(
+    some_vars.flatmap(lambda m: polys(m, max_terms=8, coeff=positive)).filter(bool),
+    st.integers(min_value=1, max_value=3),
+)
+def test_packed_and_unpacked_forms_scan_alike(p, deg):
+    # any codec wide enough for p gives p's own result
+    codec = ExponentCodec.for_products([p], deg)
+    assert tuple(is_log_concave(codec.pack(p), codec)) == tuple(is_log_concave(p))
+
+
+def test_zero_variable_constants_only_check_their_sign():
+    assert tuple(is_log_concave(P(0, {(): 5}))) == (True, None, None)
+    with pytest.raises(ValueError, match=r"^negative coefficient -5 at \(\)$"):
+        is_log_concave(P(0, {(): -5}))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        is_log_concave(LaurentPoly.zero(0))
 
 
 @pytest.mark.parametrize("bound", range(5))
@@ -546,7 +573,7 @@ def test_scan_neighbours_of_a_digit_at_the_bound_never_alias(bound):
         for f in others:
             if f != e:
                 p = P(2, {e: 1, f: 1})
-                assert tuple(codec.scan(codec.pack(p))) == tuple(is_log_concave(p))
+                assert tuple(is_log_concave(codec.pack(p), codec)) == tuple(scan_log_concave(p))
 
 
 @given(some_vars.flatmap(lambda m: st.lists(st.tuples(*([exponents] * m)), unique=True)))
@@ -581,7 +608,7 @@ def test_codec_in_one_variable_and_at_degree_zero():
     assert [one.encode((e,)) for e in (-7, 0, 9)] == [-7, 0, 9]  # the degree alone
     p = P(1, {(-9,): 1, (-8,): 1, (-7,): 5})
     assert one.unpack(one.pack(p)) == p
-    assert tuple(one.scan(one.pack(p))) == tuple(is_log_concave(p))
+    assert tuple(is_log_concave(one.pack(p), one)) == tuple(scan_log_concave(p))
     const = ExponentCodec.for_products([P(2, {(1, -1): 1}), P(2, {(0, 1): 2})], 0)
     assert const.bound == 0
     assert const.mul(const.pack(P(2, {(0, 0): 3})), const.pack(P(2, {(0, 0): -2}))) == {0: -6}

@@ -183,25 +183,18 @@ def test_a2_monomials_builds_each_power_once(monkeypatch):
 def test_each_monomial_claim_makes_its_log_concavity_checks(monkeypatch, claim, scope, calls):
     import cluster_logcc.verify as verify
 
-    # the cluster monomials are scanned packed, conj1-a2's tables unpacked
-    seen = {"poly": 0, "packed": 0}
-    honest_poly, honest_packed = verify.is_log_concave, ExponentCodec.scan
+    # the cluster monomials and conj1-a2's tables are all scanned packed
+    seen = {"plain": 0, "packed": 0}
+    honest = verify.is_log_concave
 
-    def counting_poly(p):
-        seen["poly"] += 1
-        return honest_poly(p)
+    def counting(p, codec=None):
+        seen["plain" if codec is None else "packed"] += 1
+        return honest(p, codec)
 
-    def counting_packed(codec, terms):
-        seen["packed"] += 1
-        return honest_packed(codec, terms)
-
-    monkeypatch.setattr(verify, "is_log_concave", counting_poly)
-    monkeypatch.setattr(ExponentCodec, "scan", counting_packed)
+    monkeypatch.setattr(verify, "is_log_concave", counting)
     report = run_claim(claim, **scope)
-    if claim == "conj1-a2":
-        assert seen == {"poly": calls, "packed": 0}
-    else:
-        assert seen == {"poly": 0, "packed": calls}
+    assert seen == {"plain": 0, "packed": calls}
+    if claim != "conj1-a2":
         assert report.stats["num_monomials"] == calls
 
 
@@ -459,15 +452,17 @@ def test_chart_tables_match_per_chart_scan():
 
     basis = a2_basis(6)
     lead_index = {e.leading: i for i, e in enumerate(basis)}
+    codec = ExponentCodec(2, 6)
+    aliases = [tuple((chart, codec.encode(m)) for chart, m in e.aliases) for e in basis]
     num_tables = 0
     for ai, a in enumerate(basis):
         for b in basis[ai:]:
             if a.degree + b.degree > 6:
                 continue
             coeffs, _ = _keyed_eliminate(a.value * b.value, basis, lead_index)
-            got = verify._chart_tables(basis, coeffs)
+            got = verify._chart_tables(aliases, coeffs)
             want = plain_chart_tables(basis, coeffs)
-            assert list(got.items()) == list(want.items())
+            assert [(c, codec.unpack(t)) for c, t in got.items()] == list(want.items())
             num_tables += len(got)
     assert num_tables > 0
 
@@ -667,18 +662,19 @@ def test_planted_g_matrix_defect_falsifies(capsys, monkeypatch, claim, kind):
     assert kind in _falsified_kinds(capsys, claim)
 
 
-def _always_failing_packed_scan(monkeypatch):
+def _always_failing_scan(monkeypatch):
+    import cluster_logcc.verify as verify
     from cluster_logcc import LogConcavityResult
 
     monkeypatch.setattr(
-        ExponentCodec, "scan", lambda codec, terms: LogConcavityResult(False, 0, (0, 0))
+        verify, "is_log_concave", lambda p, codec=None: LogConcavityResult(False, 0, (0, 0))
     )
 
 
 def test_always_failing_log_concavity_caps_a2_monomial_witnesses(capsys, monkeypatch):
     from cluster_logcc.cli import main
 
-    _always_failing_packed_scan(monkeypatch)
+    _always_failing_scan(monkeypatch)
     code = main(["verify", "--claim", "a2-monomials", "--deg", "4"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["status"] == "falsified"
@@ -692,7 +688,7 @@ def test_a2_monomial_witnesses_keep_every_alias(monkeypatch):
     import cluster_logcc.verify as verify
 
     # every alias gets its own witness, in numerator coordinates
-    _always_failing_packed_scan(monkeypatch)
+    _always_failing_scan(monkeypatch)
     monkeypatch.setattr(verify, "WITNESS_CAP", 100)
     witnesses = verify_a2_monomials(4).witnesses
     assert [(w["chart"], w["exponents"]) for w in witnesses] == [
@@ -837,25 +833,21 @@ def test_planted_negative_f_coefficient_falsifies_fpoly(capsys, monkeypatch):
 
 
 def _fail_log_concavity_from_three_terms(monkeypatch):
-    """Both scans the claims call fail on three or more terms: is_log_concave
-    (main1, fpoly, conj1-a2's tables) and the packed one (conj-an)."""
+    """The claims' log-concavity scan fails on three or more terms, for a
+    LaurentPoly (main1, fpoly) and for packed terms (conj-an, conj1-a2's
+    tables) alike."""
     import cluster_logcc.verify as verify
     from cluster_logcc import LogConcavityResult
 
-    honest, honest_packed = verify.is_log_concave, ExponentCodec.scan
+    honest = verify.is_log_concave
 
-    def fails_from_three_terms(p):
-        if len(p.terms) >= 3:
-            return LogConcavityResult(False, 0, (0,) * p.num_vars)
-        return honest(p)
-
-    def packed_fails_from_three_terms(codec, terms):
+    def fails_from_three_terms(p, codec=None):
+        terms, num_vars = (p, codec.num_vars) if codec else (p.terms, p.num_vars)
         if len(terms) >= 3:
-            return LogConcavityResult(False, 0, (0,) * codec.num_vars)
-        return honest_packed(codec, terms)
+            return LogConcavityResult(False, 0, (0,) * num_vars)
+        return honest(p, codec)
 
     monkeypatch.setattr(verify, "is_log_concave", fails_from_three_terms)
-    monkeypatch.setattr(ExponentCodec, "scan", packed_fails_from_three_terms)
 
 
 def test_planted_log_concavity_failure_falsifies_fpoly(capsys, monkeypatch):
